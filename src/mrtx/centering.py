@@ -14,22 +14,13 @@ mean, single pooled mean) used to demonstrate when centering goes wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import MrtDataset
 from .errors import DimensionMismatch, SingularGram
-
-COND_LIMIT = 1e12
-
-
-def _check_cond(gram: np.ndarray, what: str) -> None:
-    if gram.size == 0:
-        raise SingularGram(f"{what}: empty Gram matrix")
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularGram(f"{what}: condition number {cond:.3g} exceeds {COND_LIMIT:.0e}")
+from .variance import checked_solve
 
 
 @dataclass(frozen=True)
@@ -41,16 +32,22 @@ class CenteringModel:
     per auxiliary column), so variance stacking never needs a refit.
     ``orthogonal`` is False for deliberately misspecified centerings built by
     :func:`centering_from_rows`; those cannot back a stacked variance.
+    ``source`` is the dataset the model was fitted on; its fingerprint is
+    taken only when ``fitted_on`` is read.
     """
 
     theta: np.ndarray              # (q, p_z)
     weight_kind: str
-    fitted_on: str
+    source: MrtDataset = field(repr=False, compare=False)
     score_meta: np.ndarray         # (n_subjects, q * p_z), column-major in aux index
     gram: np.ndarray               # (q, q) weighted Gram used for the fit
     f_names: tuple[str, ...]
     z_names: tuple[str, ...]
     orthogonal: bool = True
+
+    @property
+    def fitted_on(self) -> str:
+        return self.source.fingerprint()
 
     @property
     def q(self) -> int:
@@ -99,9 +96,8 @@ def fit_centering(ds: MrtDataset) -> CenteringModel:
     w = _weights(ds)
     fw = ds.f * w[:, None]
     gram = (fw.T @ ds.f) / ds.n_subjects
-    _check_cond(gram, "centering fit")
     rhs = (fw.T @ ds.z) / ds.n_subjects
-    theta = np.linalg.solve(gram, rhs)
+    theta = checked_solve(gram, rhs, SingularGram, "centering fit")
 
     resid = ds.z - ds.f @ theta                          # (rows, p_z)
     contrib = fw[:, :, None] * resid[:, None, :]         # (rows, q, p_z)
@@ -109,7 +105,7 @@ def fit_centering(ds: MrtDataset) -> CenteringModel:
     return CenteringModel(
         theta=theta,
         weight_kind="ptilde(1-ptilde)",
-        fitted_on=ds.fingerprint(),
+        source=ds,
         score_meta=per_subj,
         gram=gram,
         f_names=ds.f_names,
@@ -166,8 +162,7 @@ def centering_from_rows(ds: MrtDataset, mu_rows: np.ndarray, label: str) -> Cent
     if mu_rows.ndim == 1:
         mu_rows = mu_rows[:, None]
     gram = ds.f.T @ ds.f
-    _check_cond(gram, "centering representation")
-    theta = np.linalg.solve(gram, ds.f.T @ mu_rows)
+    theta = checked_solve(gram, ds.f.T @ mu_rows, SingularGram, "centering representation")
     rep = ds.f @ theta
     if not np.allclose(rep, mu_rows, atol=1e-8):
         raise DimensionMismatch(
@@ -175,7 +170,7 @@ def centering_from_rows(ds: MrtDataset, mu_rows: np.ndarray, label: str) -> Cent
     return CenteringModel(
         theta=theta,
         weight_kind=label,
-        fitted_on=ds.fingerprint(),
+        source=ds,
         score_meta=np.zeros((ds.n_subjects, ds.q * ds.p_z)),
         gram=gram / ds.n_subjects,
         f_names=ds.f_names,

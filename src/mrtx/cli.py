@@ -26,6 +26,7 @@ import numpy as np
 from . import errors
 from .data import load_csv, moderator_schema
 from .estimators import (
+    CENTERING_KINDS,
     EstimatorConfig,
     METHODS,
     VARIANCE_MODES,
@@ -235,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--t", type=int, default=None,
                        help="decision index for per-time methods")
     p_fit.add_argument("--variance", default="plain_sandwich", choices=VARIANCE_MODES)
-    p_fit.add_argument("--centering", default="orthogonal",
-                       choices=("orthogonal", "global_mean", "time_specific_mean"))
+    p_fit.add_argument("--centering", default="orthogonal", choices=CENTERING_KINDS)
     p_fit.add_argument("--ci-level", dest="ci_level", type=float, default=0.95)
     p_fit.add_argument("--out", default=None, help="output path prefix")
     p_fit.set_defaults(func=cmd_fit)

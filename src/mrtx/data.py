@@ -393,9 +393,6 @@ def to_csv(ds: MrtDataset, path) -> None:
 class DesignBlocks:
     """Per-row regression blocks shared by every weighted criterion."""
 
-    f: np.ndarray
-    z: np.ndarray
-    g: np.ndarray
     centered_a: np.ndarray
     weight_w: np.ndarray
 
@@ -411,9 +408,6 @@ def design_blocks(ds: MrtDataset) -> DesignBlocks:
     num = np.where(a == 1.0, ds.p_tilde, 1.0 - ds.p_tilde)
     den = np.where(a == 1.0, ds.p, 1.0 - ds.p)
     return DesignBlocks(
-        f=ds.f,
-        z=ds.z,
-        g=ds.g,
         centered_a=a - ds.p_tilde,
         weight_w=num / den,
     )

@@ -41,13 +41,13 @@ from .errors import (
 from .variance import (
     SandwichParts,
     StackedParts,
+    checked_solve,
     confidence_intervals,
     plain_sandwich,
+    score_meat,
     stacked_sandwich,
     stacked_small_sample,
 )
-
-COND_LIMIT = 1e12
 
 METHODS = ("unadjusted_per_time", "wcls_per_time", "lin_per_time",
            "wcls", "a2wcls", "a2wcls_lagged", "emee", "a2emee")
@@ -96,39 +96,96 @@ class LaggedNuisanceModel:
 
 @dataclass
 class FitResult:
-    """Point estimates plus retained variance machinery for one fit."""
+    """Point estimates plus retained variance machinery for one fit.
+
+    Coefficient blocks, SEs, intervals and p-values are properties derived
+    from ``estimates``, ``vcov`` and the index sets, never stored copies.
+    """
 
     method: str
     param_names: tuple[str, ...]
     estimates: np.ndarray
-    alpha: np.ndarray
-    beta0: np.ndarray
-    beta1: np.ndarray
-    beta0_names: tuple[str, ...]
-    beta1_names: tuple[str, ...]
     vcov: np.ndarray
-    vcov_beta0: np.ndarray
-    se: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-    p_value: np.ndarray
-    se_all: np.ndarray
-    ci_lo_all: np.ndarray
-    ci_hi_all: np.ndarray
-    p_value_all: np.ndarray
-    per_subject_scores: np.ndarray
-    bread: np.ndarray
-    converged: bool
-    n_iter: int
+    beta0_idx: np.ndarray = field(repr=False)
+    beta1_idx: np.ndarray = field(repr=False)
+    parts: SandwichParts = field(repr=False)
+    stacked_parts: StackedParts | None = field(repr=False)
     n_subjects: int
     variance_mode: str
     ci_level: float
-    beta0_idx: np.ndarray = field(repr=False, default=None)
-    beta1_idx: np.ndarray = field(repr=False, default=None)
+    converged: bool
+    n_iter: int
     lagged_nuisance: LaggedNuisanceModel | None = None
     ee_norm_trace: tuple[float, ...] = ()
-    parts: SandwichParts = field(repr=False, default=None)
-    stacked_parts: StackedParts | None = field(repr=False, default=None)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return np.delete(self.estimates, np.concatenate([self.beta0_idx, self.beta1_idx]))
+
+    @property
+    def beta0(self) -> np.ndarray:
+        return self.estimates[self.beta0_idx]
+
+    @property
+    def beta1(self) -> np.ndarray:
+        return self.estimates[self.beta1_idx]
+
+    @property
+    def beta0_names(self) -> tuple[str, ...]:
+        return tuple(self.param_names[i] for i in self.beta0_idx)
+
+    @property
+    def beta1_names(self) -> tuple[str, ...]:
+        return tuple(self.param_names[i] for i in self.beta1_idx)
+
+    @property
+    def vcov_beta0(self) -> np.ndarray:
+        return self.vcov[np.ix_(self.beta0_idx, self.beta0_idx)]
+
+    @property
+    def se_all(self) -> np.ndarray:
+        return np.sqrt(np.clip(np.diag(self.vcov), 0.0, None) / self.n_subjects)
+
+    @property
+    def se(self) -> np.ndarray:
+        return self.se_all[self.beta0_idx]
+
+    def _intervals(self):
+        return confidence_intervals(self.estimates, self.se_all, self.ci_level,
+                                    self.variance_mode == "stacked_small_sample",
+                                    self.n_subjects, self.parts.dim)
+
+    @property
+    def ci_lo_all(self) -> np.ndarray:
+        return self._intervals()[0]
+
+    @property
+    def ci_hi_all(self) -> np.ndarray:
+        return self._intervals()[1]
+
+    @property
+    def p_value_all(self) -> np.ndarray:
+        return self._intervals()[2]
+
+    @property
+    def ci_lo(self) -> np.ndarray:
+        return self.ci_lo_all[self.beta0_idx]
+
+    @property
+    def ci_hi(self) -> np.ndarray:
+        return self.ci_hi_all[self.beta0_idx]
+
+    @property
+    def p_value(self) -> np.ndarray:
+        return self.p_value_all[self.beta0_idx]
+
+    @property
+    def per_subject_scores(self) -> np.ndarray:
+        return self.parts.subject_scores
+
+    @property
+    def bread(self) -> np.ndarray:
+        return self.parts.bread
 
     def report_text(self) -> str:
         lines = [f"method: {self.method}",
@@ -140,23 +197,25 @@ class FitResult:
                  "",
                  f"{'coefficient':<24}{'estimate':>16}{'se':>14}"
                  f"{'ci_lo':>14}{'ci_hi':>14}{'p':>12}"]
-        for i, name in enumerate(self.param_names):
-            lines.append(f"{name:<24}{self.estimates[i]:>16.8f}{self.se_all[i]:>14.6f}"
-                         f"{self.ci_lo_all[i]:>14.6f}{self.ci_hi_all[i]:>14.6f}"
-                         f"{self.p_value_all[i]:>12.4g}")
+        for r in self.coefficient_rows():
+            lines.append(f"{r['name']:<24}{r['estimate']:>16.8f}{r['se']:>14.6f}"
+                         f"{r['ci_lo']:>14.6f}{r['ci_hi']:>14.6f}"
+                         f"{r['p_value']:>12.4g}")
         return "\n".join(lines) + "\n"
 
     def coefficient_rows(self) -> list[dict]:
+        se = self.se_all
+        lo, hi, p = self._intervals()
+        b0, b1 = set(self.beta0_idx.tolist()), set(self.beta1_idx.tolist())
         rows = []
         for i, name in enumerate(self.param_names):
-            block = "beta0" if i in set(np.atleast_1d(self.beta0_idx)) else (
-                "beta1" if i in set(np.atleast_1d(self.beta1_idx)) else "alpha")
+            block = "beta0" if i in b0 else ("beta1" if i in b1 else "alpha")
             rows.append({"name": name, "block": block,
                          "estimate": float(self.estimates[i]),
-                         "se": float(self.se_all[i]),
-                         "ci_lo": float(self.ci_lo_all[i]),
-                         "ci_hi": float(self.ci_hi_all[i]),
-                         "p_value": float(self.p_value_all[i])})
+                         "se": float(se[i]),
+                         "ci_lo": float(lo[i]),
+                         "ci_hi": float(hi[i]),
+                         "p_value": float(p[i])})
         return rows
 
 
@@ -169,83 +228,45 @@ def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     """
     Xw = X * w[:, None]
     gram = (Xw.T @ X) / n_units
-    cond = np.linalg.cond(gram) if gram.size else np.inf
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularGram(f"weighted Gram condition number {cond:.3g} exceeds {COND_LIMIT:.0e}")
-    beta = np.linalg.solve(gram, (Xw.T @ y) / n_units)
+    beta = checked_solve(gram, (Xw.T @ y) / n_units, SingularGram, "weighted Gram")
     return beta, gram
 
 
-def _apply_variance(estimates, parts, sp, mode, ci_level, n, names,
-                    beta0_idx, beta1_idx):
+def _vcov(parts, sp, mode):
     if mode == "plain_sandwich" or (mode == "stacked" and sp is None):
-        vcov = plain_sandwich(parts)
-    elif mode == "stacked":
-        vcov = stacked_sandwich(parts, sp)
-    else:
-        vcov = stacked_small_sample(parts, sp)
-    dim = parts.dim
-    se_all = np.sqrt(np.clip(np.diag(vcov), 0.0, None) / n)
-    small = mode == "stacked_small_sample"
-    lo, hi, p = confidence_intervals(estimates, se_all, ci_level, small, n, dim)
-    return vcov, se_all, lo, hi, p
+        return plain_sandwich(parts)
+    if mode == "stacked":
+        return stacked_sandwich(parts, sp)
+    return stacked_small_sample(parts, sp)
 
 
 def _assemble(method, ds_n, names, estimates, beta0_idx, beta1_idx, parts, sp,
               config, converged=True, n_iter=0, lagged=None, trace=()):
-    names = tuple(names)
-    beta0_idx = np.asarray(beta0_idx, dtype=int)
-    beta1_idx = np.asarray(beta1_idx, dtype=int)
-    vcov, se_all, lo, hi, p = _apply_variance(
-        estimates, parts, sp, config.variance_mode, config.ci_level, ds_n,
-        names, beta0_idx, beta1_idx)
-    alpha_idx = np.array([i for i in range(len(names))
-                          if i not in set(beta0_idx) | set(beta1_idx)], dtype=int)
     return FitResult(
         method=method,
-        param_names=names,
+        param_names=tuple(names),
         estimates=estimates,
-        alpha=estimates[alpha_idx],
-        beta0=estimates[beta0_idx],
-        beta1=estimates[beta1_idx],
-        beta0_names=tuple(names[i] for i in beta0_idx),
-        beta1_names=tuple(names[i] for i in beta1_idx),
-        vcov=vcov,
-        vcov_beta0=vcov[np.ix_(beta0_idx, beta0_idx)],
-        se=se_all[beta0_idx],
-        ci_lo=lo[beta0_idx],
-        ci_hi=hi[beta0_idx],
-        p_value=p[beta0_idx],
-        se_all=se_all,
-        ci_lo_all=lo,
-        ci_hi_all=hi,
-        p_value_all=p,
-        per_subject_scores=parts.subject_scores,
-        bread=parts.bread,
-        converged=converged,
-        n_iter=n_iter,
+        vcov=_vcov(parts, sp, config.variance_mode),
+        beta0_idx=np.asarray(beta0_idx, dtype=int),
+        beta1_idx=np.asarray(beta1_idx, dtype=int),
+        parts=parts,
+        stacked_parts=sp,
         n_subjects=ds_n,
         variance_mode=config.variance_mode,
         ci_level=config.ci_level,
-        beta0_idx=beta0_idx,
-        beta1_idx=beta1_idx,
+        converged=converged,
+        n_iter=n_iter,
         lagged_nuisance=lagged,
         ee_norm_trace=tuple(trace),
-        parts=parts,
-        stacked_parts=sp,
     )
 
 
 def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None) -> FitResult:
     """Recompute vcov/SE/CI from retained per-subject pieces, without refitting."""
     level = fit.ci_level if ci_level is None else ci_level
-    vcov, se_all, lo, hi, p = _apply_variance(
-        fit.estimates, fit.parts, fit.stacked_parts, mode, level,
-        fit.n_subjects, fit.param_names, fit.beta0_idx, fit.beta1_idx)
-    b0, b1 = fit.beta0_idx, fit.beta1_idx
-    return replace(fit, vcov=vcov, vcov_beta0=vcov[np.ix_(b0, b0)],
-                   se=se_all[b0], ci_lo=lo[b0], ci_hi=hi[b0], p_value=p[b0],
-                   se_all=se_all, ci_lo_all=lo, ci_hi_all=hi, p_value_all=p,
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"ci level must lie in (0,1), got {level}")
+    return replace(fit, vcov=_vcov(fit.parts, fit.stacked_parts, mode),
                    variance_mode=mode, ci_level=level)
 
 
@@ -253,16 +274,15 @@ def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None)
 # shared least-squares plumbing
 
 
-def _ls_parts(X_use, y_use, w_use, beta, n, t_use):
+def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use):
+    """Per-subject pieces of a least-squares fit; its Gram is the bread."""
     resid = y_use - X_use @ beta
     k = X_use.shape[1]
     D = X_use.reshape(n, t_use, k)
     W = w_use.reshape(n, t_use)
     R = resid.reshape(n, t_use)
     scores = np.einsum("ntk,nt->nk", D, W * R)
-    meat = scores.T @ scores / n
-    bread = (X_use * w_use[:, None]).T @ X_use / n
-    return SandwichParts(bread=bread, meat=(meat + meat.T) / 2, subject_scores=scores,
+    return SandwichParts(bread=gram, meat=score_meat(scores), subject_scores=scores,
                          model_matrix=D, weights=W, residuals=R)
 
 
@@ -275,9 +295,6 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
 
     lag_info = None
     if lagged:
-        if ds.horizon < ds.lag:
-            raise LagHorizonExceeded(
-                f"lag {ds.lag} exceeds panel horizon {ds.horizon}")
         alpha1_slices = []
         for u in range(1, ds.lag):
             a_u = ds.shifted(ds.a.astype(float), u)
@@ -350,8 +367,8 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
         ds, cm, lagged)
     w = blocks.weight_w
     X_use, y_use, w_use = X[mask], ds.y[mask], w[mask]
-    beta, _ = wls_solve(X_use, y_use, w_use, ds.n_subjects)
-    parts = _ls_parts(X_use, y_use, w_use, beta, ds.n_subjects, ds.n_usable)
+    beta, gram = wls_solve(X_use, y_use, w_use, ds.n_subjects)
+    parts = _ls_parts(X_use, y_use, w_use, beta, gram, ds.n_subjects, ds.n_usable)
 
     sp = None
     if cm is not None and cm.orthogonal:
@@ -363,7 +380,7 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
             "stacked variance requires an orthogonality-fitted centering model")
 
     lagged_model = None
-    if lagged and lag_info is not None:
+    if lagged:
         alpha1_slices, (a0s, a0e) = lag_info
         lagged_model = LaggedNuisanceModel(
             alpha_u1=tuple(float(beta[s]) for s, _ in alpha1_slices),
@@ -471,8 +488,8 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig,
         b1_idx = np.arange(start, start + cols[-1].shape[1])
     X = np.column_stack(cols)
     w = np.ones(n)
-    beta, _ = wls_solve(X, y, w, n)
-    parts = _ls_parts(X, y, w, beta, n, 1)
+    beta, gram = wls_solve(X, y, w, n)
+    parts = _ls_parts(X, y, w, beta, gram, n, 1)
     return _assemble(method, n, names, beta, np.array([b0_pos]), b1_idx,
                      parts, None, config)
 
@@ -586,10 +603,7 @@ def _newton(ee_and_jac, init: np.ndarray, max_iter: int, tol: float):
         if norm <= tol:
             return params, it - 1, trace, True
         u, jac = ee_and_jac(params)
-        cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularJacobian(f"Jacobian condition number {cond:.3g}")
-        step = np.linalg.solve(jac, u)
+        step = checked_solve(jac, u, SingularJacobian, "Newton Jacobian")
         scale = 1.0
         for _ in range(40):
             cand = params - scale * step
@@ -633,8 +647,7 @@ def _binary_fit(ds: MrtDataset, config: EstimatorConfig, feat: np.ndarray,
     scores = subject_scores(params)
     _, jac = ee_and_jac(params)
     bread = -jac                      # positive-orientation derivative
-    meat = scores.T @ scores / ds.n_subjects
-    parts = SandwichParts(bread=bread, meat=(meat + meat.T) / 2,
+    parts = SandwichParts(bread=bread, meat=score_meat(scores),
                           subject_scores=scores)
     names = [f"alpha:{n}" for n in ds.g_names] + feat_names
     b0_idx = np.arange(k_g, k_g + b0_count)
@@ -679,11 +692,8 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
         blip = np.exp(-f_use @ beta0)
         wv = w_az * blip
         gram = (f_use * wv[:, None]).T @ f_use / ds.n_subjects
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularGram("binary centering system is rank deficient")
         rhs = (f_use * wv[:, None]).T @ z_use / ds.n_subjects
-        return np.linalg.solve(gram, rhs)
+        return checked_solve(gram, rhs, SingularGram, "binary centering system")
 
     base = fit_emee(ds, replace(config, method="emee"))
     theta = fit_centering(ds).theta

@@ -433,26 +433,17 @@ def _fit_one(spec: DgmSpec, rep: int, arms: list[McArm],
     return rep, est, se, var, cov, ok
 
 
-def run_monte_carlo(spec: DgmSpec, methods, replicates: int,
-                    labels=None, views=None, workers: int = 1,
-                    noise_scale: float = 1.0) -> McReport:
-    """Replicate the design, fit every method, and aggregate the comparison.
+def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
+                    workers: int = 1, noise_scale: float = 1.0) -> McReport:
+    """Replicate the design, fit every arm, and aggregate the comparison.
 
-    ``methods`` is a list of :class:`EstimatorConfig` (or :class:`McArm`);
-    the first entry is the baseline for the relative-efficiency metrics.
+    ``arms`` is a list of :class:`McArm`; the first entry is the baseline
+    for the relative-efficiency metrics.
     Per-replicate failures are counted and excluded pairwise, never silently
     dropped.
     """
     if replicates < 1:
         raise ConfigParse("replicates must be >= 1")
-    arms = []
-    for i, m in enumerate(methods):
-        if isinstance(m, McArm):
-            arms.append(m)
-        else:
-            label = labels[i] if labels else m.method
-            view = views[i] if views else "default"
-            arms.append(McArm(label=label, config=m, view=view))
     truth = true_beta0(spec)
     q = truth.shape[0]
     n_arms = len(arms)

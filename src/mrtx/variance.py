@@ -15,10 +15,10 @@ retained per-subject pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import (
     SingularBread,
@@ -69,7 +69,11 @@ class StackedParts:
     theta_bread: np.ndarray        # (q * p_z, q * p_z)
 
 
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray, exc, what: str) -> np.ndarray:
+def checked_solve(mat: np.ndarray, rhs: np.ndarray, exc, what: str) -> np.ndarray:
+    """Solve ``mat x = rhs``, raising ``exc`` when ``mat`` is nearly singular.
+
+    The package's one condition-number policy; each caller names its own typed error.
+    """
     cond = np.linalg.cond(mat) if mat.size else np.inf
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise exc(f"{what}: condition number {cond:.3g} exceeds {COND_LIMIT:.0e}")
@@ -80,25 +84,28 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
+def score_meat(scores: np.ndarray) -> np.ndarray:
+    """Symmetrized average outer product of per-subject scores (N, dim)."""
+    return _symmetrize(scores.T @ scores / scores.shape[0])
+
+
 def plain_sandwich(parts: SandwichParts) -> np.ndarray:
     """Full-parameter ``Q^{-1} Sigma Q^{-1}``; ``SE = sqrt(diag/N)`` downstream."""
-    inv_meat = _solve_spd(parts.bread, parts.meat, SingularBread, "sandwich bread")
-    return _symmetrize(inv_meat @ np.linalg.solve(parts.bread, np.eye(parts.dim)).T)
+    binv = checked_solve(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread")
+    return _symmetrize(binv @ parts.meat @ binv.T)
 
 
-def corrected_scores(parts: SandwichParts, sp: StackedParts) -> np.ndarray:
+def corrected_scores(scores: np.ndarray, sp: StackedParts) -> np.ndarray:
     """Per-subject mean-model scores corrected for estimated centering."""
-    adj = _solve_spd(sp.theta_bread, sp.u_theta_scores.T,
-                     SingularThetaBread, "centering bread")   # (m, N)
-    return parts.subject_scores - (sp.cross_derivative @ adj).T
+    adj = checked_solve(sp.theta_bread, sp.u_theta_scores.T,
+                        SingularThetaBread, "centering bread")   # (m, N)
+    return scores - (sp.cross_derivative @ adj).T
 
 
 def stacked_sandwich(parts: SandwichParts, sp: StackedParts) -> np.ndarray:
     """Sandwich with meat rebuilt from centering-corrected scores."""
-    scores = corrected_scores(parts, sp)
-    meat = _symmetrize(scores.T @ scores / parts.n_subjects)
-    return plain_sandwich(SandwichParts(bread=parts.bread, meat=meat,
-                                        subject_scores=scores))
+    scores = corrected_scores(parts.subject_scores, sp)
+    return plain_sandwich(replace(parts, meat=score_meat(scores)))
 
 
 def leverage_adjusted_scores(parts: SandwichParts) -> np.ndarray:
@@ -110,14 +117,18 @@ def leverage_adjusted_scores(parts: SandwichParts) -> np.ndarray:
         raise SingularLeverage("per-subject model matrices were not retained")
     n = parts.n_subjects
     # bread is (1/N) sum_j D_j' W_j D_j, so (sum ...)^{-1} = bread^{-1} / N
-    binv = _solve_spd(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread") / n
+    binv = checked_solve(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread") / n
     d = parts.model_matrix                      # (N, T, k)
     dw = d * parts.weights[:, :, None]          # W_j D_j rows
     h = np.einsum("ntk,kl,nsl->nts", d, binv, dw)
     m = np.eye(h.shape[1])[None, :, :] - h
     conds = np.linalg.cond(m)
-    if not np.all(np.isfinite(conds)) or conds.max() > COND_LIMIT:
-        j = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
+    # cond is scale-free, so it cannot see I - H_j ~ 0 (a subject with as many
+    # usable rows as parameters); measure it against the identity's scale too
+    scale = np.minimum(np.maximum(m.max(axis=(1, 2)), -m.min(axis=(1, 2))), 1.0)
+    bad = ~np.isfinite(conds) | (conds > COND_LIMIT * scale)
+    if bad.any():
+        j = int(np.argmax(bad))
         raise SingularLeverage(f"(I - H) nearly singular for subject index {j}")
     adj_resid = np.linalg.solve(m, parts.residuals[:, :, None])[:, :, 0]
     return np.einsum("ntk,nt->nk", dw, adj_resid)
@@ -125,20 +136,15 @@ def leverage_adjusted_scores(parts: SandwichParts) -> np.ndarray:
 
 def small_sample_correct(parts: SandwichParts) -> np.ndarray:
     """Corrected meat matrix from leverage-adjusted per-subject scores."""
-    scores = leverage_adjusted_scores(parts)
-    return _symmetrize(scores.T @ scores / parts.n_subjects)
+    return score_meat(leverage_adjusted_scores(parts))
 
 
 def stacked_small_sample(parts: SandwichParts, sp: StackedParts | None) -> np.ndarray:
     """Leverage-corrected meat, additionally centering-corrected when stacked."""
     scores = leverage_adjusted_scores(parts)
     if sp is not None:
-        adj = _solve_spd(sp.theta_bread, sp.u_theta_scores.T,
-                         SingularThetaBread, "centering bread")
-        scores = scores - (sp.cross_derivative @ adj).T
-    meat = _symmetrize(scores.T @ scores / parts.n_subjects)
-    return plain_sandwich(SandwichParts(bread=parts.bread, meat=meat,
-                                        subject_scores=scores))
+        scores = corrected_scores(scores, sp)
+    return plain_sandwich(replace(parts, meat=score_meat(scores)))
 
 
 def confidence_intervals(estimates: np.ndarray, se: np.ndarray, level: float,
@@ -148,16 +154,14 @@ def confidence_intervals(estimates: np.ndarray, se: np.ndarray, level: float,
         raise ValueError(f"ci level must lie in (0,1), got {level}")
     estimates = np.asarray(estimates, dtype=float)
     se = np.asarray(se, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zval = np.where(se > 0, estimates / se, np.inf * np.sign(estimates))
     if small_sample:
         df = max(n_subjects - dim, 1)
-        crit = stats.t.ppf(0.5 + level / 2.0, df)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zval = np.where(se > 0, estimates / se, np.inf * np.sign(estimates))
-        pval = 2.0 * stats.t.sf(np.abs(zval), df)
+        crit = special.stdtrit(df, 0.5 + level / 2.0)
+        pval = 2.0 * special.stdtr(df, -np.abs(zval))
     else:
-        crit = stats.norm.ppf(0.5 + level / 2.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zval = np.where(se > 0, estimates / se, np.inf * np.sign(estimates))
-        pval = 2.0 * stats.norm.sf(np.abs(zval))
+        crit = special.ndtri(0.5 + level / 2.0)
+        pval = 2.0 * special.ndtr(-np.abs(zval))
     pval = np.where(estimates == 0.0, 1.0, pval)
     return estimates - crit * se, estimates + crit * se, pval

@@ -134,6 +134,7 @@ def test_serialization_round_words(small_panel):
     text = cm.to_text()
     assert "theta:" in text
     assert cm.fitted_on in text
+    assert cm.fitted_on == small_panel.fingerprint()
     assert repr(float(cm.theta[0, 0])) in text
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -241,3 +243,46 @@ def test_plain_sandwich_singular_bread():
                           subject_scores=np.zeros((3, 2)))
     with pytest.raises(errors.SingularBread):
         plain_sandwich(parts)
+
+
+def _duplicated_moderator_emee():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal(120)
+    ds = build_panel(20, 6, y=(rng.random(120) < 0.3).astype(float), m1=m, m2=m,
+                     schema=moderator_schema(moderators=("m1", "m2"), aux=("z",)))
+    fit_emee(ds)
+
+
+def _zero_theta_bread():
+    res = fit_a2wcls(build_panel(20, 6, seed=2))
+    sp = res.stacked_parts
+    stacked_sandwich(res.parts, replace(sp, theta_bread=np.zeros_like(sp.theta_bread)))
+
+
+def _saturated_single_subject():
+    # three usable rows for three parameters: H = I, so I - H vanishes
+    ds = build_panel(1, 3, seed=0, a=[1, 0, 1])
+    fit_wcls(ds, EstimatorConfig(method="wcls", variance_mode="stacked_small_sample"))
+
+
+@pytest.mark.parametrize("exc, trigger", [
+    (errors.SingularJacobian, _duplicated_moderator_emee),
+    (errors.SingularThetaBread, _zero_theta_bread),
+    (errors.SingularLeverage, _saturated_single_subject),
+], ids=["jacobian", "theta_bread", "leverage"])
+def test_typed_singularity_errors(exc, trigger):
+    with pytest.raises(exc):
+        trigger()
+
+
+def test_same_variance_mode_reproduces_every_derived_field():
+    ds = gen_panel(DgmSpec(kind="proximal_j2", n=40, horizon=6, beta0=-0.2,
+                           beta1=0.5, seed=4))
+    for mode in ("plain_sandwich", "stacked", "stacked_small_sample"):
+        res = fit_a2wcls(ds, config=EstimatorConfig(method="a2wcls", variance_mode=mode))
+        again = with_variance_mode(res, res.variance_mode)
+        for name in ("alpha", "beta0", "beta1", "beta0_names", "beta1_names", "vcov",
+                     "vcov_beta0", "se", "se_all", "ci_lo", "ci_lo_all", "ci_hi",
+                     "ci_hi_all", "p_value", "p_value_all", "per_subject_scores", "bread"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(res, name),
+                                          err_msg=f"{mode}: {name}")
