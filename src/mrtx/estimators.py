@@ -237,6 +237,8 @@ def _vcov(parts, sp, mode):
         return plain_sandwich(parts)
     if mode == "stacked":
         return stacked_sandwich(parts, sp)
+    if mode != "stacked_small_sample":
+        raise DimensionMismatch(f"unknown variance mode {mode!r}")
     return stacked_small_sample(parts, sp)
 
 
@@ -387,8 +389,7 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
             alpha_u2=tuple(beta[s + 1: e] for s, e in alpha1_slices),
             alpha_03=beta[a0s:a0e],
         )
-    method = config.method
-    return _assemble(method, ds.n_subjects, names, beta, b0_idx, b1_idx,
+    return _assemble(config.method, ds.n_subjects, names, beta, b0_idx, b1_idx,
                      parts, sp, config, lagged=lagged_model)
 
 
@@ -713,10 +714,7 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
         if history:
             delta = float(np.abs(state - history[-1]).max())
             if delta < max(config.tol, 1e-10):
-                fit.converged = True
-                fit.n_iter = outer
-                fit.ee_norm_trace = tuple(trace)
-                return fit
+                return replace(fit, converged=True, n_iter=outer, ee_norm_trace=tuple(trace))
             for back in (2, 3, 4):
                 if len(history) >= back and \
                         float(np.abs(state - history[-back]).max()) < max(config.tol, 1e-10):

@@ -10,7 +10,7 @@ retained per-subject pieces:
   cross-derivative of the criterion in the centering coefficients;
 * leverage correction is the Mancl–DeRouen small-sample fix: per-subject
   residuals are premultiplied by ``(I - H_j)^{-1}`` before the meat is
-  rebuilt.
+  rebuilt, solved as one k×k system per subject (``leverage_adjusted_scores``).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class SandwichParts:
 
     ``bread`` is the per-subject-averaged derivative of the estimating
     function (positive-definite Gram for least-squares criteria); ``meat``
-    averages per-subject score outer products. ``model_matrix``/``weights``/
-    ``residuals`` are retained per subject for the leverage correction.
+    averages per-subject score outer products. Least-squares fits also retain
+    per-subject ``model_matrix``/``weights`` (leverage) and ``residuals``.
     """
 
     bread: np.ndarray              # (dim, dim)
@@ -108,30 +108,32 @@ def stacked_sandwich(parts: SandwichParts, sp: StackedParts) -> np.ndarray:
     return plain_sandwich(replace(parts, meat=score_meat(scores)))
 
 
-def leverage_adjusted_scores(parts: SandwichParts) -> np.ndarray:
-    """Mancl–DeRouen scores: residuals premultiplied by ``(I - H_j)^{-1}``.
-
-    ``H_j = D_j (sum_j D_j' W_j D_j)^{-1} D_j' W_j`` per subject.
-    """
-    if parts.model_matrix is None or parts.weights is None or parts.residuals is None:
+def _leverage(parts: SandwichParts) -> tuple[np.ndarray, np.ndarray]:
+    if parts.model_matrix is None or parts.weights is None:
         raise SingularLeverage("per-subject model matrices were not retained")
-    n = parts.n_subjects
-    # bread is (1/N) sum_j D_j' W_j D_j, so (sum ...)^{-1} = bread^{-1} / N
-    binv = checked_solve(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread") / n
-    d = parts.model_matrix                      # (N, T, k)
-    dw = d * parts.weights[:, :, None]          # W_j D_j rows
-    h = np.einsum("ntk,kl,nsl->nts", d, binv, dw)
-    m = np.eye(h.shape[1])[None, :, :] - h
+    binv = checked_solve(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread")
+    d = parts.model_matrix                                    # (N, T, k)
+    gram = np.einsum("ntk,nt,ntl->nkl", d, parts.weights, d, optimize=True)   # G_j
+    # bread is (1/N) sum_j G_j, so B^{-1} = bread^{-1} / N
+    m = np.eye(parts.dim) - gram @ (binv / parts.n_subjects)
     conds = np.linalg.cond(m)
-    # cond is scale-free, so it cannot see I - H_j ~ 0 (a subject with as many
-    # usable rows as parameters); measure it against the identity's scale too
-    scale = np.minimum(np.maximum(m.max(axis=(1, 2)), -m.min(axis=(1, 2))), 1.0)
+    # cond is scale-free: also catch M_j ~ 0 (as many usable rows as parameters)
+    scale = np.minimum(np.abs(m).max(axis=(1, 2)), 1.0)
     bad = ~np.isfinite(conds) | (conds > COND_LIMIT * scale)
     if bad.any():
         j = int(np.argmax(bad))
         raise SingularLeverage(f"(I - H) nearly singular for subject index {j}")
-    adj_resid = np.linalg.solve(m, parts.residuals[:, :, None])[:, :, 0]
-    return np.einsum("ntk,nt->nk", dw, adj_resid)
+    return binv, np.linalg.solve(m, parts.subject_scores[:, :, None])[:, :, 0]
+
+
+def leverage_adjusted_scores(parts: SandwichParts) -> np.ndarray:
+    """Mancl–DeRouen scores ``D_j' W_j (I - H_j)^{-1} r_j``, from k×k systems.
+
+    By push-through they equal ``M_j^{-1} s_j`` with ``M_j = I_k - G_j B^{-1}``,
+    ``G_j = D_j' W_j D_j``, ``B = sum_j G_j`` and ``s_j`` the subject score. ``M_j``
+    has the eigenvalues of ``I - H_j`` other than 1; ``SingularLeverage`` tests it.
+    """
+    return _leverage(parts)[1]
 
 
 def small_sample_correct(parts: SandwichParts) -> np.ndarray:
@@ -140,11 +142,11 @@ def small_sample_correct(parts: SandwichParts) -> np.ndarray:
 
 
 def stacked_small_sample(parts: SandwichParts, sp: StackedParts | None) -> np.ndarray:
-    """Leverage-corrected meat, additionally centering-corrected when stacked."""
-    scores = leverage_adjusted_scores(parts)
+    """Leverage-corrected sandwich, centering-corrected when stacked; one bread inverse."""
+    binv, scores = _leverage(parts)
     if sp is not None:
         scores = corrected_scores(scores, sp)
-    return plain_sandwich(replace(parts, meat=score_meat(scores)))
+    return _symmetrize(binv @ score_meat(scores) @ binv.T)
 
 
 def confidence_intervals(estimates: np.ndarray, se: np.ndarray, level: float,

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,10 @@ from mrtx.simulation import DgmSpec, gen_panel, _rng_for
 from mrtx.variance import (
     SandwichParts,
     confidence_intervals,
+    corrected_scores,
+    leverage_adjusted_scores,
     plain_sandwich,
+    score_meat,
     small_sample_correct,
     stacked_sandwich,
 )
@@ -286,3 +290,79 @@ def test_same_variance_mode_reproduces_every_derived_field():
                      "ci_hi_all", "p_value", "p_value_all", "per_subject_scores", "bread"):
             np.testing.assert_array_equal(getattr(again, name), getattr(res, name),
                                           err_msg=f"{mode}: {name}")
+
+
+def test_unknown_variance_mode_rejected():
+    res = fit_wcls(build_panel(10, 5, seed=1))
+    with pytest.raises(errors.DimensionMismatch, match="unknown variance mode 'bogus'"):
+        with_variance_mode(res, "bogus")
+
+
+def dense_leverage_oracle(parts):
+    """Mancl–DeRouen scores from the explicit (N, T, T) hat matrices."""
+    binv = np.linalg.inv(parts.bread) / parts.n_subjects
+    d = parts.model_matrix
+    dw = d * parts.weights[:, :, None]
+    h = np.einsum("ntk,kl,nsl->nts", d, binv, dw)        # H_j = D_j B^-1 D_j' W_j
+    i_minus_h = np.eye(h.shape[1]) - h
+    adj_resid = np.linalg.solve(i_minus_h, parts.residuals[:, :, None])[:, :, 0]
+    return np.einsum("ntk,nt->nk", dw, adj_resid)
+
+
+def _subject_varying_weights_wcls():
+    n, T = 40, 8
+    p = np.repeat(np.random.default_rng(6).uniform(0.2, 0.8, n), T)
+    rng = np.random.default_rng(7)
+    ds = build_panel(n, T, seed=7, p=p, a=(rng.random(n * T) < p).astype(float))
+    res = fit_wcls(ds, EstimatorConfig(method="wcls", variance_mode="stacked_small_sample"))
+    assert np.ptp(res.parts.weights.mean(axis=1)) > 0.1     # weights differ across subjects
+    return res
+
+
+_SMALL_SAMPLE_FITS = {
+    "a2wcls_proximal": lambda: fit_a2wcls(
+        gen_panel(DgmSpec(kind="proximal_j2", n=60, horizon=10, beta0=-0.2, beta1=0.5, seed=11)),
+        config=EstimatorConfig(method="a2wcls", variance_mode="stacked_small_sample")),
+    "wcls_lag2": lambda: fit_wcls(
+        gen_panel(DgmSpec(kind="lagged_eq12", n=60, horizon=10, beta0=-0.1, beta1=0.5, seed=12)),
+        EstimatorConfig(method="wcls", lag=2, variance_mode="stacked_small_sample")),
+    "a2wcls_lagged_lag2": lambda: fit_a2wcls_lagged(
+        gen_panel(DgmSpec(kind="lagged_eq12", n=60, horizon=10, beta0=-0.1, beta1=0.5, seed=13)),
+        config=EstimatorConfig(method="a2wcls_lagged", lag=2,
+                               variance_mode="stacked_small_sample")),
+    "wcls_subject_weights": _subject_varying_weights_wcls,
+}
+
+
+@pytest.mark.parametrize("name", list(_SMALL_SAMPLE_FITS))
+def test_leverage_scores_match_dense_oracle(name):
+    res = _SMALL_SAMPLE_FITS[name]()
+    expected = dense_leverage_oracle(res.parts)
+    got = leverage_adjusted_scores(res.parts)
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    scores = expected
+    if res.stacked_parts is not None:
+        scores = corrected_scores(scores, res.stacked_parts)
+    binv = np.linalg.inv(res.bread)
+    vcov = binv @ score_meat(scores) @ binv.T
+    assert np.abs(res.vcov - vcov).max() <= 1e-10 * np.abs(vcov).max()
+
+
+def test_leverage_scores_build_no_hat_array():
+    n, T, k = 400, 100, 4
+    rng = np.random.default_rng(0)
+    d = rng.standard_normal((n, T, k))
+    w = rng.uniform(0.5, 2.0, (n, T))
+    r = rng.standard_normal((n, T))
+    scores = np.einsum("ntk,nt->nk", d, w * r)
+    parts = SandwichParts(bread=np.einsum("ntk,nt,ntl->kl", d, w, d) / n,
+                          meat=score_meat(scores), subject_scores=scores,
+                          model_matrix=d, weights=w, residuals=r)
+    tracemalloc.start()
+    try:
+        leverage_adjusted_scores(parts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * T * T * 8          # one (N, T, T) float64 array is 32 MB
