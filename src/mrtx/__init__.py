@@ -9,7 +9,6 @@ from .centering import (
     verify_orthogonality,
 )
 from .data import (
-    DecisionRecord,
     DesignBlocks,
     FeatureSpec,
     MrtDataset,

@@ -71,7 +71,7 @@ class CenteringModel:
                  "f_columns: " + ",".join(self.f_names),
                  "z_columns: " + ",".join(self.z_names),
                  "theta:"]
-        for i, name in enumerate(self.z_names or [f"z{i}" for i in range(self.p_z)]):
+        for i, name in enumerate(self.z_names):
             vals = " ".join(repr(float(v)) for v in self.theta[:, i])
             lines.append(f"  {name}: {vals}")
         return "\n".join(lines) + "\n"

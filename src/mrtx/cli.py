@@ -115,11 +115,11 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, dict]:
             seed=int(values["seed"]) if seed_override is None and "seed" in values
             else (seed_override if seed_override is not None else 0),
         )
+        lag = int(values.get("lag", "2" if values["kind"] == "lagged_eq12" else "1"))
     except (ValueError, TypeError) as exc:
         raise errors.ConfigParse(f"bad config value: {exc}") from None
     extras = {"methods": _csv_list(values.get("methods", "")),
-              "variance": values.get("variance", "plain_sandwich"),
-              "lag": int(values.get("lag", "2" if values["kind"] == "lagged_eq12" else "1"))}
+              "variance": values.get("variance", "plain_sandwich"), "lag": lag}
     return spec, extras
 
 

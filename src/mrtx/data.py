@@ -60,21 +60,6 @@ class FeatureSpec:
         object.__setattr__(self, "source_columns", tuple(self.source_columns))
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One subject-decision-point row, mostly used in tests and diagnostics."""
-
-    subject_id: int
-    t: int
-    a: int
-    p: float
-    y: float
-    z: np.ndarray
-    s_features: np.ndarray
-    g_features: np.ndarray
-    p_tilde: float
-
-
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -146,19 +131,6 @@ class MrtDataset:
         out = np.zeros_like(by_subj)
         out[:, : self.horizon - steps] = by_subj[:, steps:]
         return out.reshape(arr.shape)
-
-    def record(self, i: int) -> DecisionRecord:
-        return DecisionRecord(
-            subject_id=int(self.subject_ids[i]),
-            t=int(self.t[i]),
-            a=int(self.a[i]),
-            p=float(self.p[i]),
-            y=float(self.y[i]),
-            z=self.z[i],
-            s_features=self.f[i],
-            g_features=self.g[i],
-            p_tilde=float(self.p_tilde[i]),
-        )
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -364,8 +336,13 @@ def load_csv(path, schema: Sequence[FeatureSpec], lag: int = 1) -> MrtDataset:
             raise MissingValue(f"column {name!r}: {exc}") from None
         if name in needed and not np.all(np.isfinite(vals)):
             i = int(np.argmax(~np.isfinite(vals)))
-            raise MissingValue(f"non-finite value in column {name!r}",
-                               raw["subject_id"][i], int(float(raw["t"][i])))
+            t = raw["t"][i]
+            try:
+                t = int(float(t))
+            except (ValueError, OverflowError):   # the non-finite value is t itself
+                pass
+            raise MissingValue(f"non-finite value in column {name!r} at row {i + 2}",
+                               raw["subject_id"][i], t)
         columns[name] = vals
     return _build_dataset(columns, list(schema), lag, y_is_aligned=False)
 

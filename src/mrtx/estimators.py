@@ -44,7 +44,6 @@ from .variance import (
     checked_solve,
     confidence_intervals,
     plain_sandwich,
-    score_meat,
     stacked_sandwich,
     stacked_small_sample,
 )
@@ -278,14 +277,11 @@ def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None)
 
 def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use):
     """Per-subject pieces of a least-squares fit; its Gram is the bread."""
-    resid = y_use - X_use @ beta
-    k = X_use.shape[1]
-    D = X_use.reshape(n, t_use, k)
+    D = X_use.reshape(n, t_use, X_use.shape[1])
     W = w_use.reshape(n, t_use)
-    R = resid.reshape(n, t_use)
+    R = (y_use - X_use @ beta).reshape(n, t_use)
     scores = np.einsum("ntk,nt->nk", D, W * R)
-    return SandwichParts(bread=gram, meat=score_meat(scores), subject_scores=scores,
-                         model_matrix=D, weights=W, residuals=R)
+    return SandwichParts(bread=gram, subject_scores=scores, model_matrix=D, weights=W)
 
 
 def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
@@ -306,7 +302,7 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
             start = len(names)
             cols.append(ca_u[:, None])
             names.append(f"alpha_l{u}:1")
-            for i, zn in enumerate(ds.z_names or [f"z{i}" for i in range(ds.p_z)]):
+            for i, zn in enumerate(ds.z_names):
                 cols.append((ca_u * z_u[:, i])[:, None])
                 names.append(f"alpha_l{u}:{zn}")
             alpha1_slices.append((start, len(names)))
@@ -336,12 +332,11 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
         bad = wnorm < 1e-9 * scale
         if bad.any():
             i = int(np.argmax(bad))
-            zn = (ds.z_names or [f"z{i}"])[i]
-            raise DegenerateAuxiliary(
-                f"centered auxiliary column {zn!r} has numerically zero weighted norm")
+            raise DegenerateAuxiliary(f"centered auxiliary column {ds.z_names[i]!r} "
+                                      "has numerically zero weighted norm")
         beta1_start = len(names)
         cols.append(ca[:, None] * zc)
-        names.extend(f"beta1:{n}" for n in (ds.z_names or [f"z{i}" for i in range(ds.p_z)]))
+        names.extend(f"beta1:{n}" for n in ds.z_names)
         beta1_idx = np.arange(beta1_start, len(names))
 
     X = np.column_stack([c if c.ndim == 2 else c[:, None] for c in cols])
@@ -648,8 +643,7 @@ def _binary_fit(ds: MrtDataset, config: EstimatorConfig, feat: np.ndarray,
     scores = subject_scores(params)
     _, jac = ee_and_jac(params)
     bread = -jac                      # positive-orientation derivative
-    parts = SandwichParts(bread=bread, meat=score_meat(scores),
-                          subject_scores=scores)
+    parts = SandwichParts(bread=bread, subject_scores=scores)
     names = [f"alpha:{n}" for n in ds.g_names] + feat_names
     b0_idx = np.arange(k_g, k_g + b0_count)
     b1_idx = np.arange(k_g + b0_count, k_g + k_f)
@@ -699,8 +693,7 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
     base = fit_emee(ds, replace(config, method="emee"))
     theta = fit_centering(ds).theta
     params = np.concatenate([base.estimates, np.zeros(ds.p_z)])
-    names = [f"beta0:{n}" for n in ds.f_names] + \
-            [f"beta1:{n}" for n in (ds.z_names or [f"z{i}" for i in range(ds.p_z)])]
+    names = [f"beta0:{n}" for n in ds.f_names] + [f"beta1:{n}" for n in ds.z_names]
     history: list[np.ndarray] = []
     trace: list[float] = []
     fit = None

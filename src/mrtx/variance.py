@@ -15,7 +15,7 @@ retained per-subject pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -36,15 +36,17 @@ class SandwichParts:
     ``bread`` is the per-subject-averaged derivative of the estimating
     function (positive-definite Gram for least-squares criteria); ``meat``
     averages per-subject score outer products. Least-squares fits also retain
-    per-subject ``model_matrix``/``weights`` (leverage) and ``residuals``.
+    per-subject ``model_matrix``/``weights`` for the leverage correction.
     """
 
     bread: np.ndarray              # (dim, dim)
-    meat: np.ndarray               # (dim, dim)
     subject_scores: np.ndarray     # (N, dim)
     model_matrix: np.ndarray | None = None   # (N, T_use, dim)
     weights: np.ndarray | None = None        # (N, T_use)
-    residuals: np.ndarray | None = None      # (N, T_use)
+
+    @property
+    def meat(self) -> np.ndarray:
+        return score_meat(self.subject_scores)
 
     @property
     def n_subjects(self) -> int:
@@ -105,7 +107,7 @@ def corrected_scores(scores: np.ndarray, sp: StackedParts) -> np.ndarray:
 def stacked_sandwich(parts: SandwichParts, sp: StackedParts) -> np.ndarray:
     """Sandwich with meat rebuilt from centering-corrected scores."""
     scores = corrected_scores(parts.subject_scores, sp)
-    return plain_sandwich(replace(parts, meat=score_meat(scores)))
+    return plain_sandwich(SandwichParts(parts.bread, scores))
 
 
 def _leverage(parts: SandwichParts) -> tuple[np.ndarray, np.ndarray]:

@@ -213,12 +213,12 @@ def test_criterion_10_numerical_invariants():
     parts = res.parts
     X = parts.model_matrix.reshape(-1, parts.dim)
     w = parts.weights.reshape(-1)
-    r = parts.residuals.reshape(-1)
+    y_vec = ds.y[ds.usable_mask]
+    r = y_vec - X @ res.estimates
     checks["residual orthogonality"] = \
         np.abs(X.T @ (w * r)).max() / ds.n_subjects <= 1e-8
 
     eps = 1e-6
-    y_vec = X @ res.estimates + r
 
     def score(params):
         return X.T @ (w * (y_vec - X @ params)) / ds.n_subjects

@@ -91,6 +91,14 @@ def test_simulate_bad_config(tmp_path, capsys):
     assert "error[ConfigParse]" in capsys.readouterr().err
 
 
+def test_simulate_bad_lag_is_config_parse(tmp_path, capsys):
+    cfg = tmp_path / "dgm.cfg"
+    write_config(cfg, kind="lagged_eq12", n=10, horizon=6, lag="two")
+    code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
+    assert code == 28               # ConfigParse
+    assert "error[ConfigParse]" in capsys.readouterr().err
+
+
 def test_gaps_examples(capsys):
     assert main(["gaps", "--p", "0.5", "--alpha1", "1", "--beta1", "0",
                  "--sigma", "1"]) == 0

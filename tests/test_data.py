@@ -53,6 +53,17 @@ def test_probability_out_of_range(tmp_path):
     assert exc.value.subject_id == "1" and exc.value.t == 2
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_time_is_missing_value(tmp_path, token):
+    rows = [list(r) for r in GOOD_ROWS]
+    rows[4][1] = token
+    path = tmp_path / "panel.csv"
+    write_csv(path, HEADER, rows)
+    with pytest.raises(errors.MissingValue, match="row 6") as exc:
+        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+    assert exc.value.subject_id == "2" and exc.value.t == token
+
+
 def test_non_contiguous_time(tmp_path):
     rows = [list(r) for r in GOOD_ROWS]
     rows = [rows[0], rows[2]] + rows[3:5]          # subject 1 has t = (1, 3)
@@ -173,14 +184,6 @@ def test_feature_spec_intercept_once():
 def test_bad_role_rejected():
     with pytest.raises(errors.DimensionMismatch):
         FeatureSpec("not_a_role", ("z",))
-
-
-def test_record_view(small_panel):
-    rec = small_panel.record(0)
-    assert rec.t == 1
-    assert rec.a in (0, 1)
-    assert rec.z.shape == (1,)
-    assert rec.p_tilde == pytest.approx(float(small_panel.p_tilde[0]))
 
 
 def test_dataset_arrays_immutable(small_panel):

@@ -97,9 +97,9 @@ def test_residual_orthogonality_all_linear_fits():
     ]
     for res, d in fits:
         parts = res.parts
-        resid = parts.residuals.reshape(-1)
         w = parts.weights.reshape(-1)
         X = parts.model_matrix.reshape(-1, parts.dim)
+        resid = d.y[d.usable_mask] - X @ res.estimates
         gram = np.abs(X.T @ (w * resid)) / d.n_subjects
         assert gram.max() <= 1e-8
 

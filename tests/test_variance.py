@@ -82,7 +82,7 @@ def _ls_score(ds, res):
     parts = res.parts
     X = parts.model_matrix.reshape(-1, parts.dim)
     w = parts.weights.reshape(-1)
-    y = (X @ res.estimates + parts.residuals.reshape(-1))
+    y = ds.y[ds.usable_mask]
 
     def score(params):
         r = y - X @ params
@@ -243,8 +243,7 @@ def test_t_quantiles_for_small_sample():
 
 
 def test_plain_sandwich_singular_bread():
-    parts = SandwichParts(bread=np.zeros((2, 2)), meat=np.eye(2),
-                          subject_scores=np.zeros((3, 2)))
+    parts = SandwichParts(bread=np.zeros((2, 2)), subject_scores=np.zeros((3, 2)))
     with pytest.raises(errors.SingularBread):
         plain_sandwich(parts)
 
@@ -298,14 +297,15 @@ def test_unknown_variance_mode_rejected():
         with_variance_mode(res, "bogus")
 
 
-def dense_leverage_oracle(parts):
+def dense_leverage_oracle(ds, parts, estimates):
     """Mancl–DeRouen scores from the explicit (N, T, T) hat matrices."""
     binv = np.linalg.inv(parts.bread) / parts.n_subjects
     d = parts.model_matrix
+    resid = (ds.y[ds.usable_mask] - d.reshape(-1, parts.dim) @ estimates).reshape(d.shape[:2])
     dw = d * parts.weights[:, :, None]
     h = np.einsum("ntk,kl,nsl->nts", d, binv, dw)        # H_j = D_j B^-1 D_j' W_j
     i_minus_h = np.eye(h.shape[1]) - h
-    adj_resid = np.linalg.solve(i_minus_h, parts.residuals[:, :, None])[:, :, 0]
+    adj_resid = np.linalg.solve(i_minus_h, resid[:, :, None])[:, :, 0]
     return np.einsum("ntk,nt->nk", dw, adj_resid)
 
 
@@ -316,28 +316,35 @@ def _subject_varying_weights_wcls():
     ds = build_panel(n, T, seed=7, p=p, a=(rng.random(n * T) < p).astype(float))
     res = fit_wcls(ds, EstimatorConfig(method="wcls", variance_mode="stacked_small_sample"))
     assert np.ptp(res.parts.weights.mean(axis=1)) > 0.1     # weights differ across subjects
-    return res
+    return ds, res
+
+
+def _panel_fit(spec, fitter):
+    ds = gen_panel(spec)
+    return ds, fitter(ds)
 
 
 _SMALL_SAMPLE_FITS = {
-    "a2wcls_proximal": lambda: fit_a2wcls(
-        gen_panel(DgmSpec(kind="proximal_j2", n=60, horizon=10, beta0=-0.2, beta1=0.5, seed=11)),
-        config=EstimatorConfig(method="a2wcls", variance_mode="stacked_small_sample")),
-    "wcls_lag2": lambda: fit_wcls(
-        gen_panel(DgmSpec(kind="lagged_eq12", n=60, horizon=10, beta0=-0.1, beta1=0.5, seed=12)),
-        EstimatorConfig(method="wcls", lag=2, variance_mode="stacked_small_sample")),
-    "a2wcls_lagged_lag2": lambda: fit_a2wcls_lagged(
-        gen_panel(DgmSpec(kind="lagged_eq12", n=60, horizon=10, beta0=-0.1, beta1=0.5, seed=13)),
-        config=EstimatorConfig(method="a2wcls_lagged", lag=2,
-                               variance_mode="stacked_small_sample")),
+    "a2wcls_proximal": lambda: _panel_fit(
+        DgmSpec(kind="proximal_j2", n=60, horizon=10, beta0=-0.2, beta1=0.5, seed=11),
+        lambda ds: fit_a2wcls(ds, config=EstimatorConfig(
+            method="a2wcls", variance_mode="stacked_small_sample"))),
+    "wcls_lag2": lambda: _panel_fit(
+        DgmSpec(kind="lagged_eq12", n=60, horizon=10, beta0=-0.1, beta1=0.5, seed=12),
+        lambda ds: fit_wcls(ds, EstimatorConfig(
+            method="wcls", lag=2, variance_mode="stacked_small_sample"))),
+    "a2wcls_lagged_lag2": lambda: _panel_fit(
+        DgmSpec(kind="lagged_eq12", n=60, horizon=10, beta0=-0.1, beta1=0.5, seed=13),
+        lambda ds: fit_a2wcls_lagged(ds, config=EstimatorConfig(
+            method="a2wcls_lagged", lag=2, variance_mode="stacked_small_sample"))),
     "wcls_subject_weights": _subject_varying_weights_wcls,
 }
 
 
 @pytest.mark.parametrize("name", list(_SMALL_SAMPLE_FITS))
 def test_leverage_scores_match_dense_oracle(name):
-    res = _SMALL_SAMPLE_FITS[name]()
-    expected = dense_leverage_oracle(res.parts)
+    ds, res = _SMALL_SAMPLE_FITS[name]()
+    expected = dense_leverage_oracle(ds, res.parts, res.estimates)
     got = leverage_adjusted_scores(res.parts)
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
@@ -357,8 +364,7 @@ def test_leverage_scores_build_no_hat_array():
     r = rng.standard_normal((n, T))
     scores = np.einsum("ntk,nt->nk", d, w * r)
     parts = SandwichParts(bread=np.einsum("ntk,nt,ntl->kl", d, w, d) / n,
-                          meat=score_meat(scores), subject_scores=scores,
-                          model_matrix=d, weights=w, residuals=r)
+                          subject_scores=scores, model_matrix=d, weights=w)
     tracemalloc.start()
     try:
         leverage_adjusted_scores(parts)
