@@ -9,10 +9,8 @@ from .centering import (
     verify_orthogonality,
 )
 from .data import (
-    DesignBlocks,
     FeatureSpec,
     MrtDataset,
-    design_blocks,
     from_columns,
     load_csv,
     moderator_schema,

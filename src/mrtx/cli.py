@@ -41,7 +41,7 @@ _ERROR_CLASSES = [
     errors.MissingValue, errors.NonContiguousTime, errors.DimensionMismatch,
     errors.SingularGram, errors.SingularBread, errors.SingularThetaBread,
     errors.SingularLeverage, errors.SingularJacobian, errors.DegenerateAuxiliary,
-    errors.LagHorizonExceeded, errors.OscillationDetected, errors.NonConvergence,
+    errors.LagHorizonExceeded, errors.NonConvergence,
     errors.ZeroVariance, errors.ConfigParse, errors.UnknownTable,
 ]
 
@@ -75,8 +75,12 @@ def _write_csv(path, rows: list[dict]) -> None:
                              for k, v in row.items()})
 
 
-def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, dict]:
-    """Parse the documented ``key = value`` config format.
+_DEFAULT_METHODS = {"lagged_eq12": ("wcls", "a2wcls_lagged"),
+                    "binary_demo": ("emee", "a2emee")}
+
+
+def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
+    """Parse the documented ``key = value`` config format into a design and its arms.
 
     Recognized keys: kind, n, horizon, beta0 (scalar or comma pair), beta1,
     eta (comma pair), seed, methods (comma list), variance, lag. Lines
@@ -99,6 +103,7 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, dict]:
     for key in required:
         if key not in values:
             raise errors.ConfigParse(f"config is missing required key {key!r}")
+    design_lag = 2 if values["kind"] == "lagged_eq12" else 1
     try:
         beta0_raw = values.get("beta0", "-0.1")
         beta0 = tuple(float(v) for v in beta0_raw.split(",")) \
@@ -115,26 +120,30 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, dict]:
             seed=int(values["seed"]) if seed_override is None and "seed" in values
             else (seed_override if seed_override is not None else 0),
         )
-        lag = int(values.get("lag", "2" if values["kind"] == "lagged_eq12" else "1"))
+        lag = int(values.get("lag", str(design_lag)))
     except (ValueError, TypeError) as exc:
         raise errors.ConfigParse(f"bad config value: {exc}") from None
-    extras = {"methods": _csv_list(values.get("methods", "")),
-              "variance": values.get("variance", "plain_sandwich"), "lag": lag}
-    return spec, extras
-
-
-def _default_methods(kind: str, variance: str, lag: int) -> list[McArm]:
-    if kind == "lagged_eq12":
-        return [McArm("wcls", EstimatorConfig(method="wcls", lag=lag)),
-                McArm("a2wcls_lagged",
-                      EstimatorConfig(method="a2wcls_lagged", lag=lag,
-                                      variance_mode=variance))]
-    if kind == "binary_demo":
-        return [McArm("emee", EstimatorConfig(method="emee")),
-                McArm("a2emee", EstimatorConfig(method="a2emee"))]
-    return [McArm("wcls", EstimatorConfig(method="wcls")),
-            McArm("a2wcls", EstimatorConfig(method="a2wcls",
-                                            variance_mode=variance))]
+    if lag != design_lag:
+        raise errors.ConfigParse(f"lag {lag} does not match the {spec.kind} "
+                                 f"design's lag {design_lag}")
+    methods = _csv_list(values.get("methods", "")) or _DEFAULT_METHODS.get(
+        spec.kind, ("wcls", "a2wcls"))
+    for m in methods:
+        if m not in METHODS:
+            raise errors.ConfigParse(f"unknown method {m!r} in methods")
+        if m.endswith("per_time"):
+            raise errors.ConfigParse(
+                "per-time methods need a decision index; use the fit verb")
+    variance = values.get("variance", "plain_sandwich")
+    if variance not in VARIANCE_MODES:
+        raise errors.ConfigParse(f"unknown variance mode {variance!r}")
+    # only wcls and a2wcls_lagged address a lagged outcome, and only the
+    # continuous auxiliary-adjusted fits take a stacked variance
+    arms = [McArm(m, EstimatorConfig(
+        method=m, lag=lag if m in ("wcls", "a2wcls_lagged") else 1,
+        variance_mode=variance if m in ("a2wcls", "a2wcls_lagged") else "plain_sandwich"))
+        for m in methods]
+    return spec, arms
 
 
 def cmd_fit(args) -> int:
@@ -161,19 +170,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, extras = _parse_dgm_config(args.config, seed_override=args.seed)
-    if extras["methods"]:
-        for m in extras["methods"]:
-            if m.endswith("per_time"):
-                raise errors.ConfigParse(
-                    "per-time methods need a decision index; use the fit verb")
-        arms = [McArm(m, EstimatorConfig(
-            method=m, lag=extras["lag"] if m in ("wcls", "a2wcls_lagged") else 1,
-            variance_mode=extras["variance"] if m.startswith("a2") and m != "a2emee"
-            else "plain_sandwich"))
-            for m in extras["methods"]]
-    else:
-        arms = _default_methods(spec.kind, extras["variance"], extras["lag"])
+    spec, arms = _parse_dgm_config(args.config, seed_override=args.seed)
     report = run_monte_carlo(spec, arms, args.replicates, workers=args.workers)
     text = report.to_text()
     print(text, end="")

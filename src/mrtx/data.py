@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -71,7 +72,8 @@ class MrtDataset:
     """Immutable long-format panel, sorted by subject then decision index.
 
     All subjects share the same horizon ``T``; rows are stored subject-major
-    so any per-row column reshapes to ``(n_subjects, horizon)``.
+    so any per-row column reshapes to ``(n_subjects, horizon)``. The design
+    blocks ``centered_a`` and ``weight_w`` are cached on first read.
     """
 
     subject_ids: np.ndarray
@@ -116,6 +118,19 @@ class MrtDataset:
     @property
     def n_usable(self) -> int:
         return self.horizon - self.lag + 1
+
+    @cached_property
+    def centered_a(self) -> np.ndarray:
+        """Treatment centered at the weight numerator, ``a - p_tilde``."""
+        return _as_readonly(self.a.astype(float) - self.p_tilde)
+
+    @cached_property
+    def weight_w(self) -> np.ndarray:
+        """Likelihood-ratio weight ``p_tilde(a|s) / p(a|h)`` at the observed arm."""
+        a = self.a.astype(float)
+        num = np.where(a == 1.0, self.p_tilde, 1.0 - self.p_tilde)
+        den = np.where(a == 1.0, self.p, 1.0 - self.p)
+        return _as_readonly(num / den)
 
     def per_subject(self, arr: np.ndarray) -> np.ndarray:
         """Reshape a row-aligned array to (n_subjects, horizon, ...)."""
@@ -297,6 +312,14 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Sequence[FeatureSpec
                           list(schema), lag, y_is_aligned)
 
 
+def _row_t(raw: Mapping[str, np.ndarray], i: int):
+    """``t`` of CSV data row ``i``, or its raw token when ``t`` itself is bad."""
+    try:
+        return int(float(raw["t"][i]))
+    except (ValueError, OverflowError):
+        return raw["t"][i]
+
+
 def load_csv(path, schema: Sequence[FeatureSpec], lag: int = 1) -> MrtDataset:
     """Load a long-format CSV and return a validated :class:`MrtDataset`.
 
@@ -332,17 +355,19 @@ def load_csv(path, schema: Sequence[FeatureSpec], lag: int = 1) -> MrtDataset:
             continue
         try:
             vals = raw[name].astype(float)
-        except ValueError as exc:
-            raise MissingValue(f"column {name!r}: {exc}") from None
+        except ValueError:
+            for i, token in enumerate(raw[name]):
+                try:
+                    float(token)
+                except ValueError:
+                    raise MissingValue(f"unparsable value {token!r} in column {name!r} "
+                                       f"at row {i + 2}", raw["subject_id"][i],
+                                       _row_t(raw, i)) from None
+            raise
         if name in needed and not np.all(np.isfinite(vals)):
             i = int(np.argmax(~np.isfinite(vals)))
-            t = raw["t"][i]
-            try:
-                t = int(float(t))
-            except (ValueError, OverflowError):   # the non-finite value is t itself
-                pass
             raise MissingValue(f"non-finite value in column {name!r} at row {i + 2}",
-                               raw["subject_id"][i], t)
+                               raw["subject_id"][i], _row_t(raw, i))
         columns[name] = vals
     return _build_dataset(columns, list(schema), lag, y_is_aligned=False)
 
@@ -364,30 +389,6 @@ def to_csv(ds: MrtDataset, path) -> None:
                    repr(float(ds.p[i])), repr(float(ds.y_raw[i]))]
             row += [repr(float(ds.columns[n][i])) for n in extra]
             writer.writerow(row)
-
-
-@dataclass(frozen=True)
-class DesignBlocks:
-    """Per-row regression blocks shared by every weighted criterion."""
-
-    centered_a: np.ndarray
-    weight_w: np.ndarray
-
-
-def design_blocks(ds: MrtDataset) -> DesignBlocks:
-    """Centered treatment and likelihood-ratio weight for every row.
-
-    ``weight_w = p_tilde(a|s) / p(a|h)`` with the numerator evaluated at the
-    observed arm; ``centered_a = a - p_tilde``. Deterministic and
-    order-preserving.
-    """
-    a = ds.a.astype(float)
-    num = np.where(a == 1.0, ds.p_tilde, 1.0 - ds.p_tilde)
-    den = np.where(a == 1.0, ds.p, 1.0 - ds.p)
-    return DesignBlocks(
-        centered_a=a - ds.p_tilde,
-        weight_w=num / den,
-    )
 
 
 def moderator_schema(moderators: Iterable[str] = (), aux: Iterable[str] = (),

@@ -96,10 +96,6 @@ class NonConvergence(MrtxError):
         self.n_iter = n_iter
 
 
-class OscillationDetected(NonConvergence):
-    exit_code = 26
-
-
 class ZeroVariance(MrtxError):
     exit_code = 27
 

@@ -28,13 +28,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .centering import CenteringModel, centering_from_rows, fit_centering, naive_centerings
-from .data import MrtDataset, design_blocks
+from .data import MrtDataset
 from .errors import (
     DegenerateAuxiliary,
     DimensionMismatch,
     LagHorizonExceeded,
     NonConvergence,
-    OscillationDetected,
     SingularGram,
     SingularJacobian,
 )
@@ -54,17 +53,20 @@ VARIANCE_MODES = ("plain_sandwich", "stacked", "stacked_small_sample")
 CENTERING_KINDS = ("orthogonal", "global_mean", "time_specific_mean")
 _BINARY = ("emee", "a2emee")
 
+# iteration cap for each binary Newton solve and for the A2-EMEE passes; both
+# stop below _TOL (max-abs equation norm, max-abs change between passes)
+_MAX_ITER = 100
+_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Choice of criterion, lag, variance mode, and solver controls."""
+    """Choice of criterion, lag, variance mode, interval level and centering."""
 
     method: str = "wcls"
     lag: int = 1
     variance_mode: str = "plain_sandwich"
     ci_level: float = 0.95
-    max_iter: int = 100
-    tol: float = 1e-10
     centering_kind: str = "orthogonal"
 
     def __post_init__(self):
@@ -242,7 +244,7 @@ def _vcov(parts, sp, mode):
 
 
 def _assemble(method, ds_n, names, estimates, beta0_idx, beta1_idx, parts, sp,
-              config, converged=True, n_iter=0, lagged=None, trace=()):
+              config, n_iter=0, lagged=None, trace=()):
     return FitResult(
         method=method,
         param_names=tuple(names),
@@ -255,7 +257,7 @@ def _assemble(method, ds_n, names, estimates, beta0_idx, beta1_idx, parts, sp,
         n_subjects=ds_n,
         variance_mode=config.variance_mode,
         ci_level=config.ci_level,
-        converged=converged,
+        converged=True,
         n_iter=n_iter,
         lagged_nuisance=lagged,
         ee_norm_trace=tuple(trace),
@@ -284,11 +286,20 @@ def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use):
     return SandwichParts(bread=gram, subject_scores=scores, model_matrix=D, weights=W)
 
 
-def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
-    """Design blocks, names and index slices for the pooled criteria."""
-    blocks = design_blocks(ds)
+def _check_auxiliary(ds: MrtDataset, zc: np.ndarray) -> None:
     mask = ds.usable_mask
-    ca = blocks.centered_a
+    wnorm = np.sqrt(np.mean((np.sqrt(ds.weight_w)[:, None] * zc)[mask] ** 2, axis=0))
+    scale = 1.0 + np.sqrt(np.mean(ds.z[mask] ** 2, axis=0))
+    bad = wnorm < 1e-9 * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateAuxiliary(f"centered auxiliary column {ds.z_names[i]!r} "
+                                  "has numerically zero weighted norm")
+
+
+def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
+    """Design matrix, names and index slices for the pooled criteria."""
+    ca = ds.centered_a
     cols, names = [], []
 
     lag_info = None
@@ -322,25 +333,18 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     beta0_idx = np.arange(beta0_start, len(names))
 
     beta1_idx = np.arange(0)
-    zc = None
     if cm is not None:
         if ds.p_z < 1:
             raise DimensionMismatch("auxiliary adjustment requires auxiliary columns")
         zc = ds.z - cm.mu_rows(ds)
-        wnorm = np.sqrt(np.mean((np.sqrt(blocks.weight_w)[:, None] * zc)[mask] ** 2, axis=0))
-        scale = 1.0 + np.sqrt(np.mean(ds.z[mask] ** 2, axis=0))
-        bad = wnorm < 1e-9 * scale
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DegenerateAuxiliary(f"centered auxiliary column {ds.z_names[i]!r} "
-                                      "has numerically zero weighted norm")
+        _check_auxiliary(ds, zc)
         beta1_start = len(names)
         cols.append(ca[:, None] * zc)
         names.extend(f"beta1:{n}" for n in ds.z_names)
         beta1_idx = np.arange(beta1_start, len(names))
 
     X = np.column_stack([c if c.ndim == 2 else c[:, None] for c in cols])
-    return X, names, beta0_idx, beta1_idx, blocks, mask, lag_info
+    return X, names, beta0_idx, beta1_idx, lag_info
 
 
 def _stacked_for(ds, cm, X_use, wca_use, f_use, beta1_hat, n):
@@ -360,16 +364,16 @@ def _stacked_for(ds, cm, X_use, wca_use, f_use, beta1_hat, n):
 
 def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
                 cm: CenteringModel | None, lagged: bool) -> FitResult:
-    X, names, b0_idx, b1_idx, blocks, mask, lag_info = _pooled_design(
-        ds, cm, lagged)
-    w = blocks.weight_w
+    X, names, b0_idx, b1_idx, lag_info = _pooled_design(ds, cm, lagged)
+    mask = ds.usable_mask
+    w = ds.weight_w
     X_use, y_use, w_use = X[mask], ds.y[mask], w[mask]
     beta, gram = wls_solve(X_use, y_use, w_use, ds.n_subjects)
     parts = _ls_parts(X_use, y_use, w_use, beta, gram, ds.n_subjects, ds.n_usable)
 
     sp = None
     if cm is not None and cm.orthogonal:
-        wca = (w * blocks.centered_a)[mask]
+        wca = (w * ds.centered_a)[mask]
         sp = _stacked_for(ds, cm, X_use, wca, ds.f[mask], beta[b1_idx],
                           ds.n_subjects)
     if cm is not None and not cm.orthogonal and config.variance_mode != "plain_sandwich":
@@ -549,20 +553,24 @@ def closed_form_gaps(p: float, alpha1, beta1, sigma_g) -> dict[str, float]:
 # binary outcomes: log-relative-risk estimating equations
 
 
-def _emee_system(ds: MrtDataset, feat: np.ndarray, w: np.ndarray,
-                 ca: np.ndarray, mask: np.ndarray):
+def _emee_system(ds: MrtDataset, feat: np.ndarray):
+    """EMEE equations over the usable rows with design ``X = [g, ca * feat]``.
+
+    ``evaluate(params, want_jac)`` returns the per-row weighted residual ``r``,
+    the averaged equations ``X' r / n`` and, if asked, their Jacobian.
+    """
+    mask = ds.usable_mask
     g = ds.g[mask]
     f_x = feat[mask]
     a = ds.a.astype(float)[mask]
     y = ds.y[mask]
-    w_u = w[mask]
-    ca_u = ca[mask]
+    w_u = ds.weight_w[mask]
+    ca_u = ds.centered_a[mask]
     X = np.column_stack([g, ca_u[:, None] * f_x])
     n = ds.n_subjects
-    t_use = ds.n_usable
+    k_g = g.shape[1]
 
-    def ee_and_jac(params, want_jac=True):
-        k_g = g.shape[1]
+    def evaluate(params, want_jac):
         alpha, betab = params[:k_g], params[k_g:]
         lin_b = f_x @ betab
         blip = np.exp(-a * lin_b)
@@ -570,40 +578,29 @@ def _emee_system(ds: MrtDataset, feat: np.ndarray, w: np.ndarray,
         r = w_u * blip * (y - mean)
         u = X.T @ r / n
         if not want_jac:
-            return u, None
+            return r, u, None
         # d(blip * resid)/dalpha = -blip*mean*g ; d/dbeta = -a*blip*y*f
         da = -(w_u * blip * mean)[:, None] * g
         db = -(w_u * a * blip * y)[:, None] * f_x
-        jac = X.T @ np.column_stack([da, db]) / n
-        return u, jac
+        return r, u, X.T @ np.column_stack([da, db]) / n
 
-    def subject_scores(params):
-        k_g = g.shape[1]
-        alpha, betab = params[:k_g], params[k_g:]
-        lin_b = f_x @ betab
-        blip = np.exp(-a * lin_b)
-        mean = np.exp(g @ alpha + a * lin_b)
-        r = w_u * blip * (y - mean)
-        per_row = X * r[:, None]
-        return per_row.reshape(n, t_use, -1).sum(axis=1)
-
-    return ee_and_jac, subject_scores, X, (g.shape[1], f_x.shape[1])
+    return evaluate, X
 
 
-def _newton(ee_and_jac, init: np.ndarray, max_iter: int, tol: float):
+def _newton(evaluate, init: np.ndarray):
     params = init.copy()
-    u, _ = ee_and_jac(params, want_jac=False)
+    _, u, _ = evaluate(params, False)
     norm = float(np.abs(u).max())
     trace = [norm]
-    for it in range(1, max_iter + 1):
-        if norm <= tol:
-            return params, it - 1, trace, True
-        u, jac = ee_and_jac(params)
+    for it in range(1, _MAX_ITER + 1):
+        if norm <= _TOL:
+            return params, it - 1, trace
+        _, u, jac = evaluate(params, True)
         step = checked_solve(jac, u, SingularJacobian, "Newton Jacobian")
         scale = 1.0
         for _ in range(40):
             cand = params - scale * step
-            u_new, _ = ee_and_jac(cand, want_jac=False)
+            _, u_new, _ = evaluate(cand, False)
             norm_new = float(np.abs(u_new).max())
             if norm_new < norm:
                 break
@@ -613,10 +610,10 @@ def _newton(ee_and_jac, init: np.ndarray, max_iter: int, tol: float):
                                  f"equation norm ({norm:.3g})", n_iter=it)
         params, norm = cand, norm_new
         trace.append(norm)
-    if norm <= tol:
-        return params, max_iter, trace, True
-    raise NonConvergence(f"Newton failed to converge in {max_iter} iterations "
-                         f"(final norm {norm:.3g})", n_iter=max_iter)
+    if norm <= _TOL:
+        return params, _MAX_ITER, trace
+    raise NonConvergence(f"Newton failed to converge in {_MAX_ITER} iterations "
+                         f"(final norm {norm:.3g})", n_iter=_MAX_ITER)
 
 
 def _check_binary(ds: MrtDataset):
@@ -628,28 +625,22 @@ def _check_binary(ds: MrtDataset):
 
 
 def _binary_fit(ds: MrtDataset, config: EstimatorConfig, feat: np.ndarray,
-                feat_names: list[str], b0_count: int, init: np.ndarray | None,
-                method: str):
-    blocks = design_blocks(ds)
-    mask = ds.usable_mask
-    ee_and_jac, subject_scores, X, (k_g, k_f) = _emee_system(
-        ds, feat, blocks.weight_w, blocks.centered_a, mask)
+                feat_names: list[str], init: np.ndarray | None) -> FitResult:
+    evaluate, X = _emee_system(ds, feat)
+    k_g, k_f = ds.d, feat.shape[1]
     if init is None:
         init = np.zeros(k_g + k_f)
         if "1" in ds.g_names:
-            init[list(ds.g_names).index("1")] = np.log(max(ds.y[mask].mean(), 1e-8))
-    params, n_iter, trace, ok = _newton(ee_and_jac, init,
-                                        config.max_iter, max(config.tol, 1e-12))
-    scores = subject_scores(params)
-    _, jac = ee_and_jac(params)
-    bread = -jac                      # positive-orientation derivative
-    parts = SandwichParts(bread=bread, subject_scores=scores)
+            init[list(ds.g_names).index("1")] = np.log(max(ds.y[ds.usable_mask].mean(), 1e-8))
+    params, n_iter, trace = _newton(evaluate, init)
+    r, _, jac = evaluate(params, True)
+    scores = (X * r[:, None]).reshape(ds.n_subjects, ds.n_usable, -1).sum(axis=1)
+    parts = SandwichParts(bread=-jac, subject_scores=scores)   # positive orientation
     names = [f"alpha:{n}" for n in ds.g_names] + feat_names
-    b0_idx = np.arange(k_g, k_g + b0_count)
-    b1_idx = np.arange(k_g + b0_count, k_g + k_f)
-    return _assemble(method, ds.n_subjects, names, params, b0_idx, b1_idx,
-                     parts, None, config, converged=ok, n_iter=n_iter,
-                     trace=trace), params
+    b0_idx = np.arange(k_g, k_g + ds.q)
+    b1_idx = np.arange(k_g + ds.q, k_g + k_f)
+    return _assemble(config.method, ds.n_subjects, names, params, b0_idx, b1_idx,
+                     parts, None, config, n_iter=n_iter, trace=trace)
 
 
 def fit_emee(ds: MrtDataset, config: EstimatorConfig | None = None) -> FitResult:
@@ -658,8 +649,7 @@ def fit_emee(ds: MrtDataset, config: EstimatorConfig | None = None) -> FitResult
     config = replace(config, method="emee")
     _check_binary(ds)
     names = [f"beta0:{n}" for n in ds.f_names]
-    fit, _ = _binary_fit(ds, config, ds.f, names, ds.q, None, "emee")
-    return fit
+    return _binary_fit(ds, config, ds.f, names, None)
 
 
 def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
@@ -670,56 +660,38 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
     (in the auxiliary slope) version of the binary orthogonality condition,
     which is linear given the current effect coefficients; the effect and
     nuisance coefficients are then re-solved by Newton with the centered
-    auxiliary interaction included. Iterates to a joint fixed point.
+    auxiliary interaction included. Passes stop once no entry of
+    ``(params, theta)`` moves by ``_TOL`` from the previous pass.
     """
     config = config or EstimatorConfig(method="a2emee")
     config = replace(config, method="a2emee")
-    _check_binary(ds)
     if ds.p_z < 1:
         raise DimensionMismatch("a2emee requires auxiliary columns")
-    blocks = design_blocks(ds)
     mask = ds.usable_mask
-    a = ds.a.astype(float)
-    w_az = (blocks.weight_w * a * blocks.centered_a * ds.y)[mask]
+    w_az = (ds.weight_w * ds.a.astype(float) * ds.centered_a * ds.y)[mask]
     f_use, z_use = ds.f[mask], ds.z[mask]
-
-    def solve_theta(beta0):
-        blip = np.exp(-f_use @ beta0)
-        wv = w_az * blip
-        gram = (f_use * wv[:, None]).T @ f_use / ds.n_subjects
-        rhs = (f_use * wv[:, None]).T @ z_use / ds.n_subjects
-        return checked_solve(gram, rhs, SingularGram, "binary centering system")
-
     base = fit_emee(ds, replace(config, method="emee"))
     theta = fit_centering(ds).theta
     params = np.concatenate([base.estimates, np.zeros(ds.p_z)])
     names = [f"beta0:{n}" for n in ds.f_names] + [f"beta1:{n}" for n in ds.z_names]
-    history: list[np.ndarray] = []
     trace: list[float] = []
-    fit = None
-    for outer in range(1, config.max_iter + 1):
+    state = None
+    for outer in range(1, _MAX_ITER + 1):
         zc = ds.z - ds.f @ theta
+        _check_auxiliary(ds, zc)
         feat = np.column_stack([ds.f, zc])
-        fit, params = _binary_fit(ds, config, feat, names, ds.q, params,
-                                  "a2emee")
+        fit = _binary_fit(ds, config, feat, names, params)
+        params = fit.estimates
         trace.extend(fit.ee_norm_trace[-1:])
-        state = np.concatenate([params, theta.reshape(-1)])
-        if history:
-            delta = float(np.abs(state - history[-1]).max())
-            if delta < max(config.tol, 1e-10):
-                return replace(fit, converged=True, n_iter=outer, ee_norm_trace=tuple(trace))
-            for back in (2, 3, 4):
-                if len(history) >= back and \
-                        float(np.abs(state - history[-back]).max()) < max(config.tol, 1e-10):
-                    raise OscillationDetected(
-                        f"parameter cycle of length {back} detected", n_iter=outer)
-        history.append(state)
-        if len(history) > 8:
-            history.pop(0)
-        theta = solve_theta(params[len(ds.g_names):len(ds.g_names) + ds.q])
+        prev, state = state, np.concatenate([params, theta.reshape(-1)])
+        if prev is not None and float(np.abs(state - prev).max()) < _TOL:
+            return replace(fit, n_iter=outer, ee_norm_trace=tuple(trace))
+        fw = f_use * (w_az * np.exp(-f_use @ params[ds.d:ds.d + ds.q]))[:, None]
+        theta = checked_solve(fw.T @ f_use / ds.n_subjects, fw.T @ z_use / ds.n_subjects,
+                              SingularGram, "binary centering system")
     raise NonConvergence(
-        f"alternating centering loop failed to converge in {config.max_iter} passes",
-        n_iter=config.max_iter)
+        f"alternating centering loop failed to converge in {_MAX_ITER} passes",
+        n_iter=_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------

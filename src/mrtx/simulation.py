@@ -57,7 +57,6 @@ class DgmSpec:
     beta0: float | tuple[float, float] = -0.1
     beta1: float = 0.0
     eta: tuple[float, float] = (-0.8, 0.8)
-    rho: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -335,7 +334,6 @@ class McReport:
     varhat: np.ndarray
     cover: np.ndarray
     ok: np.ndarray             # (R, arms)
-    n_failed: np.ndarray       # (arms,)
 
     def row(self, label: str, coef: str | None = None) -> dict:
         for r in self.rows:
@@ -404,10 +402,9 @@ def compute_metrics(est_m, se_m, var_m, cover_m, est_b, var_b, truth: float) -> 
     }
 
 
-def _fit_one(spec: DgmSpec, rep: int, arms: list[McArm],
-             truth: np.ndarray, noise_scale: float):
+def _fit_one(spec: DgmSpec, rep: int, arms: list[McArm], truth: np.ndarray):
     rng = _rng_for(spec, rep)
-    base = _BUILDERS[spec.kind](spec, rng, noise_scale)
+    base = _BUILDERS[spec.kind](spec, rng, 1.0)
     q = truth.shape[0]
     n_arms = len(arms)
     est = np.full((n_arms, q), np.nan)
@@ -434,7 +431,7 @@ def _fit_one(spec: DgmSpec, rep: int, arms: list[McArm],
 
 
 def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
-                    workers: int = 1, noise_scale: float = 1.0) -> McReport:
+                    workers: int = 1) -> McReport:
     """Replicate the design, fit every arm, and aggregate the comparison.
 
     ``arms`` is a list of :class:`McArm`; the first entry is the baseline
@@ -460,12 +457,12 @@ def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(
-                    lambda r: _fit_one(spec, r, arms, truth, noise_scale),
+                    lambda r: _fit_one(spec, r, arms, truth),
                     range(replicates)):
                 consume(result)
     else:
         for rep in range(replicates):
-            consume(_fit_one(spec, rep, arms, truth, noise_scale))
+            consume(_fit_one(spec, rep, arms, truth))
 
     rows = []
     coef_names = tuple(f"beta0[{i}]" for i in range(q))
@@ -485,5 +482,4 @@ def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
             rows.append(metrics)
     return McReport(spec=spec, labels=tuple(a.label for a in arms),
                     coef_names=coef_names, truth=truth, replicates=replicates,
-                    rows=rows, est=est, se=se, varhat=var, cover=cov, ok=ok,
-                    n_failed=(~ok).sum(axis=0))
+                    rows=rows, est=est, se=se, varhat=var, cover=cov, ok=ok)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mrtx import errors
+from mrtx import errors, estimators
 from mrtx.data import from_columns, moderator_schema
-from mrtx.estimators import EstimatorConfig, fit_a2emee, fit_emee
+from mrtx.estimators import fit_a2emee, fit_emee
 from mrtx.simulation import DgmSpec, gen_panel
 
 from conftest import build_panel
@@ -36,9 +36,7 @@ def bisection_oracle(ds, lo=-2.0, hi=2.0, tol=1e-12):
     For intercept-only nuisance, alpha is profiled in closed form at each
     candidate beta0, leaving one equation in one unknown.
     """
-    from mrtx.data import design_blocks
-    blocks = design_blocks(ds)
-    w, ca, a, y = blocks.weight_w, blocks.centered_a, ds.a.astype(float), ds.y
+    w, ca, a, y = ds.weight_w, ds.centered_a, ds.a.astype(float), ds.y
 
     def equation(b0):
         blip = np.exp(-a * b0)
@@ -77,12 +75,9 @@ def test_emee_null_effect():
 def test_emee_root_residual():
     ds = binary_panel(2_000, 8, rr=0.2, seed=3)
     res = fit_emee(ds)
-    from mrtx.data import design_blocks
     from mrtx.estimators import _emee_system
-    blocks = design_blocks(ds)
-    ee_and_jac, _, _, _ = _emee_system(ds, ds.f, blocks.weight_w,
-                                       blocks.centered_a, ds.usable_mask)
-    u, _ = ee_and_jac(res.estimates, want_jac=False)
+    evaluate, _ = _emee_system(ds, ds.f)
+    _, u, _ = evaluate(res.estimates, False)
     assert np.abs(u).max() <= 1e-8
 
 
@@ -125,10 +120,11 @@ def test_binary_outcome_validation():
         fit_emee(ds)
 
 
-def test_newton_nonconvergence_reported():
+def test_newton_nonconvergence_reported(monkeypatch):
     ds = binary_panel(500, 6, rr=0.2, seed=7)
+    monkeypatch.setattr(estimators, "_MAX_ITER", 1)
     with pytest.raises(errors.NonConvergence):
-        fit_emee(ds, EstimatorConfig(method="emee", max_iter=1, tol=1e-14))
+        fit_emee(ds)
 
 
 def test_a2emee_requires_auxiliary():

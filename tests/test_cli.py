@@ -99,6 +99,20 @@ def test_simulate_bad_lag_is_config_parse(tmp_path, capsys):
     assert "error[ConfigParse]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("methods", "bogus", "unknown method 'bogus'"),
+    ("variance", "bogus", "unknown variance mode 'bogus'"),
+    ("lag", "2", "lag 2 does not match the proximal_j2 design's lag 1"),
+], ids=["methods", "variance", "lag"])
+def test_simulate_bad_arm_settings_are_config_parse(tmp_path, capsys, key, value,
+                                                    message):
+    cfg = tmp_path / "dgm.cfg"
+    write_config(cfg, kind="proximal_j2", n=10, horizon=6, **{key: value})
+    code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
+    assert code == 28               # ConfigParse
+    assert f"error[ConfigParse]: {message}" in capsys.readouterr().err
+
+
 def test_gaps_examples(capsys):
     assert main(["gaps", "--p", "0.5", "--alpha1", "1", "--beta1", "0",
                  "--sigma", "1"]) == 0

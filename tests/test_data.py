@@ -4,7 +4,6 @@ import pytest
 from mrtx import errors
 from mrtx.data import (
     FeatureSpec,
-    design_blocks,
     from_columns,
     load_csv,
     moderator_schema,
@@ -89,6 +88,16 @@ def test_non_binary_treatment(tmp_path):
         load_csv(path, moderator_schema(aux=("z",)), lag=1)
 
 
+def test_unparsable_token_names_row(tmp_path):
+    rows = [list(r) for r in GOOD_ROWS]
+    rows[4][4] = "abc"
+    path = tmp_path / "panel.csv"
+    write_csv(path, HEADER, rows)
+    with pytest.raises(errors.MissingValue, match="'abc' in column 'y' at row 6") as exc:
+        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+    assert exc.value.subject_id == "2" and exc.value.t == 2
+
+
 def test_nan_rejected(tmp_path):
     rows = [list(r) for r in GOOD_ROWS]
     rows[3][4] = "NaN"
@@ -103,32 +112,36 @@ def test_weight_examples():
     ds = build_panel(2, 2, a=[1, 0, 1, 0], p=[0.25, 0.25, 0.5, 0.5],
                      ptilde=[0.5] * 4,
                      schema=moderator_schema(aux=("z",), ptilde="ptilde"))
-    blocks = design_blocks(ds)
-    assert blocks.weight_w[0] == pytest.approx(0.5 / 0.25)           # a=1
-    assert blocks.weight_w[1] == pytest.approx((1 - 0.5) / (1 - 0.25))  # a=0
-    assert blocks.centered_a[0] == pytest.approx(0.5)
-    assert blocks.centered_a[1] == pytest.approx(-0.5)
+    assert ds.weight_w[0] == pytest.approx(0.5 / 0.25)           # a=1
+    assert ds.weight_w[1] == pytest.approx((1 - 0.5) / (1 - 0.25))  # a=0
+    assert ds.centered_a[0] == pytest.approx(0.5)
+    assert ds.centered_a[1] == pytest.approx(-0.5)
 
 
 def test_weight_unity_when_numerator_matches():
     p = np.clip(np.random.default_rng(1).random(12), 0.05, 0.95)
     ds = build_panel(3, 4, p=p, ptilde=p,
                      schema=moderator_schema(aux=("z",), ptilde="ptilde"))
-    blocks = design_blocks(ds)
-    np.testing.assert_allclose(blocks.weight_w, 1.0)
+    np.testing.assert_allclose(ds.weight_w, 1.0)
 
 
 def test_weights_positive_finite(small_panel):
-    blocks = design_blocks(small_panel)
-    assert np.all(blocks.weight_w > 0)
-    assert np.all(np.isfinite(blocks.weight_w))
+    assert np.all(small_panel.weight_w > 0)
+    assert np.all(np.isfinite(small_panel.weight_w))
 
 
-def test_design_blocks_deterministic(small_panel):
-    b1 = design_blocks(small_panel)
-    b2 = design_blocks(small_panel)
-    np.testing.assert_array_equal(b1.weight_w, b2.weight_w)
-    np.testing.assert_array_equal(b1.centered_a, b2.centered_a)
+def test_design_blocks_cached_per_view():
+    pt = np.linspace(0.2, 0.8, 48)
+    ds = build_panel(8, 6, seed=3, pt=pt)
+    assert ds.weight_w is ds.weight_w
+    assert ds.centered_a is ds.centered_a
+    # a re-view with another numerator gets its own blocks, not the cached ones
+    view = ds.with_schema(moderator_schema(aux=("z",), ptilde="pt"))
+    a, p = view.a.astype(float), view.p
+    np.testing.assert_array_equal(
+        view.weight_w, np.where(a == 1.0, pt, 1.0 - pt) / np.where(a == 1.0, p, 1.0 - p))
+    np.testing.assert_array_equal(view.centered_a, a - pt)
+    assert not np.array_equal(view.weight_w, ds.weight_w)
 
 
 def test_default_ptilde_is_pooled_mean():

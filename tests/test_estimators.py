@@ -40,6 +40,21 @@ def test_subject_permutation_bit_identical():
     assert np.array_equal(f1.vcov, f2.vcov)
 
 
+@pytest.mark.parametrize("method", ["wcls", "a2wcls", "emee", "a2emee"])
+def test_shuffled_string_ids_bit_identical(method):
+    ds = gen_panel(DgmSpec(kind="binary_demo", n=150, horizon=6, beta0=0.2, seed=3))
+    cols = {k: ds.columns[k] for k in ("t", "a", "p", "y", "z")}
+    cols["subject_id"] = np.array([f"s{i:03d}" for i in ds.subject_ids])   # sorted
+    order = np.random.default_rng(9).permutation(ds.n_rows)
+    shuffled = {k: v[order] for k, v in cols.items()}
+    schema = moderator_schema(aux=("z",), controls=("z",))
+    config = EstimatorConfig(method=method)
+    f1 = fit(from_columns(cols, schema, y_is_aligned=True), config)
+    f2 = fit(from_columns(shuffled, schema, y_is_aligned=True), config)
+    assert np.array_equal(f1.estimates, f2.estimates)
+    assert np.array_equal(f1.vcov, f2.vcov)
+
+
 def test_outcome_shift_equivariance():
     cols = panel_from_arrays(15, 6, seed=2)
     schema = moderator_schema(aux=("z",), controls=("g1",))
@@ -59,6 +74,15 @@ def test_constant_auxiliary_degenerate():
     ds = build_panel(10, 4, z=np.full(40, 1.7))
     with pytest.raises(errors.DegenerateAuxiliary):
         fit_a2wcls(ds)
+
+
+@pytest.mark.parametrize("method,lag", [("a2wcls", 1), ("a2wcls_lagged", 2),
+                                        ("a2emee", 1)])
+def test_constant_auxiliary_degenerate_every_path(method, lag):
+    y = (np.random.default_rng(12).random(60) < 0.4).astype(float)
+    ds = build_panel(10, 6, lag=lag, y=y, z=np.full(60, 1.7))
+    with pytest.raises(errors.DegenerateAuxiliary):
+        fit(ds, EstimatorConfig(method=method, lag=lag))
 
 
 def test_a2_populates_both_blocks():

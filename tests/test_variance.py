@@ -113,14 +113,11 @@ def test_finite_difference_bread_binary():
     spec = DgmSpec(kind="binary_demo", n=400, horizon=6, beta0=0.2, seed=5)
     ds = gen_panel(spec)
     res = fit_emee(ds)
-    from mrtx.data import design_blocks
     from mrtx.estimators import _emee_system
-    blocks = design_blocks(ds)
-    ee_and_jac, _, _, _ = _emee_system(ds, ds.f, blocks.weight_w,
-                                       blocks.centered_a, ds.usable_mask)
+    evaluate, _ = _emee_system(ds, ds.f)
 
     def score(params):
-        return ee_and_jac(params, want_jac=False)[0]
+        return evaluate(params, False)[1]
 
     numeric = -fd_bread(score, res.estimates.copy(), res.parts.dim)
     assert np.abs(numeric - res.bread).max() <= 1e-4 * max(np.abs(res.bread).max(), 1.0)
