@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 
 import numpy as np
@@ -83,14 +84,14 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
     """Parse the documented ``key = value`` config format into a design and its arms.
 
     Recognized keys: kind, n, horizon, beta0 (scalar or comma pair), beta1,
-    eta (comma pair), seed, methods (comma list), variance, lag. Lines
-    starting with ``#`` are comments.
+    eta (comma pair), seed, methods (comma list), variance, lag. A ``#`` at
+    the start of a line or after whitespace starts a comment.
     """
     values: dict[str, str] = {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
+                line = re.sub(r"\s#.*", "", line).strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:

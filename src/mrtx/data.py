@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -199,6 +200,8 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
         raise DimensionMismatch(f"lag must be >= 1, got {lag}")
     subject, t, a, p, y = _validate_base(columns)
     n_rows = subject.shape[0]
+    if n_rows == 0:
+        raise MissingValue("no data rows")
 
     order = np.lexsort((t, subject))
     if not np.array_equal(order, np.arange(n_rows)):
@@ -320,33 +323,58 @@ def _row_t(raw: Mapping[str, np.ndarray], i: int):
         return raw["t"][i]
 
 
+def _field_count_error(path, width: int) -> MissingValue | None:
+    """Re-scan ``path`` with ``csv`` for the first row without ``width`` fields."""
+    with open(path, newline="") as fh:
+        for row, fields in enumerate(csv.reader(fh), 1):
+            if row > 1 and len(fields) != width:
+                return MissingValue(f"row {row} has {len(fields)} fields, expected {width}")
+    return None
+
+
+def _data_lines(fh, path, width: int):
+    """``fh``'s remaining lines; a blank one, which loadtxt skips, is re-checked by ``csv``."""
+    for line in fh:
+        if line[0] in "\r\n":         # only a blank line starts with its terminator
+            error = _field_count_error(path, width)
+            if error is not None:
+                raise error
+        yield line
+
+
 def load_csv(path, schema: Sequence[FeatureSpec], lag: int = 1) -> MrtDataset:
     """Load a long-format CSV and return a validated :class:`MrtDataset`.
 
     The header must name ``subject_id, t, a, p, y`` plus every column
-    referenced by ``schema``. Non-finite tokens (NaN, Inf) are rejected.
+    referenced by ``schema``. Every row must have as many fields as the
+    header; a blank line is a row with none. Non-finite tokens (NaN, Inf)
+    are rejected.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise MissingColumn("empty CSV file") from None
-        rows = list(reader)
-    header = [h.strip() for h in header]
-    needed = set(BASE_COLUMNS)
-    for spec in schema:
-        needed.update(spec.source_columns)
-    for name in sorted(needed):
-        if name not in header:
-            raise MissingColumn(f"required column {name!r} not in CSV header")
-
-    raw = {name: np.empty(len(rows), dtype=object) for name in header}
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise MissingValue(f"row {i + 2} has {len(row)} fields, expected {len(header)}")
-        for name, val in zip(header, row):
-            raw[name][i] = val
+        header = [h.strip() for h in header]
+        needed = set(BASE_COLUMNS)
+        for spec in schema:
+            needed.update(spec.source_columns)
+        for name in sorted(needed):
+            if name not in header:
+                raise MissingColumn(f"required column {name!r} not in CSV header")
+        lines = _data_lines(fh, path, len(header))
+        first = next(lines, None)
+        if first is None:
+            raise MissingValue("no data rows")
+        try:
+            # dtype=object keeps each field as csv reads it (quotes; '#' is data)
+            cells = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                               dtype=object, comments=None, quotechar='"', ndmin=2)
+        except ValueError as exc:   # a row's field count differs from the first's
+            raise _field_count_error(path, len(header)) or exc from None
+    if cells.shape[1] != len(header):
+        raise _field_count_error(path, len(header))
+    raw = {name: cells[:, j] for j, name in enumerate(header)}
 
     columns: dict[str, np.ndarray] = {}
     for name in header:

@@ -661,10 +661,13 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
     which is linear given the current effect coefficients; the effect and
     nuisance coefficients are then re-solved by Newton with the centered
     auxiliary interaction included. Passes stop once no entry of
-    ``(params, theta)`` moves by ``_TOL`` from the previous pass.
+    ``(params, theta)`` moves by ``_TOL`` from the previous pass. Since
+    ``theta`` solves this binary condition, no centering model or kind is taken.
     """
     config = config or EstimatorConfig(method="a2emee")
     config = replace(config, method="a2emee")
+    if cm is not None or config.centering_kind != "orthogonal":
+        raise DimensionMismatch("a2emee solves its own centering: no cm, orthogonal kind only")
     if ds.p_z < 1:
         raise DimensionMismatch("a2emee requires auxiliary columns")
     mask = ds.usable_mask

@@ -15,10 +15,11 @@ retained per-subject pieces:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     SingularBread,
@@ -161,11 +162,13 @@ def confidence_intervals(estimates: np.ndarray, se: np.ndarray, level: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         zval = np.where(se > 0, estimates / se, np.inf * np.sign(estimates))
     if small_sample:
+        from scipy import special   # only the t reference needs scipy
         df = max(n_subjects - dim, 1)
         crit = special.stdtrit(df, 0.5 + level / 2.0)
         pval = 2.0 * special.stdtr(df, -np.abs(zval))
     else:
-        crit = special.ndtri(0.5 + level / 2.0)
-        pval = 2.0 * special.ndtr(-np.abs(zval))
+        crit = NormalDist().inv_cdf(0.5 + level / 2.0)
+        # 2 * Phi(-|z|) == erfc(|z| / sqrt(2))
+        pval = np.vectorize(math.erfc, otypes=[float])(np.abs(zval) / math.sqrt(2.0))
     pval = np.where(estimates == 0.0, 1.0, pval)
     return estimates - crit * se, estimates + crit * se, pval

@@ -3,7 +3,8 @@ import pytest
 
 from mrtx import errors, estimators
 from mrtx.data import from_columns, moderator_schema
-from mrtx.estimators import fit_a2emee, fit_emee
+from mrtx.centering import centering_from_rows
+from mrtx.estimators import EstimatorConfig, fit, fit_a2emee, fit_emee
 from mrtx.simulation import DgmSpec, gen_panel
 
 from conftest import build_panel
@@ -139,3 +140,16 @@ def test_a2emee_requires_auxiliary():
     ds = from_columns(cols, moderator_schema(), lag=1, y_is_aligned=True)
     with pytest.raises(errors.DimensionMismatch):
         fit_a2emee(ds)
+
+
+def test_a2emee_refuses_outside_centering():
+    ds = binary_panel(200, 6, rr=0.2, seed=11)
+    cm = centering_from_rows(ds, np.full(ds.z.shape, 5.0), "global_mean")
+    with pytest.raises(errors.DimensionMismatch, match="a2emee solves its own centering"):
+        fit_a2emee(ds, cm)
+    with pytest.raises(errors.DimensionMismatch, match="a2emee solves its own centering"):
+        fit(ds, EstimatorConfig(method="a2emee"), cm)
+    for kind in ("global_mean", "time_specific_mean"):
+        with pytest.raises(errors.DimensionMismatch, match="a2emee solves its own centering"):
+            fit(ds, EstimatorConfig(method="a2emee", centering_kind=kind))
+    assert fit(ds, EstimatorConfig(method="a2emee")).n_iter >= 2

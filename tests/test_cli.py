@@ -1,8 +1,12 @@
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mrtx
 from mrtx.cli import main
 from mrtx.data import to_csv
 from mrtx.simulation import DgmSpec, gen_panel
@@ -50,6 +54,14 @@ def test_fit_missing_column_exit_code(lagged_csv):
     code = main(["fit", "--data", lagged_csv, "--method", "wcls", "--lag", "2",
                  "--controls", "not_there"])
     assert code == 12               # MissingColumn
+
+
+def test_fit_header_only_csv_exit_code(tmp_path, capsys):
+    path = tmp_path / "hdr.csv"
+    path.write_text("subject_id,t,a,p,y\n")
+    code = main(["fit", "--data", str(path), "--method", "wcls"])
+    assert code == 15               # MissingValue
+    assert "error[MissingValue]: no data rows" in capsys.readouterr().err
 
 
 def write_config(path, **kv):
@@ -113,6 +125,19 @@ def test_simulate_bad_arm_settings_are_config_parse(tmp_path, capsys, key, value
     assert f"error[ConfigParse]: {message}" in capsys.readouterr().err
 
 
+def test_simulate_readme_config_example(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert "  # " in block          # the example keeps its inline comments
+    cfg = tmp_path / "dgm.cfg"
+    cfg.write_text(block)
+    code = main(["simulate", "--config", str(cfg), "--replicates", "1"])
+    assert code == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert "kind=lagged_eq12 n=250 T=30 beta1=0.5" in out
+    assert "a2wcls_lagged" in out
+
+
 def test_gaps_examples(capsys):
     assert main(["gaps", "--p", "0.5", "--alpha1", "1", "--beta1", "0",
                  "--sigma", "1"]) == 0
@@ -156,6 +181,17 @@ def test_entry_point_help():
     assert proc.returncode == 0
     assert "exit codes" in proc.stdout
     assert "fit" in proc.stdout and "replicate" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["mrtx", "mrtx.cli"])
+def test_import_loads_no_scipy(module):
+    env = {**os.environ, "PYTHONPATH": str(Path(mrtx.__file__).parents[1])}
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fit_per_time(lagged_csv, capsys):

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from mrtx.data import (
     moderator_schema,
     to_csv,
 )
+from mrtx.simulation import DgmSpec, gen_panel
 
 from conftest import build_panel, panel_from_arrays
 
@@ -204,3 +208,119 @@ def test_dataset_arrays_immutable(small_panel):
         small_panel.y[0] = 99.0
     with pytest.raises(ValueError):
         small_panel.f[0, 0] = 2.0
+
+
+def csv_oracle(path, schema):
+    """The dataset a plain ``csv`` read gives, every numeric token through ``float()``."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    cols = {name: [r[j] for r in rows] for j, name in enumerate(header)}
+    cols = {k: np.array(v, dtype=str) if k == "subject_id" else np.array([float(x) for x in v])
+            for k, v in cols.items()}
+    return from_columns(cols, schema)
+
+
+def assert_same_dataset(ds1, ds2):
+    for field in ("subject_ids", "t", "a", "p", "y", "y_raw", "f", "z", "g", "p_tilde"):
+        a1, a2 = getattr(ds1, field), getattr(ds2, field)
+        assert a1.dtype == a2.dtype, field
+        np.testing.assert_array_equal(a1, a2)
+    assert ds1.columns.keys() == ds2.columns.keys()
+    for k in ds1.columns:
+        np.testing.assert_array_equal(ds1.columns[k], ds2.columns[k])
+
+
+def csv_lines(ids=None):
+    ids = ids or [r[0] for r in GOOD_ROWS]
+    return [",".join(HEADER)] + [",".join(str(v) for v in [sid] + r[1:])
+                                 for sid, r in zip(ids, GOOD_ROWS)]
+
+
+def write_lines(path, lines, newline="\n"):
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+
+
+def _insert(lines, i, text):
+    return lines[:i] + [text] + lines[i:]
+
+
+def _set(lines, i, text):
+    return lines[:i] + [text] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda ls: _insert(ls, 3, ""), "row 4 has 0 fields, expected 6"),
+    (lambda ls: ls + [""], "row 8 has 0 fields, expected 6"),
+    (lambda ls: _insert(ls, 2, "   "), "row 3 has 1 fields, expected 6"),
+    (lambda ls: _set(ls, 3, ls[3] + ",9"), "row 4 has 7 fields, expected 6"),
+    (lambda ls: _set(ls, 5, ls[5].rsplit(",", 1)[0]), "row 6 has 5 fields, expected 6"),
+    (lambda ls: _set(ls, 1, ls[1].rsplit(",", 1)[0]), "row 2 has 5 fields, expected 6"),
+    (lambda ls: _set(ls, 1, ls[1] + ",9"), "row 2 has 7 fields, expected 6"),
+], ids=["blank", "blank_trailing", "whitespace_only", "too_many", "too_few",
+        "first_too_few", "first_too_many"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_field_count_errors_name_file_row(tmp_path, edit, message, newline):
+    path = tmp_path / "panel.csv"
+    write_lines(path, edit(csv_lines()), newline=newline)
+    with pytest.raises(errors.MissingValue, match=message):
+        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+
+
+@pytest.mark.parametrize("ids,newline,order", [
+    (["#1"] * 3 + ["#2"] * 3, "\n", None),
+    (['"a,1"'] * 3 + ['"b,""2"""'] * 3, "\n", None),
+    ([" 1"] * 3 + ["1"] * 3, "\n", None),
+    (["s10"] * 3 + ["s9"] * 3, "\n", [4, 0, 5, 2, 3, 1]),
+    (['"a\n\nb"'] * 3 + ["b"] * 3, "\n", None),
+    (None, "\r\n", None),
+], ids=["hash_ids", "quoted_commas", "spaced_ids", "shuffled_string_ids",
+        "quoted_blank_line", "crlf"])
+def test_loader_matches_csv_oracle(tmp_path, ids, newline, order):
+    lines = csv_lines(ids)
+    if order is not None:
+        lines = lines[:1] + [lines[1 + i] for i in order]
+    path = tmp_path / "panel.csv"
+    write_lines(path, lines, newline=newline)
+    schema = moderator_schema(aux=("z",))
+    ds = load_csv(path, schema, lag=1)
+    assert ds.n_subjects == 2 and ds.horizon == 3
+    assert_same_dataset(ds, csv_oracle(path, schema))
+
+
+def test_every_float_is_python_float(tmp_path):
+    # the fit_csv benchmark's tiny panel, written the way the benchmark writes it
+    ds = gen_panel(DgmSpec(kind="nonmoderator_robust", n=60, horizon=10,
+                           beta0=-0.2, seed=20240901))
+    path = tmp_path / "panel.csv"
+    data = np.column_stack([ds.subject_ids, ds.t, ds.a, ds.p, ds.y_raw, ds.columns["z"]])
+    with open(path, "w") as fh:
+        fh.write("subject_id,t,a,p,y,z\n")
+        np.savetxt(fh, data, fmt=["%d", "%d", "%d", "%.17g", "%.17g", "%.17g"],
+                   delimiter=",")
+    schema = moderator_schema(aux=("z",), controls=("z",))
+    loaded = load_csv(path, schema, lag=1)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    order = np.lexsort((np.array([float(r[1]) for r in rows]), np.array([r[0] for r in rows])))
+    for j, name in enumerate(header[1:], 1):
+        expected = np.array([float(rows[i][j]) for i in order])
+        got = loaded.columns["y_raw" if name == "y" else name]
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def test_header_only_csv_is_missing_value(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_lines(path, csv_lines()[:1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.MissingValue, match="no data rows"):
+            load_csv(path, moderator_schema(aux=("z",)), lag=1)
+
+
+def test_empty_columns_are_missing_value():
+    cols = {k: np.asarray(v)[:0] for k, v in panel_from_arrays(2, 3).items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.MissingValue, match="no data rows"):
+            from_columns(cols, moderator_schema(aux=("z",)))

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from mrtx import errors
 from mrtx.data import from_columns, moderator_schema
@@ -237,6 +237,36 @@ def test_t_quantiles_for_small_sample():
     assert hi_t[0] - lo_t[0] > hi_n[0] - lo_n[0]
     tq = stats.t.ppf(0.975, 7)
     assert hi_t[0] == pytest.approx(1.0 + tq * 0.2)
+
+
+CI_LEVELS = np.linspace(0.8, 0.99, 20)
+CI_Z = np.concatenate([np.linspace(0.0, 40.0, 4001), [np.inf]])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_normal_intervals_match_scipy_ndtr(sign):
+    est = sign * CI_Z
+    se = np.where(np.isinf(CI_Z), 0.0, 1.0)
+    for level in CI_LEVELS:
+        lo, hi, p = confidence_intervals(est, se, level, False, 100, 2)
+        crit = special.ndtri(0.5 + level / 2.0)
+        np.testing.assert_allclose(lo, est - crit * se, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(hi, est + crit * se, rtol=1e-10, atol=1e-12)
+        p_ref = np.where(est == 0.0, 1.0, 2.0 * special.ndtr(-np.abs(CI_Z)))
+        np.testing.assert_allclose(p, p_ref, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("df", [1, 3, 50, 1998])
+def test_t_intervals_bit_identical_to_scipy_stdtr(df):
+    est = np.concatenate([-CI_Z[:-1], CI_Z[:-1]])
+    se = np.ones_like(est)
+    for level in CI_LEVELS:
+        lo, hi, p = confidence_intervals(est, se, level, True, df + 2, 2)
+        crit = special.stdtrit(df, 0.5 + level / 2.0)
+        np.testing.assert_array_equal(lo, est - crit * se)
+        np.testing.assert_array_equal(hi, est + crit * se)
+        p_ref = np.where(est == 0.0, 1.0, 2.0 * special.stdtr(df, -np.abs(est)))
+        np.testing.assert_array_equal(p, p_ref)
 
 
 def test_plain_sandwich_singular_bread():
