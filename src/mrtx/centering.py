@@ -82,6 +82,26 @@ def _weights(ds: MrtDataset) -> np.ndarray:
     return np.where(ds.usable_mask, w, 0.0)
 
 
+def _cross(f: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``F' diag(w) Z`` by einsum.
+
+    With one column on each side, ``F' Z`` through ``@`` is a BLAS ``ddot``,
+    which OpenBLAS splits across threads above 10 000 rows; the woken
+    threads then spin idle for about 0.1 CPU s per call.
+    """
+    return np.einsum("ri,r,rk->ik", f, w, z)
+
+
+def weighted_projection(f: np.ndarray, z: np.ndarray, w: np.ndarray, n: int,
+                        exc, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``theta`` of ``(F'WF/n) theta = F'WZ/n`` and the Gram ``F'WF/n``.
+
+    The solve goes through ``checked_solve``, which raises ``exc`` naming ``what``.
+    """
+    gram = _cross(f, w, f) / n
+    return checked_solve(gram, _cross(f, w, z) / n, exc, what), gram
+
+
 def fit_centering(ds: MrtDataset) -> CenteringModel:
     """Weighted projection of every auxiliary column onto the moderator span.
 
@@ -94,13 +114,10 @@ def fit_centering(ds: MrtDataset) -> CenteringModel:
     if ds.p_z < 1:
         raise DimensionMismatch("dataset declares no auxiliary columns")
     w = _weights(ds)
-    fw = ds.f * w[:, None]
-    gram = (fw.T @ ds.f) / ds.n_subjects
-    rhs = (fw.T @ ds.z) / ds.n_subjects
-    theta = checked_solve(gram, rhs, SingularGram, "centering fit")
-
+    theta, gram = weighted_projection(ds.f, ds.z, w, ds.n_subjects,
+                                      SingularGram, "centering fit")
     resid = ds.z - ds.f @ theta                          # (rows, p_z)
-    contrib = fw[:, :, None] * resid[:, None, :]         # (rows, q, p_z)
+    contrib = (ds.f * w[:, None])[:, :, None] * resid[:, None, :]   # (rows, q, p_z)
     per_subj = ds.per_subject(contrib.reshape(ds.n_rows, -1)).sum(axis=1)
     return CenteringModel(
         theta=theta,
@@ -121,9 +138,7 @@ def orthogonality_residual(ds: MrtDataset, mu_rows: np.ndarray) -> float:
     if mu_rows.shape != ds.z.shape:
         raise DimensionMismatch(
             f"mu has shape {mu_rows.shape}, auxiliary block has {ds.z.shape}")
-    w = _weights(ds)
-    resid = (ds.z - mu_rows) * w[:, None]
-    mat = (ds.f.T @ resid) / ds.n_subjects
+    mat = _cross(ds.f, _weights(ds), ds.z - mu_rows) / ds.n_subjects
     return float(np.abs(mat).max()) if mat.size else 0.0
 
 
@@ -161,8 +176,8 @@ def centering_from_rows(ds: MrtDataset, mu_rows: np.ndarray, label: str) -> Cent
     mu_rows = np.asarray(mu_rows, dtype=float)
     if mu_rows.ndim == 1:
         mu_rows = mu_rows[:, None]
-    gram = ds.f.T @ ds.f
-    theta = checked_solve(gram, ds.f.T @ mu_rows, SingularGram, "centering representation")
+    theta, gram = weighted_projection(ds.f, mu_rows, np.ones(ds.n_rows), 1,
+                                      SingularGram, "centering representation")
     rep = ds.f @ theta
     if not np.allclose(rep, mu_rows, atol=1e-8):
         raise DimensionMismatch(

@@ -44,6 +44,7 @@ _ERROR_CLASSES = [
     errors.SingularLeverage, errors.SingularJacobian, errors.DegenerateAuxiliary,
     errors.LagHorizonExceeded, errors.NonConvergence,
     errors.ZeroVariance, errors.ConfigParse, errors.UnknownTable,
+    errors.VarianceOverflow,
 ]
 
 

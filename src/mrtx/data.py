@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    LagHorizonExceeded,
     MissingColumn,
     MissingValue,
     NonBinaryTreatment,
@@ -231,6 +232,8 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
         k = int(np.argmax(t_mat[j] != expected))
         raise NonContiguousTime("t must be contiguous from 1 within subject",
                                 uniq[j], int(t_mat[j, k]))
+    if lag > horizon:
+        raise LagHorizonExceeded(f"lag {lag} exceeds panel horizon {horizon}")
 
     y_raw = y.copy()
     if y_is_aligned and "y_raw" in columns:

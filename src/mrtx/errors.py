@@ -100,6 +100,12 @@ class ZeroVariance(MrtxError):
     exit_code = 27
 
 
+class VarianceOverflow(MrtxError):
+    """The sandwich variance of finite data overflows float64."""
+
+    exit_code = 30
+
+
 class ConfigParse(MrtxError):
     exit_code = 28
 

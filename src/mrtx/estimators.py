@@ -27,7 +27,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .centering import CenteringModel, centering_from_rows, fit_centering, naive_centerings
+from .centering import (
+    CenteringModel,
+    centering_from_rows,
+    fit_centering,
+    naive_centerings,
+    weighted_projection,
+)
 from .data import MrtDataset
 from .errors import (
     DegenerateAuxiliary,
@@ -40,6 +46,7 @@ from .errors import (
 from .variance import (
     SandwichParts,
     StackedParts,
+    check_ci_level,
     checked_solve,
     confidence_intervals,
     plain_sandwich,
@@ -82,8 +89,7 @@ class EstimatorConfig:
             raise DimensionMismatch(f"{self.method} is a proximal method (lag = 1)")
         if self.method in _BINARY and self.variance_mode != "plain_sandwich":
             raise DimensionMismatch("binary methods support plain_sandwich variance only")
-        if not 0.0 < self.ci_level < 1.0:
-            raise DimensionMismatch("ci_level must lie in (0,1)")
+        check_ci_level(self.ci_level)
 
 
 @dataclass(frozen=True)
@@ -228,9 +234,10 @@ def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     the estimating function.
     """
     Xw = X * w[:, None]
-    gram = (Xw.T @ X) / n_units
-    beta = checked_solve(gram, (Xw.T @ y) / n_units, SingularGram, "weighted Gram")
-    return beta, gram
+    with np.errstate(over="ignore", invalid="ignore"):   # checked_solve rejects an overflow
+        gram = (Xw.T @ X) / n_units
+        rhs = (Xw.T @ y) / n_units
+    return checked_solve(gram, rhs, SingularGram, "weighted Gram"), gram
 
 
 def _vcov(parts, sp, mode):
@@ -267,8 +274,7 @@ def _assemble(method, ds_n, names, estimates, beta0_idx, beta1_idx, parts, sp,
 def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None) -> FitResult:
     """Recompute vcov/SE/CI from retained per-subject pieces, without refitting."""
     level = fit.ci_level if ci_level is None else ci_level
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"ci level must lie in (0,1), got {level}")
+    check_ci_level(level)
     return replace(fit, vcov=_vcov(fit.parts, fit.stacked_parts, mode),
                    variance_mode=mode, ci_level=level)
 
@@ -286,10 +292,18 @@ def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use):
     return SandwichParts(bread=gram, subject_scores=scores, model_matrix=D, weights=W)
 
 
+def _rms(block: np.ndarray) -> np.ndarray:
+    """Per-column root-mean-square of a (subjects, times, columns) block, scaled
+    by each column's peak so that no square overflows."""
+    peak = np.abs(block).max(axis=(0, 1))
+    unit = block / np.where(peak > 0, peak, 1.0)
+    return peak * np.sqrt(np.mean(unit ** 2, axis=(0, 1)))
+
+
 def _check_auxiliary(ds: MrtDataset, zc: np.ndarray) -> None:
-    mask = ds.usable_mask
-    wnorm = np.sqrt(np.mean((np.sqrt(ds.weight_w)[:, None] * zc)[mask] ** 2, axis=0))
-    scale = 1.0 + np.sqrt(np.mean(ds.z[mask] ** 2, axis=0))
+    usable = slice(0, ds.n_usable)      # each subject's usable rows come first
+    wnorm = _rms(ds.per_subject(np.sqrt(ds.weight_w)[:, None] * zc)[:, usable])
+    scale = 1.0 + _rms(ds.per_subject(ds.z)[:, usable])
     bad = wnorm < 1e-9 * scale
     if bad.any():
         i = int(np.argmax(bad))
@@ -571,18 +585,21 @@ def _emee_system(ds: MrtDataset, feat: np.ndarray):
     k_g = g.shape[1]
 
     def evaluate(params, want_jac):
-        alpha, betab = params[:k_g], params[k_g:]
-        lin_b = f_x @ betab
-        blip = np.exp(-a * lin_b)
-        mean = np.exp(g @ alpha + a * lin_b)
-        r = w_u * blip * (y - mean)
-        u = X.T @ r / n
-        if not want_jac:
-            return r, u, None
-        # d(blip * resid)/dalpha = -blip*mean*g ; d/dbeta = -a*blip*y*f
-        da = -(w_u * blip * mean)[:, None] * g
-        db = -(w_u * a * blip * y)[:, None] * f_x
-        return r, u, X.T @ np.column_stack([da, db]) / n
+        # an overflow gives a non-finite norm, which the line search halves away
+        # from; checked_solve rejects a non-finite Jacobian or equation vector
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha, betab = params[:k_g], params[k_g:]
+            lin_b = f_x @ betab
+            blip = np.exp(-a * lin_b)
+            mean = np.exp(g @ alpha + a * lin_b)
+            r = w_u * blip * (y - mean)
+            u = X.T @ r / n
+            if not want_jac:
+                return r, u, None
+            # d(blip * resid)/dalpha = -blip*mean*g ; d/dbeta = -a*blip*y*f
+            da = -(w_u * blip * mean)[:, None] * g
+            db = -(w_u * a * blip * y)[:, None] * f_x
+            return r, u, X.T @ np.column_stack([da, db]) / n
 
     return evaluate, X
 
@@ -620,25 +637,30 @@ def _check_binary(ds: MrtDataset):
     y = ds.y[ds.usable_mask]
     if not np.isin(y, (0.0, 1.0)).all():
         raise DimensionMismatch("binary methods require outcomes in {0,1}")
-    if y.mean() <= 0.0:
+    if not y.any():
         raise DimensionMismatch("binary outcome is identically zero")
+    if y.all():
+        raise DimensionMismatch("binary outcome is identically one")
 
 
-def _binary_fit(ds: MrtDataset, config: EstimatorConfig, feat: np.ndarray,
-                feat_names: list[str], init: np.ndarray | None) -> FitResult:
-    evaluate, X = _emee_system(ds, feat)
-    k_g, k_f = ds.d, feat.shape[1]
-    if init is None:
-        init = np.zeros(k_g + k_f)
-        if "1" in ds.g_names:
-            init[list(ds.g_names).index("1")] = np.log(max(ds.y[ds.usable_mask].mean(), 1e-8))
-    params, n_iter, trace = _newton(evaluate, init)
+def _emee_init(ds: MrtDataset) -> np.ndarray:
+    """Newton start for the EMEE without auxiliary: the log mean outcome as intercept."""
+    init = np.zeros(ds.d + ds.q)
+    if "1" in ds.g_names:
+        init[list(ds.g_names).index("1")] = np.log(max(ds.y[ds.usable_mask].mean(), 1e-8))
+    return init
+
+
+def _binary_result(ds: MrtDataset, config: EstimatorConfig, evaluate, X: np.ndarray,
+                   params: np.ndarray, feat_names: list[str], n_iter: int,
+                   trace) -> FitResult:
+    """Sandwich pieces at the root ``params`` and the assembled fit."""
     r, _, jac = evaluate(params, True)
     scores = (X * r[:, None]).reshape(ds.n_subjects, ds.n_usable, -1).sum(axis=1)
     parts = SandwichParts(bread=-jac, subject_scores=scores)   # positive orientation
     names = [f"alpha:{n}" for n in ds.g_names] + feat_names
-    b0_idx = np.arange(k_g, k_g + ds.q)
-    b1_idx = np.arange(k_g + ds.q, k_g + k_f)
+    b0_idx = np.arange(ds.d, ds.d + ds.q)
+    b1_idx = np.arange(ds.d + ds.q, ds.d + len(feat_names))
     return _assemble(config.method, ds.n_subjects, names, params, b0_idx, b1_idx,
                      parts, None, config, n_iter=n_iter, trace=trace)
 
@@ -648,8 +670,10 @@ def fit_emee(ds: MrtDataset, config: EstimatorConfig | None = None) -> FitResult
     config = config or EstimatorConfig(method="emee")
     config = replace(config, method="emee")
     _check_binary(ds)
-    names = [f"beta0:{n}" for n in ds.f_names]
-    return _binary_fit(ds, config, ds.f, names, None)
+    evaluate, X = _emee_system(ds, ds.f)
+    params, n_iter, trace = _newton(evaluate, _emee_init(ds))
+    return _binary_result(ds, config, evaluate, X, params,
+                          [f"beta0:{n}" for n in ds.f_names], n_iter, trace)
 
 
 def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
@@ -661,8 +685,9 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
     which is linear given the current effect coefficients; the effect and
     nuisance coefficients are then re-solved by Newton with the centered
     auxiliary interaction included. Passes stop once no entry of
-    ``(params, theta)`` moves by ``_TOL`` from the previous pass. Since
-    ``theta`` solves this binary condition, no centering model or kind is taken.
+    ``(params, theta)`` moves by ``_TOL`` from the previous pass; only that
+    pass builds the sandwich. Since ``theta`` solves this binary condition,
+    no centering model or kind is taken.
     """
     config = config or EstimatorConfig(method="a2emee")
     config = replace(config, method="a2emee")
@@ -670,28 +695,28 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
         raise DimensionMismatch("a2emee solves its own centering: no cm, orthogonal kind only")
     if ds.p_z < 1:
         raise DimensionMismatch("a2emee requires auxiliary columns")
+    _check_binary(ds)
     mask = ds.usable_mask
     w_az = (ds.weight_w * ds.a.astype(float) * ds.centered_a * ds.y)[mask]
     f_use, z_use = ds.f[mask], ds.z[mask]
-    base = fit_emee(ds, replace(config, method="emee"))
+    base = _newton(_emee_system(ds, ds.f)[0], _emee_init(ds))[0]
+    params = np.concatenate([base, np.zeros(ds.p_z)])
     theta = fit_centering(ds).theta
-    params = np.concatenate([base.estimates, np.zeros(ds.p_z)])
     names = [f"beta0:{n}" for n in ds.f_names] + [f"beta1:{n}" for n in ds.z_names]
     trace: list[float] = []
     state = None
     for outer in range(1, _MAX_ITER + 1):
         zc = ds.z - ds.f @ theta
         _check_auxiliary(ds, zc)
-        feat = np.column_stack([ds.f, zc])
-        fit = _binary_fit(ds, config, feat, names, params)
-        params = fit.estimates
-        trace.extend(fit.ee_norm_trace[-1:])
+        evaluate, X = _emee_system(ds, np.column_stack([ds.f, zc]))
+        params, _, pass_trace = _newton(evaluate, params)
+        trace.append(pass_trace[-1])
         prev, state = state, np.concatenate([params, theta.reshape(-1)])
         if prev is not None and float(np.abs(state - prev).max()) < _TOL:
-            return replace(fit, n_iter=outer, ee_norm_trace=tuple(trace))
-        fw = f_use * (w_az * np.exp(-f_use @ params[ds.d:ds.d + ds.q]))[:, None]
-        theta = checked_solve(fw.T @ f_use / ds.n_subjects, fw.T @ z_use / ds.n_subjects,
-                              SingularGram, "binary centering system")
+            return _binary_result(ds, config, evaluate, X, params, names, outer, trace)
+        weights = w_az * np.exp(-f_use @ params[ds.d:ds.d + ds.q])
+        theta, _ = weighted_projection(f_use, z_use, weights, ds.n_subjects,
+                                       SingularGram, "binary centering system")
     raise NonConvergence(
         f"alternating centering loop failed to converge in {_MAX_ITER} passes",
         n_iter=_MAX_ITER)

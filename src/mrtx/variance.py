@@ -22,9 +22,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     SingularBread,
     SingularLeverage,
     SingularThetaBread,
+    VarianceOverflow,
 )
 
 COND_LIMIT = 1e12
@@ -75,8 +77,12 @@ class StackedParts:
 def checked_solve(mat: np.ndarray, rhs: np.ndarray, exc, what: str) -> np.ndarray:
     """Solve ``mat x = rhs``, raising ``exc`` when ``mat`` is nearly singular.
 
-    The package's one condition-number policy; each caller names its own typed error.
+    The package's one condition-number policy; each caller names its own typed
+    error. A non-finite entry in ``mat`` or ``rhs`` (an overflow upstream)
+    raises it too.
     """
+    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+        raise exc(f"{what}: non-finite entries (an overflow: rescale the data)")
     cond = np.linalg.cond(mat) if mat.size else np.inf
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise exc(f"{what}: condition number {cond:.3g} exceeds {COND_LIMIT:.0e}")
@@ -92,10 +98,19 @@ def score_meat(scores: np.ndarray) -> np.ndarray:
     return _symmetrize(scores.T @ scores / scores.shape[0])
 
 
+def _sandwich(binv: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """``binv @ meat @ binv'``; ``VarianceOverflow`` when it leaves the float64 range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vcov = _symmetrize(binv @ score_meat(scores) @ binv.T)
+    if not np.isfinite(vcov).all():
+        raise VarianceOverflow("sandwich variance is not finite: rescale the data")
+    return vcov
+
+
 def plain_sandwich(parts: SandwichParts) -> np.ndarray:
     """Full-parameter ``Q^{-1} Sigma Q^{-1}``; ``SE = sqrt(diag/N)`` downstream."""
     binv = checked_solve(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread")
-    return _symmetrize(binv @ parts.meat @ binv.T)
+    return _sandwich(binv, parts.subject_scores)
 
 
 def corrected_scores(scores: np.ndarray, sp: StackedParts) -> np.ndarray:
@@ -149,14 +164,19 @@ def stacked_small_sample(parts: SandwichParts, sp: StackedParts | None) -> np.nd
     binv, scores = _leverage(parts)
     if sp is not None:
         scores = corrected_scores(scores, sp)
-    return _symmetrize(binv @ score_meat(scores) @ binv.T)
+    return _sandwich(binv, scores)
+
+
+def check_ci_level(level: float) -> None:
+    """Interval levels lie strictly inside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise DimensionMismatch(f"ci_level must lie in (0,1), got {level}")
 
 
 def confidence_intervals(estimates: np.ndarray, se: np.ndarray, level: float,
                          small_sample: bool, n_subjects: int, dim: int):
     """Two-sided intervals and p-values; t reference when small_sample is set."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"ci level must lie in (0,1), got {level}")
+    check_ci_level(level)
     estimates = np.asarray(estimates, dtype=float)
     se = np.asarray(se, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -153,3 +158,69 @@ def test_a2emee_refuses_outside_centering():
         with pytest.raises(errors.DimensionMismatch, match="a2emee solves its own centering"):
             fit(ds, EstimatorConfig(method="a2emee", centering_kind=kind))
     assert fit(ds, EstimatorConfig(method="a2emee")).n_iter >= 2
+
+
+@pytest.mark.parametrize("value, word", [(0.0, "zero"), (1.0, "one")])
+@pytest.mark.parametrize("fitter", [fit_emee, fit_a2emee], ids=["emee", "a2emee"])
+def test_constant_binary_outcome_rejected(fitter, value, word):
+    ds = build_panel(10, 4, y=np.full(40, value))
+    with pytest.raises(errors.DimensionMismatch, match=f"identically {word}"):
+        fitter(ds)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fitter", [fit_emee, fit_a2emee], ids=["emee", "a2emee"])
+def test_huge_control_is_typed_error(fitter):
+    # the aux column z is also a control, so it enters every EMEE design
+    ds = binary_panel(200, 6, seed=3)
+    cols = {k: np.asarray(v) for k, v in ds.columns.items()}
+    cols["z"] = cols["z"] * 1e200
+    ds = from_columns(cols, moderator_schema(aux=("z",), controls=("z",)), lag=1,
+                      y_is_aligned=True)
+    with pytest.raises(errors.SingularJacobian, match="non-finite"):
+        fitter(ds)
+
+
+_POOL_PROBE = """
+import os, threading, time
+from mrtx.estimators import fit_a2emee, fit_emee
+from mrtx.simulation import DgmSpec, gen_panel
+
+def other_threads_cpu_s():
+    main, ticks = threading.get_native_id(), 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == main:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        ticks += int(fields[11]) + int(fields[12])     # utime + stime
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+ds = gen_panel(DgmSpec(kind="binary_demo", n=2000, horizon=10, beta0=0.2, seed=1))
+print(len(os.listdir("/proc/self/task")))
+time.sleep(0.5)         # let the BLAS threads' start-up spin end
+before = other_threads_cpu_s()
+fit_emee(ds)
+fit_a2emee(ds)
+time.sleep(0.3)         # a woken thread spins on after the call returns
+print(other_threads_cpu_s() - before)
+"""
+
+
+def test_binary_fits_leave_blas_threads_idle():
+    """At 20 000 rows a one-column ``F' Z`` through ``@`` is a threaded BLAS
+    ``ddot`` whose woken thread then spins idle; the binary fits form such
+    products by einsum, so the other threads of the process stay idle."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task")
+    env = {**os.environ, "PYTHONPATH": str(Path(estimators.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _POOL_PROBE], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    n_threads, other_cpu_s = proc.stdout.split()
+    if int(n_threads) == 1:
+        pytest.skip("BLAS runs single-threaded here")
+    assert float(other_cpu_s) < 0.020

@@ -11,6 +11,8 @@ from mrtx.cli import main
 from mrtx.data import to_csv
 from mrtx.simulation import DgmSpec, gen_panel
 
+from conftest import build_panel
+
 
 @pytest.fixture(scope="module")
 def lagged_csv(tmp_path_factory):
@@ -205,3 +207,25 @@ def test_fit_per_time(lagged_csv, capsys):
                      "--t", "2"])
     assert code == 0
     assert "beta0:1" in capsys.readouterr().out
+
+
+def test_fit_lag_beyond_horizon_exit_code(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    to_csv(build_panel(10, 3), path)
+    code = main(["fit", "--data", str(path), "--method", "wcls", "--lag", "4",
+                 "--controls", "g1"])
+    assert code == 24               # LagHorizonExceeded
+    assert "lag 4 exceeds panel horizon 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["emee", "a2emee"])
+def test_fit_binary_outcome_identically_one_exit_code(tmp_path, capsys, method):
+    path = tmp_path / "ones.csv"
+    lines = ["subject_id,t,a,p,y,z"]
+    for i in range(6):
+        for t in range(1, 5):
+            lines.append(f"{i},{t},{(i + t) % 2},0.5,1,{(i * t) % 3 - 1}")
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["fit", "--data", str(path), "--method", method, "--aux", "z"])
+    assert code == 17               # DimensionMismatch
+    assert "identically one" in capsys.readouterr().err

@@ -324,3 +324,10 @@ def test_empty_columns_are_missing_value():
         warnings.simplefilter("error")
         with pytest.raises(errors.MissingValue, match="no data rows"):
             from_columns(cols, moderator_schema(aux=("z",)))
+
+
+def test_lag_beyond_horizon_rejected_at_build():
+    cols = panel_from_arrays(5, 3)
+    with pytest.raises(errors.LagHorizonExceeded, match="lag 4 exceeds panel horizon 3"):
+        from_columns(cols, moderator_schema(aux=("z",)), lag=4)
+    assert from_columns(cols, moderator_schema(aux=("z",)), lag=3).n_usable == 1

@@ -194,3 +194,21 @@ def test_stacked_equals_plain_without_moderation_signal():
                                                     variance_mode="stacked"))
     plain = fit_a2wcls(ds, config=EstimatorConfig(method="a2wcls"))
     assert stacked.se[0] == pytest.approx(plain.se[0], rel=1e-2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method, mode", [
+    ("wcls", "plain_sandwich"), ("a2wcls", "plain_sandwich"),
+    ("a2wcls", "stacked"), ("a2wcls", "stacked_small_sample")])
+def test_huge_outcome_is_variance_overflow(method, mode):
+    # finite outcomes near 1e300: the estimates fit in float64, their variance cannot
+    ds = build_panel(8, 6, seed=3, y=panel_from_arrays(8, 6, seed=3)["y"] * 1e300)
+    with pytest.raises(errors.VarianceOverflow):
+        fit(ds, EstimatorConfig(method=method, variance_mode=mode))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_auxiliary_is_singular_gram():
+    ds = build_panel(8, 6, seed=3, z=panel_from_arrays(8, 6, seed=3)["z"] * 1e200)
+    with pytest.raises(errors.SingularGram, match="non-finite"):
+        fit_a2wcls(ds)

@@ -399,3 +399,14 @@ def test_leverage_scores_build_no_hat_array():
     finally:
         tracemalloc.stop()
     assert peak < n * T * T * 8          # one (N, T, T) float64 array is 32 MB
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_bad_ci_level_is_dimension_mismatch(level):
+    res = fit_wcls(build_panel(10, 5, seed=1))
+    with pytest.raises(errors.DimensionMismatch, match="ci_level must lie in"):
+        with_variance_mode(res, "plain_sandwich", ci_level=level)
+    with pytest.raises(errors.DimensionMismatch, match="ci_level must lie in"):
+        confidence_intervals(res.estimates, res.se_all, level, False, 10, 3)
+    with pytest.raises(errors.DimensionMismatch, match="ci_level must lie in"):
+        EstimatorConfig(ci_level=level)
