@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "beta1, eta, seed, methods, variance, lag")
     p_sim.add_argument("--replicates", type=_positive_int, required=True)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=_positive_int, default=1)
     p_sim.add_argument("--out", default=None, help="output path prefix")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--table", required=True, choices=TABLES)
     p_rep.add_argument("--replicates", type=_positive_int, default=1000)
     p_rep.add_argument("--seed", type=int, default=20240901)
-    p_rep.add_argument("--workers", type=int, default=1)
+    p_rep.add_argument("--workers", type=_positive_int, default=1)
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(func=cmd_replicate)
 

@@ -64,9 +64,10 @@ class FeatureSpec:
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
+    """A read-only C-contiguous view of ``arr``; ``arr``'s own flags are left alone."""
+    view = np.ascontiguousarray(arr).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,9 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
         sid, tt = _first_bad(bad, subject, t)
         raise ProbabilityOutOfRange("randomization probability p must lie in (0,1)", sid, tt)
 
-    uniq, starts = np.unique(subject, return_index=True)
-    n_subjects = uniq.shape[0]
+    # rows are sorted, so each subject's run starts where the id changes
+    starts = np.flatnonzero(np.concatenate(([True], subject[1:] != subject[:-1])))
+    n_subjects = starts.shape[0]
     if n_rows % n_subjects != 0:
         sid = subject[starts[np.argmin(np.diff(np.append(starts, n_rows)))]]
         raise NonContiguousTime("subjects have unequal panel lengths", sid, -1)
@@ -231,7 +233,7 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
         j = int(np.argmax(bad_rows))
         k = int(np.argmax(t_mat[j] != expected))
         raise NonContiguousTime("t must be contiguous from 1 within subject",
-                                uniq[j], int(t_mat[j, k]))
+                                subject[starts[j]], int(t_mat[j, k]))
     if lag > horizon:
         raise LagHorizonExceeded(f"lag {lag} exceeds panel horizon {horizon}")
 
@@ -423,11 +425,10 @@ def to_csv(ds: MrtDataset, path) -> None:
 
 
 def moderator_schema(moderators: Iterable[str] = (), aux: Iterable[str] = (),
-                     controls: Iterable[str] = (), ptilde: str | None = None,
-                     f_intercept: bool = True, g_intercept: bool = True) -> list[FeatureSpec]:
-    """Convenience schema builder used by the CLI and the simulators."""
-    schema = [FeatureSpec(ROLE_MODERATOR, tuple(moderators), intercept=f_intercept),
-              FeatureSpec(ROLE_CONTROL, tuple(controls), intercept=g_intercept)]
+                     controls: Iterable[str] = (), ptilde: str | None = None) -> list[FeatureSpec]:
+    """Schema builder used by the CLI and the simulators; both intercepts are on."""
+    schema = [FeatureSpec(ROLE_MODERATOR, tuple(moderators), intercept=True),
+              FeatureSpec(ROLE_CONTROL, tuple(controls), intercept=True)]
     aux = tuple(aux)
     if aux:
         schema.append(FeatureSpec(ROLE_AUXILIARY, aux))

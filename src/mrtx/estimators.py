@@ -24,6 +24,7 @@ Robust variance always comes from retained per-subject scores; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .centering import (
     naive_centerings,
     weighted_projection,
 )
-from .data import MrtDataset
+from .data import MrtDataset, _as_readonly
 from .errors import (
     DegenerateAuxiliary,
     DimensionMismatch,
@@ -101,12 +102,14 @@ class LaggedNuisanceModel:
     alpha_03: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
     """Point estimates plus retained variance machinery for one fit.
 
     Coefficient blocks, SEs, intervals and p-values are properties derived
-    from ``estimates``, ``vcov`` and the index sets, never stored copies.
+    from ``estimates``, ``vcov`` and the index sets, never stored copies; the
+    SEs and the interval triple are computed once, on first read, as
+    read-only arrays.
     """
 
     method: str
@@ -117,13 +120,16 @@ class FitResult:
     beta1_idx: np.ndarray = field(repr=False)
     parts: SandwichParts = field(repr=False)
     stacked_parts: StackedParts | None = field(repr=False)
-    n_subjects: int
     variance_mode: str
     ci_level: float
     converged: bool
     n_iter: int
     lagged_nuisance: LaggedNuisanceModel | None = None
     ee_norm_trace: tuple[float, ...] = ()
+
+    @property
+    def n_subjects(self) -> int:
+        return self.parts.n_subjects
 
     @property
     def alpha(self) -> np.ndarray:
@@ -149,30 +155,32 @@ class FitResult:
     def vcov_beta0(self) -> np.ndarray:
         return self.vcov[np.ix_(self.beta0_idx, self.beta0_idx)]
 
-    @property
+    @cached_property
     def se_all(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.vcov), 0.0, None) / self.n_subjects)
+        return _as_readonly(np.sqrt(np.clip(np.diag(self.vcov), 0.0, None) / self.n_subjects))
 
     @property
     def se(self) -> np.ndarray:
         return self.se_all[self.beta0_idx]
 
-    def _intervals(self):
-        return confidence_intervals(self.estimates, self.se_all, self.ci_level,
-                                    self.variance_mode == "stacked_small_sample",
-                                    self.n_subjects, self.parts.dim)
+    @cached_property
+    def _intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ci_lo, ci_hi, p_value)`` for every parameter."""
+        return tuple(_as_readonly(v) for v in confidence_intervals(
+            self.estimates, self.se_all, self.ci_level,
+            self.variance_mode == "stacked_small_sample", self.n_subjects, self.parts.dim))
 
     @property
     def ci_lo_all(self) -> np.ndarray:
-        return self._intervals()[0]
+        return self._intervals[0]
 
     @property
     def ci_hi_all(self) -> np.ndarray:
-        return self._intervals()[1]
+        return self._intervals[1]
 
     @property
     def p_value_all(self) -> np.ndarray:
-        return self._intervals()[2]
+        return self._intervals[2]
 
     @property
     def ci_lo(self) -> np.ndarray:
@@ -212,7 +220,7 @@ class FitResult:
 
     def coefficient_rows(self) -> list[dict]:
         se = self.se_all
-        lo, hi, p = self._intervals()
+        lo, hi, p = self._intervals
         b0, b1 = set(self.beta0_idx.tolist()), set(self.beta1_idx.tolist())
         rows = []
         for i, name in enumerate(self.param_names):
@@ -250,7 +258,7 @@ def _vcov(parts, sp, mode):
     return stacked_small_sample(parts, sp)
 
 
-def _assemble(method, ds_n, names, estimates, beta0_idx, beta1_idx, parts, sp,
+def _assemble(method, names, estimates, beta0_idx, beta1_idx, parts, sp,
               config, n_iter=0, lagged=None, trace=()):
     return FitResult(
         method=method,
@@ -261,7 +269,6 @@ def _assemble(method, ds_n, names, estimates, beta0_idx, beta1_idx, parts, sp,
         beta1_idx=np.asarray(beta1_idx, dtype=int),
         parts=parts,
         stacked_parts=sp,
-        n_subjects=ds_n,
         variance_mode=config.variance_mode,
         ci_level=config.ci_level,
         converged=True,
@@ -361,7 +368,7 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     return X, names, beta0_idx, beta1_idx, lag_info
 
 
-def _stacked_for(ds, cm, X_use, wca_use, f_use, beta1_hat, n):
+def _stacked_for(cm, X_use, wca_use, f_use, beta1_hat, n):
     """Analytic centering-parameter pieces for the stacked variance.
 
     Cross-derivative column for centering coefficient (k, i) is
@@ -388,8 +395,7 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
     sp = None
     if cm is not None and cm.orthogonal:
         wca = (w * ds.centered_a)[mask]
-        sp = _stacked_for(ds, cm, X_use, wca, ds.f[mask], beta[b1_idx],
-                          ds.n_subjects)
+        sp = _stacked_for(cm, X_use, wca, ds.f[mask], beta[b1_idx], ds.n_subjects)
     if cm is not None and not cm.orthogonal and config.variance_mode != "plain_sandwich":
         raise DimensionMismatch(
             "stacked variance requires an orthogonality-fitted centering model")
@@ -402,8 +408,8 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
             alpha_u2=tuple(beta[s + 1: e] for s, e in alpha1_slices),
             alpha_03=beta[a0s:a0e],
         )
-    return _assemble(config.method, ds.n_subjects, names, beta, b0_idx, b1_idx,
-                     parts, sp, config, lagged=lagged_model)
+    return _assemble(config.method, names, beta, b0_idx, b1_idx, parts, sp, config,
+                     lagged=lagged_model)
 
 
 def _resolve_centering(ds: MrtDataset, cm: CenteringModel | None,
@@ -504,8 +510,8 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig,
     w = np.ones(n)
     beta, gram = wls_solve(X, y, w, n)
     parts = _ls_parts(X, y, w, beta, gram, n, 1)
-    return _assemble(method, n, names, beta, np.array([b0_pos]), b1_idx,
-                     parts, None, config)
+    return _assemble(method, names, beta, np.array([b0_pos]), b1_idx, parts, None,
+                     config)
 
 
 def fit_unadjusted_per_time(ds: MrtDataset, t: int,
@@ -661,8 +667,8 @@ def _binary_result(ds: MrtDataset, config: EstimatorConfig, evaluate, X: np.ndar
     names = [f"alpha:{n}" for n in ds.g_names] + feat_names
     b0_idx = np.arange(ds.d, ds.d + ds.q)
     b1_idx = np.arange(ds.d + ds.q, ds.d + len(feat_names))
-    return _assemble(config.method, ds.n_subjects, names, params, b0_idx, b1_idx,
-                     parts, None, config, n_iter=n_iter, trace=trace)
+    return _assemble(config.method, names, params, b0_idx, b1_idx, parts, None, config,
+                     n_iter=n_iter, trace=trace)
 
 
 def fit_emee(ds: MrtDataset, config: EstimatorConfig | None = None) -> FitResult:

@@ -17,6 +17,7 @@ depend on scheduling.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ class DgmSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigParse(f"unknown DGM kind {self.kind!r}")
-        if self.n < 0 or self.horizon < 1:
-            raise ConfigParse("n must be >= 0 and horizon >= 1")
+        if self.n < 1 or self.horizon < 1:
+            raise ConfigParse("n and horizon must be >= 1")
         if isinstance(self.beta0, (list, tuple)):
             object.__setattr__(self, "beta0", tuple(float(b) for b in self.beta0))
 
@@ -240,8 +241,7 @@ def _build_centerbias(spec: DgmSpec, rng, noise_scale):
     y = (_J1_MAIN * Z
          + (float(spec.beta0) + spec.beta1 * (Z - mz[None, :])) * (A - P)
          + eps)
-    ptilde_t = A.mean(axis=0) if n > 0 else np.full(T, 0.5)
-    ptilde_t = np.clip(ptilde_t, 1.0 / max(2 * n, 2), 1.0 - 1.0 / max(2 * n, 2))
+    ptilde_t = np.clip(A.mean(axis=0), 1.0 / (2 * n), 1.0 - 1.0 / (2 * n))
     ptilde = np.broadcast_to(ptilde_t, (n, T))
     cols = _panel_columns(n, T, a=A, p=P, y=y, z=Z, ptilde=ptilde)
     schema = moderator_schema(aux=("z",), controls=("z",), ptilde="ptilde")
@@ -272,30 +272,12 @@ _BUILDERS = {
 def gen_panel(spec: DgmSpec, rng: np.random.Generator | None = None,
               noise_scale: float = 1.0) -> MrtDataset:
     """Generate one panel for ``spec`` (``noise_scale=0`` is a test hook)."""
-    if spec.n == 0:
-        return _empty_dataset(spec)
     rng = rng if rng is not None else _rng_for(spec)
     return _BUILDERS[spec.kind](spec, rng, noise_scale)
 
 
-def _empty_dataset(spec: DgmSpec) -> MrtDataset:
-    cols = {"subject_id": np.empty(0, dtype=int), "t": np.empty(0, dtype=int),
-            "a": np.empty(0), "p": np.empty(0), "y": np.empty(0),
-            "z": np.empty(0)}
-    lag = 2 if spec.kind == "lagged_eq12" else 1
-    return MrtDataset(
-        subject_ids=cols["subject_id"], t=cols["t"], a=np.empty(0, dtype=int),
-        p=cols["p"], y=cols["y"], y_raw=cols["y"],
-        f=np.empty((0, 1)), z=np.empty((0, 1)), g=np.empty((0, 1)),
-        p_tilde=np.empty(0), n_subjects=0, horizon=spec.horizon, lag=lag,
-        schema=(FeatureSpec("moderator_f", (), True),), columns=cols,
-        f_names=("1",), z_names=("z",), g_names=("1",))
-
-
 def true_beta0(spec: DgmSpec) -> np.ndarray:
     """Target effect coefficients implied by the design."""
-    if spec.kind == "timevarying_j3":
-        return np.asarray(spec.beta0, dtype=float)
     return np.atleast_1d(np.asarray(spec.beta0, dtype=float))
 
 
@@ -303,20 +285,13 @@ def true_beta0(spec: DgmSpec) -> np.ndarray:
 # Monte Carlo harness
 
 
-_VIEWS = {
-    "default": lambda ds: ds,
-    # lagged design with the next decision's raw treatment and state entered
-    # directly as controls (the adjustment the centered working models avoid)
-    "naive_post": lambda ds: ds.with_schema(
-        moderator_schema(aux=("z",), controls=("a_next", "z_next"))),
-}
-
-
 @dataclass(frozen=True)
 class McArm:
+    """One estimator arm; ``schema`` re-views each replicate's panel before the fit."""
+
     label: str
     config: EstimatorConfig
-    view: str = "default"
+    schema: tuple[FeatureSpec, ...] | None = None
 
 
 @dataclass
@@ -402,32 +377,25 @@ def compute_metrics(est_m, se_m, var_m, cover_m, est_b, var_b, truth: float) -> 
     }
 
 
-def _fit_one(spec: DgmSpec, rep: int, arms: list[McArm], truth: np.ndarray):
-    rng = _rng_for(spec, rep)
-    base = _BUILDERS[spec.kind](spec, rng, 1.0)
-    q = truth.shape[0]
-    n_arms = len(arms)
-    est = np.full((n_arms, q), np.nan)
-    se = np.full((n_arms, q), np.nan)
-    var = np.full((n_arms, q), np.nan)
-    cov = np.zeros((n_arms, q), dtype=bool)
-    ok = np.zeros(n_arms, dtype=bool)
-    views = {}
-    for m, arm in enumerate(arms):
+def _fit_one(spec: DgmSpec, rep: int, arms: list[McArm], truth: np.ndarray) -> list:
+    """Generate replicate ``rep`` and fit every arm on it.
+
+    One entry per arm: ``None`` when the fit raised an :class:`MrtxError`,
+    else ``(beta0, se, diag(vcov_beta0), covered)``. Only these summaries
+    leave, so no fit's model matrix outlives its replicate.
+    """
+    base = _BUILDERS[spec.kind](spec, _rng_for(spec, rep), 1.0)
+    out = []
+    for arm in arms:
         try:
-            ds = views.get(arm.view)
-            if ds is None:
-                ds = _VIEWS[arm.view](base)
-                views[arm.view] = ds
-            res = run_fit(ds, arm.config)
-            est[m] = res.beta0
-            se[m] = res.se
-            var[m] = np.diag(res.vcov_beta0)
-            cov[m] = (res.ci_lo <= truth) & (truth <= res.ci_hi)
-            ok[m] = True
+            res = run_fit(base if arm.schema is None else base.with_schema(arm.schema),
+                          arm.config)
         except MrtxError:
-            ok[m] = False
-    return rep, est, se, var, cov, ok
+            out.append(None)
+            continue
+        out.append((res.beta0, res.se, np.diag(res.vcov_beta0),
+                    (res.ci_lo <= truth) & (truth <= res.ci_hi)))
+    return out
 
 
 def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
@@ -441,28 +409,23 @@ def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
     """
     if replicates < 1:
         raise ConfigParse("replicates must be >= 1")
+    if workers < 1:
+        raise ConfigParse("workers must be >= 1")
     truth = true_beta0(spec)
     q = truth.shape[0]
-    n_arms = len(arms)
-    est = np.full((replicates, n_arms, q), np.nan)
-    se = np.full((replicates, n_arms, q), np.nan)
-    var = np.full((replicates, n_arms, q), np.nan)
-    cov = np.zeros((replicates, n_arms, q), dtype=bool)
-    ok = np.zeros((replicates, n_arms), dtype=bool)
-
-    def consume(result):
-        rep, e, s, v, c, o = result
-        est[rep], se[rep], var[rep], cov[rep], ok[rep] = e, s, v, c, o
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(
-                    lambda r: _fit_one(spec, r, arms, truth),
-                    range(replicates)):
-                consume(result)
-    else:
-        for rep in range(replicates):
-            consume(_fit_one(spec, rep, arms, truth))
+    shape = (replicates, len(arms), q)
+    est, se, var = (np.full(shape, np.nan) for _ in range(3))
+    cov = np.zeros(shape, dtype=bool)
+    ok = np.zeros(shape[:2], dtype=bool)
+    # the builtin map keeps the default serial run on this thread (Ctrl-C stays prompt)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        fits = (map if pool is None else pool.map)(
+            lambda rep: _fit_one(spec, rep, arms, truth), range(replicates))
+        for rep, arm_fits in enumerate(fits):
+            for m, summary in enumerate(arm_fits):
+                if summary is not None:
+                    est[rep, m], se[rep, m], var[rep, m], cov[rep, m] = summary
+                    ok[rep, m] = True
 
     rows = []
     coef_names = tuple(f"beta0[{i}]" for i in range(q))

@@ -96,6 +96,17 @@ def test_simulate_zero_replicates_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("verb", ["simulate", "replicate"])
+def test_workers_below_one_usage_error(tmp_path, verb, workers):
+    cfg = tmp_path / "dgm.cfg"
+    write_config(cfg, kind="nonmoderator_robust", n=10, horizon=6)
+    target = ["--config", str(cfg)] if verb == "simulate" else ["--table", "robust"]
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *target, "--replicates", "2", "--workers", workers])
+    assert exc.value.code == 2
+
+
 def test_simulate_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     with open(cfg, "w") as fh:

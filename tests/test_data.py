@@ -210,6 +210,30 @@ def test_dataset_arrays_immutable(small_panel):
         small_panel.f[0, 0] = 2.0
 
 
+def test_from_columns_leaves_caller_arrays_writeable():
+    cols = panel_from_arrays(3, 4)
+    cols["subject_id"] = cols["subject_id"].astype(float)
+    ds = from_columns(cols, moderator_schema(aux=("z",)))
+    for name in ("subject_id", "t", "a", "p", "y", "z"):
+        assert cols[name].flags.writeable, name
+    assert np.shares_memory(ds.columns["z"], cols["z"])      # a view, not a copy
+    with pytest.raises(ValueError):
+        ds.columns["z"][0] = 1.0
+    with pytest.raises(ValueError):
+        ds.subject_ids[0] = 9.0
+
+
+def test_unequal_panel_lengths_name_shortest_subject():
+    # after sorting: "a" has 3 rows, "b" 2 and "c" 3; 8 rows do not split evenly
+    ids = np.array(["c"] * 3 + ["b"] * 2 + ["a"] * 3)
+    t = np.array([1, 2, 3, 1, 2, 1, 2, 3])
+    cols = {"subject_id": ids, "t": t, "a": np.tile([0.0, 1.0], 4),
+            "p": np.full(8, 0.5), "y": np.zeros(8)}
+    with pytest.raises(errors.NonContiguousTime, match="unequal panel lengths") as exc:
+        from_columns(cols, moderator_schema())
+    assert exc.value.subject_id == "b" and exc.value.t == -1
+
+
 def csv_oracle(path, schema):
     """The dataset a plain ``csv`` read gives, every numeric token through ``float()``."""
     with open(path, newline="") as fh:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mrtx import errors
+from mrtx import errors, estimators
 from mrtx.data import from_columns, moderator_schema
 from mrtx.estimators import (
     EstimatorConfig,
@@ -10,6 +12,7 @@ from mrtx.estimators import (
     fit_a2wcls_lagged,
     fit_unadjusted_per_time,
     fit_wcls,
+    with_variance_mode,
 )
 from mrtx.simulation import DgmSpec, gen_panel
 
@@ -212,3 +215,35 @@ def test_huge_auxiliary_is_singular_gram():
     ds = build_panel(8, 6, seed=3, z=panel_from_arrays(8, 6, seed=3)["z"] * 1e200)
     with pytest.raises(errors.SingularGram, match="non-finite"):
         fit_a2wcls(ds)
+
+
+def test_fit_summaries_computed_once(monkeypatch):
+    res = fit_wcls(build_panel(10, 5, seed=1))
+    calls = []
+    real = estimators.confidence_intervals
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "confidence_intervals", counted)
+    res.ci_lo, res.ci_hi, res.p_value
+    res.coefficient_rows()
+    res.report_text()
+    assert len(calls) == 1
+
+
+def test_fit_result_frozen_and_summaries_read_only():
+    ds = gen_panel(DgmSpec(kind="proximal_j2", n=40, horizon=6, beta0=-0.2,
+                           beta1=0.5, seed=4))
+    res = fit_a2wcls(ds)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.vcov = 2.0 * res.vcov
+    for arr in (res.se_all, res.ci_lo_all, res.ci_hi_all, res.p_value_all):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    stacked = with_variance_mode(res, "stacked")
+    expected = np.sqrt(np.diag(stacked.vcov) / ds.n_subjects)
+    np.testing.assert_array_equal(stacked.se_all, expected)
+    assert not np.array_equal(stacked.se_all, res.se_all)
+    assert stacked.n_subjects == res.n_subjects == ds.n_subjects

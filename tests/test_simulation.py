@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mrtx import errors
-from mrtx.estimators import EstimatorConfig
+from mrtx.data import moderator_schema
+from mrtx.estimators import EstimatorConfig, fit
 from mrtx.simulation import (
     DgmSpec,
     McArm,
@@ -77,13 +78,6 @@ def test_treatment_rate_matches_markov_oracle():
     assert ds.a[sel].mean() == pytest.approx(a1, abs=0.01)
 
 
-def test_empty_spec_gives_empty_dataset():
-    spec = DgmSpec(kind="lagged_eq12", n=0, horizon=5, beta0=-0.1, beta1=0.2)
-    ds = gen_panel(spec)
-    assert ds.n_rows == 0
-    assert ds.n_subjects == 0
-
-
 def test_gen_panel_deterministic_per_spec():
     spec = DgmSpec(kind="proximal_j2", n=20, horizon=8, beta0=-0.2, beta1=0.5, seed=11)
     d1, d2 = gen_panel(spec), gen_panel(spec)
@@ -96,6 +90,12 @@ def test_spec_validation():
         DgmSpec(kind="unknown", n=5, horizon=5)
     with pytest.raises(errors.ConfigParse):
         DgmSpec(kind="lagged_eq12", n=-1, horizon=5)
+
+
+def test_empty_spec_rejected():
+    # an empty panel has no data rows, so it is refused at the spec
+    with pytest.raises(errors.ConfigParse, match="n and horizon must be >= 1"):
+        DgmSpec(kind="lagged_eq12", n=0, horizon=5, beta0=-0.1, beta1=0.2)
 
 
 def test_replicate_prefix_property():
@@ -116,6 +116,31 @@ def test_workers_do_not_change_results():
     np.testing.assert_array_equal(serial.est, threaded.est)
     np.testing.assert_array_equal(serial.varhat, threaded.varhat)
     assert serial.rows == threaded.rows
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_rejected(workers):
+    spec = DgmSpec(kind="nonmoderator_robust", n=20, horizon=5, beta0=-0.2, seed=1)
+    with pytest.raises(errors.ConfigParse, match="workers must be >= 1"):
+        run_monte_carlo(spec, [McArm("wcls", EstimatorConfig(method="wcls"))], 2,
+                        workers=workers)
+
+
+def test_schema_arm_fits_the_reviewed_panel():
+    spec = DgmSpec(kind="lagged_eq12", n=40, horizon=8, beta0=-0.1, beta1=0.5, seed=6)
+    schema = tuple(moderator_schema(aux=("z",), controls=("a_next", "z_next")))
+    config = EstimatorConfig(method="wcls", lag=2)
+    rep = run_monte_carlo(spec, [McArm("wcls", config),
+                                 McArm("naive", config, schema=schema)], 3)
+    assert rep.ok.all()
+    for r in range(3):
+        base = gen_panel(spec, rng=_rng_for(spec, r))
+        direct = fit(base.with_schema(schema), config)
+        np.testing.assert_array_equal(rep.est[r, 1], direct.beta0)
+        np.testing.assert_array_equal(rep.se[r, 1], direct.se)
+        np.testing.assert_array_equal(rep.varhat[r, 1], np.diag(direct.vcov_beta0))
+        np.testing.assert_array_equal(rep.est[r, 0], fit(base, config).beta0)
+        assert not np.array_equal(rep.est[r, 0], rep.est[r, 1])
 
 
 def test_single_replicate_aggregation():
