@@ -10,9 +10,10 @@ different role mapping without copying data.
 Outcome alignment: the ``y`` column supplied at load time is the proximal
 series (row ``t`` holds the outcome observed right after decision ``t``).
 For a lag-``delta`` analysis the column is shifted once at construction so
-row ``t`` carries the outcome ``delta`` steps ahead; estimators never
-re-index. Rows with ``t > T - delta + 1`` stay in the panel for bookkeeping
-but are excluded from every estimating sum via ``usable_mask``.
+row ``t`` carries the outcome ``delta`` steps ahead. Rows with
+``t > T - delta + 1`` stay in the panel for bookkeeping; pooled fits read
+only the usable rows, through :meth:`MrtDataset.usable`, which is the
+column itself at lag 1.
 """
 
 from __future__ import annotations
@@ -139,16 +140,16 @@ class MrtDataset:
         """Reshape a row-aligned array to (n_subjects, horizon, ...)."""
         return arr.reshape((self.n_subjects, self.horizon) + arr.shape[1:])
 
-    def shifted(self, arr: np.ndarray, steps: int = 1) -> np.ndarray:
-        """Within-subject forward shift: row t receives the value at t+steps.
+    def usable(self, arr: np.ndarray, steps: int = 0) -> np.ndarray:
+        """Usable rows (``t <= n_usable``) of ``arr``, each read ``steps`` ahead.
 
-        Tail rows (no t+steps row) are filled with 0; they are never usable
-        for a fit that needs the shifted value.
+        Row t of the result holds the subject's value at ``t + steps``
+        (``steps < lag``). At lag 1 this is ``arr`` itself, not a copy.
         """
-        by_subj = self.per_subject(arr)
-        out = np.zeros_like(by_subj)
-        out[:, : self.horizon - steps] = by_subj[:, steps:]
-        return out.reshape(arr.shape)
+        if self.n_usable == self.horizon:
+            return arr
+        block = self.per_subject(arr)[:, steps: steps + self.n_usable]
+        return block.reshape((-1,) + arr.shape[1:])
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -205,8 +206,10 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
     if n_rows == 0:
         raise MissingValue("no data rows")
 
-    order = np.lexsort((t, subject))
-    if not np.array_equal(order, np.arange(n_rows)):
+    # O(n) order check; the stable lexsort keeps rows with equal keys in input order
+    same = subject[1:] == subject[:-1]
+    if not ((subject[1:] > subject[:-1]) | (same & (t[1:] >= t[:-1]))).all():
+        order = np.lexsort((t, subject))
         columns = {k: np.asarray(v)[order] for k, v in columns.items()}
         subject, t, a, p, y = _validate_base(columns)
 
@@ -222,10 +225,11 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
     # rows are sorted, so each subject's run starts where the id changes
     starts = np.flatnonzero(np.concatenate(([True], subject[1:] != subject[:-1])))
     n_subjects = starts.shape[0]
-    if n_rows % n_subjects != 0:
-        sid = subject[starts[np.argmin(np.diff(np.append(starts, n_rows)))]]
+    lengths = np.diff(np.append(starts, n_rows))
+    if (lengths != lengths[0]).any():
+        sid = subject[starts[np.argmin(lengths)]]
         raise NonContiguousTime("subjects have unequal panel lengths", sid, -1)
-    horizon = n_rows // n_subjects
+    horizon = int(lengths[0])
     t_mat = t.reshape(n_subjects, horizon)
     expected = np.arange(1, horizon + 1)
     bad_rows = (t_mat != expected[None, :]).any(axis=1)
@@ -237,9 +241,7 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
     if lag > horizon:
         raise LagHorizonExceeded(f"lag {lag} exceeds panel horizon {horizon}")
 
-    y_raw = y.copy()
-    if y_is_aligned and "y_raw" in columns:
-        y_raw = np.asarray(columns["y_raw"], dtype=float)
+    y_raw = np.asarray(columns["y_raw"] if y_is_aligned and "y_raw" in columns else y, dtype=float)
     if not y_is_aligned and lag > 1:
         # shift within subject: aligned row t <- raw row t + (lag - 1)
         y_mat = y.reshape(n_subjects, horizon)

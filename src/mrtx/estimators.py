@@ -308,9 +308,10 @@ def _rms(block: np.ndarray) -> np.ndarray:
 
 
 def _check_auxiliary(ds: MrtDataset, zc: np.ndarray) -> None:
-    usable = slice(0, ds.n_usable)      # each subject's usable rows come first
-    wnorm = _rms(ds.per_subject(np.sqrt(ds.weight_w)[:, None] * zc)[:, usable])
-    scale = 1.0 + _rms(ds.per_subject(ds.z)[:, usable])
+    """``zc`` is the centered auxiliary on the usable rows."""
+    by_subj = (ds.n_subjects, ds.n_usable, ds.p_z)
+    wnorm = _rms((np.sqrt(ds.usable(ds.weight_w))[:, None] * zc).reshape(by_subj))
+    scale = 1.0 + _rms(ds.usable(ds.z).reshape(by_subj))
     bad = wnorm < 1e-9 * scale
     if bad.any():
         i = int(np.argmax(bad))
@@ -319,18 +320,17 @@ def _check_auxiliary(ds: MrtDataset, zc: np.ndarray) -> None:
 
 
 def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
-    """Design matrix, names and index slices for the pooled criteria."""
-    ca = ds.centered_a
+    """Design matrix on the usable rows, names and index slices for the pooled criteria."""
+    ca = ds.usable(ds.centered_a)
+    f = ds.usable(ds.f)
     cols, names = [], []
 
     lag_info = None
     if lagged:
         alpha1_slices = []
         for u in range(1, ds.lag):
-            a_u = ds.shifted(ds.a.astype(float), u)
-            p_u = ds.shifted(ds.p, u)
-            z_u = ds.shifted(ds.z, u)
-            ca_u = a_u - p_u
+            ca_u = ds.usable(ds.a, u) - ds.usable(ds.p, u)
+            z_u = ds.usable(ds.z, u)
             start = len(names)
             cols.append(ca_u[:, None])
             names.append(f"alpha_l{u}:1")
@@ -339,17 +339,17 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
                 names.append(f"alpha_l{u}:{zn}")
             alpha1_slices.append((start, len(names)))
         start = len(names)
-        cols.append(ds.f)
+        cols.append(f)
         names.extend(f"alpha_0:{n}" for n in ds.f_names)
         lag_info = (alpha1_slices, (start, len(names)))
     else:
         if ds.d < 1:
             raise DimensionMismatch("criterion requires at least one control column")
-        cols.append(ds.g)
+        cols.append(ds.usable(ds.g))
         names.extend(f"alpha:{n}" for n in ds.g_names)
 
     beta0_start = len(names)
-    cols.append(ca[:, None] * ds.f)
+    cols.append(ca[:, None] * f)
     names.extend(f"beta0:{n}" for n in ds.f_names)
     beta0_idx = np.arange(beta0_start, len(names))
 
@@ -357,7 +357,7 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     if cm is not None:
         if ds.p_z < 1:
             raise DimensionMismatch("auxiliary adjustment requires auxiliary columns")
-        zc = ds.z - cm.mu_rows(ds)
+        zc = ds.usable(ds.z - cm.mu_rows(ds))
         _check_auxiliary(ds, zc)
         beta1_start = len(names)
         cols.append(ca[:, None] * zc)
@@ -386,16 +386,14 @@ def _stacked_for(cm, X_use, wca_use, f_use, beta1_hat, n):
 def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
                 cm: CenteringModel | None, lagged: bool) -> FitResult:
     X, names, b0_idx, b1_idx, lag_info = _pooled_design(ds, cm, lagged)
-    mask = ds.usable_mask
-    w = ds.weight_w
-    X_use, y_use, w_use = X[mask], ds.y[mask], w[mask]
-    beta, gram = wls_solve(X_use, y_use, w_use, ds.n_subjects)
-    parts = _ls_parts(X_use, y_use, w_use, beta, gram, ds.n_subjects, ds.n_usable)
+    y, w = ds.usable(ds.y), ds.usable(ds.weight_w)
+    beta, gram = wls_solve(X, y, w, ds.n_subjects)
+    parts = _ls_parts(X, y, w, beta, gram, ds.n_subjects, ds.n_usable)
 
     sp = None
     if cm is not None and cm.orthogonal:
-        wca = (w * ds.centered_a)[mask]
-        sp = _stacked_for(cm, X_use, wca, ds.f[mask], beta[b1_idx], ds.n_subjects)
+        wca = w * ds.usable(ds.centered_a)
+        sp = _stacked_for(cm, X, wca, ds.usable(ds.f), beta[b1_idx], ds.n_subjects)
     if cm is not None and not cm.orthogonal and config.variance_mode != "plain_sandwich":
         raise DimensionMismatch(
             "stacked variance requires an orthogonality-fitted centering model")
@@ -579,13 +577,12 @@ def _emee_system(ds: MrtDataset, feat: np.ndarray):
     ``evaluate(params, want_jac)`` returns the per-row weighted residual ``r``,
     the averaged equations ``X' r / n`` and, if asked, their Jacobian.
     """
-    mask = ds.usable_mask
-    g = ds.g[mask]
-    f_x = feat[mask]
-    a = ds.a.astype(float)[mask]
-    y = ds.y[mask]
-    w_u = ds.weight_w[mask]
-    ca_u = ds.centered_a[mask]
+    g = ds.usable(ds.g)
+    f_x = ds.usable(feat)
+    a = ds.usable(ds.a.astype(float))
+    y = ds.usable(ds.y)
+    w_u = ds.usable(ds.weight_w)
+    ca_u = ds.usable(ds.centered_a)
     X = np.column_stack([g, ca_u[:, None] * f_x])
     n = ds.n_subjects
     k_g = g.shape[1]
@@ -640,7 +637,7 @@ def _newton(evaluate, init: np.ndarray):
 
 
 def _check_binary(ds: MrtDataset):
-    y = ds.y[ds.usable_mask]
+    y = ds.usable(ds.y)
     if not np.isin(y, (0.0, 1.0)).all():
         raise DimensionMismatch("binary methods require outcomes in {0,1}")
     if not y.any():
@@ -653,7 +650,7 @@ def _emee_init(ds: MrtDataset) -> np.ndarray:
     """Newton start for the EMEE without auxiliary: the log mean outcome as intercept."""
     init = np.zeros(ds.d + ds.q)
     if "1" in ds.g_names:
-        init[list(ds.g_names).index("1")] = np.log(max(ds.y[ds.usable_mask].mean(), 1e-8))
+        init[list(ds.g_names).index("1")] = np.log(max(ds.usable(ds.y).mean(), 1e-8))
     return init
 
 
@@ -702,9 +699,8 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
     if ds.p_z < 1:
         raise DimensionMismatch("a2emee requires auxiliary columns")
     _check_binary(ds)
-    mask = ds.usable_mask
-    w_az = (ds.weight_w * ds.a.astype(float) * ds.centered_a * ds.y)[mask]
-    f_use, z_use = ds.f[mask], ds.z[mask]
+    w_az = ds.usable(ds.weight_w * ds.a.astype(float) * ds.centered_a * ds.y)
+    f_use, z_use = ds.usable(ds.f), ds.usable(ds.z)
     base = _newton(_emee_system(ds, ds.f)[0], _emee_init(ds))[0]
     params = np.concatenate([base, np.zeros(ds.p_z)])
     theta = fit_centering(ds).theta

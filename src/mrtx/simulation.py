@@ -76,35 +76,33 @@ def _rng_for(spec: DgmSpec, replicate: int | None = None) -> np.random.Generator
         np.random.SeedSequence(entropy=spec.seed, spawn_key=(replicate,)))
 
 
-def gen_ar_errors(T: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Stationary N(0,1) errors with corr(e_u, e_t) = 0.5 ** (|u-t|/2).
+def gen_ar_errors(T: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Stationary N(0,1) errors with corr(e_u, e_t) = 0.5 ** (|u-t|/2), shape (n, T).
 
-    AR(1) recursion with coefficient 2**-0.5 and innovation SD sqrt(1 - 1/2).
-    Returns shape (T,) when n is None, else (n, T).
+    AR(1) recursion with coefficient 2**-0.5 and innovation SD sqrt(1 - 1/2),
+    run over a time-major copy of the innovations so each step is contiguous.
     """
-    rows = 1 if n is None else n
     phi = 2.0 ** -0.5
     innov_sd = np.sqrt(0.5)
-    e = rng.standard_normal((rows, T))
-    out = np.empty((rows, T))
-    out[:, 0] = e[:, 0]
+    out = np.ascontiguousarray(rng.standard_normal((n, T)).T)
     for t in range(1, T):
-        out[:, t] = phi * out[:, t - 1] + innov_sd * e[:, t]
-    return out[0] if n is None else out
+        out[t] = phi * out[t - 1] + innov_sd * out[t]
+    return out.T
 
 
 def _draw_sequential(n, T, eta, rng, draw_z):
-    """Common loop: Z_t, then p_t from (A_{t-1}, Z_t), then A_t."""
-    Z = np.empty((n, T))
-    P = np.empty((n, T))
-    A = np.zeros((n, T), dtype=int)
+    """Common loop: Z_t, then p_t from (A_{t-1}, Z_t), then A_t; returns (n, T) views
+    of time-major buffers, so each step writes one contiguous row."""
+    Z = np.empty((T, n))
+    P = np.empty((T, n))
+    A = np.empty((T, n))
     prev_a = np.zeros(n)
     for t in range(T):
-        Z[:, t] = draw_z(t, prev_a)
-        P[:, t] = expit(eta[0] * prev_a + eta[1] * Z[:, t])
-        A[:, t] = rng.random(n) < P[:, t]
-        prev_a = A[:, t].astype(float)
-    return Z, P, A
+        Z[t] = draw_z(t, prev_a)
+        P[t] = expit(eta[0] * prev_a + eta[1] * Z[t])
+        A[t] = rng.random(n) < P[t]
+        prev_a = A[t]
+    return Z.T, P.T, A.T
 
 
 def _panel_columns(n, T, **arrays):

@@ -234,6 +234,16 @@ def test_unequal_panel_lengths_name_shortest_subject():
     assert exc.value.subject_id == "b" and exc.value.t == -1
 
 
+def test_unequal_lengths_dividing_row_count_name_shortest_subject():
+    # 6 rows over 2 subjects split evenly, but "A" has 2 rows and "B" 4
+    cols = {"subject_id": np.array(["A"] * 2 + ["B"] * 4),
+            "t": np.array([1, 2, 1, 2, 3, 4]), "a": np.tile([0.0, 1.0], 3),
+            "p": np.full(6, 0.5), "y": np.zeros(6)}
+    with pytest.raises(errors.NonContiguousTime, match="unequal panel lengths") as exc:
+        from_columns(cols, moderator_schema())
+    assert exc.value.subject_id == "A" and exc.value.t == -1
+
+
 def csv_oracle(path, schema):
     """The dataset a plain ``csv`` read gives, every numeric token through ``float()``."""
     with open(path, newline="") as fh:

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,21 @@ def test_lagged_equals_wcls_without_post_effects():
     assert lagged.beta0[0] == pytest.approx(plain.beta0[0], abs=1e-8)
     assert lagged.lagged_nuisance.alpha_u1[0] == pytest.approx(0.0, abs=1e-8)
     assert np.allclose(lagged.lagged_nuisance.alpha_u2[0], 0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("mode", ["stacked", "stacked_small_sample"])
+def test_lag3_lagged_fit_matches_recorded(mode):
+    # lag 3 reads each usable row two steps ahead through two working-model
+    # blocks; the values were recorded from the masked full-panel design
+    ref = json.loads((Path(__file__).parent / "reference" / "lag3_a2wcls_lagged.json")
+                     .read_text())[mode]
+    ds = gen_panel(DgmSpec(kind="nonmoderator_robust", n=40, horizon=7, beta0=-0.2, seed=5))
+    cols = {k: v for k, v in ds.columns.items() if k != "y_raw"}
+    ds3 = from_columns(cols, ds.schema, lag=3)
+    res = fit(ds3, EstimatorConfig(method="a2wcls_lagged", lag=3, variance_mode=mode))
+    assert list(res.param_names) == ref["param_names"]
+    np.testing.assert_allclose(res.estimates, ref["estimates"], rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(res.vcov, ref["vcov"], rtol=1e-10, atol=1e-14)
 
 
 def test_config_validation():
