@@ -6,7 +6,6 @@ from .centering import (
     fit_centering,
     naive_centerings,
     orthogonality_residual,
-    verify_orthogonality,
 )
 from .data import (
     FeatureSpec,
@@ -19,7 +18,6 @@ from .data import (
 from .estimators import (
     EstimatorConfig,
     FitResult,
-    LaggedNuisanceModel,
     closed_form_gaps,
     fit,
     fit_a2emee,
@@ -49,7 +47,6 @@ from .variance import (
     StackedParts,
     confidence_intervals,
     plain_sandwich,
-    small_sample_correct,
     stacked_sandwich,
 )
 

@@ -14,7 +14,7 @@ mean, single pooled mean) used to demonstrate when centering goes wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,49 +32,22 @@ class CenteringModel:
     per auxiliary column), so variance stacking never needs a refit.
     ``orthogonal`` is False for deliberately misspecified centerings built by
     :func:`centering_from_rows`; those cannot back a stacked variance.
-    ``source`` is the dataset the model was fitted on; its fingerprint is
-    taken only when ``fitted_on`` is read.
     """
 
     theta: np.ndarray              # (q, p_z)
-    weight_kind: str
-    source: MrtDataset = field(repr=False, compare=False)
     score_meta: np.ndarray         # (n_subjects, q * p_z), column-major in aux index
     gram: np.ndarray               # (q, q) weighted Gram used for the fit
-    f_names: tuple[str, ...]
-    z_names: tuple[str, ...]
     orthogonal: bool = True
-
-    @property
-    def fitted_on(self) -> str:
-        return self.source.fingerprint()
 
     @property
     def q(self) -> int:
         return self.theta.shape[0]
-
-    @property
-    def p_z(self) -> int:
-        return self.theta.shape[1]
 
     def mu_rows(self, ds: MrtDataset) -> np.ndarray:
         """Per-row centering values (rows, p_z)."""
         if ds.f.shape[1] != self.q:
             raise DimensionMismatch("moderator dimension does not match centering model")
         return ds.f @ self.theta
-
-    def to_text(self) -> str:
-        lines = ["centering-model",
-                 f"weight_kind: {self.weight_kind}",
-                 f"fitted_on: {self.fitted_on}",
-                 f"orthogonal: {self.orthogonal}",
-                 "f_columns: " + ",".join(self.f_names),
-                 "z_columns: " + ",".join(self.z_names),
-                 "theta:"]
-        for i, name in enumerate(self.z_names):
-            vals = " ".join(repr(float(v)) for v in self.theta[:, i])
-            lines.append(f"  {name}: {vals}")
-        return "\n".join(lines) + "\n"
 
 
 def _weights(ds: MrtDataset) -> np.ndarray:
@@ -119,15 +92,7 @@ def fit_centering(ds: MrtDataset) -> CenteringModel:
     resid = ds.z - ds.f @ theta                          # (rows, p_z)
     contrib = (ds.f * w[:, None])[:, :, None] * resid[:, None, :]   # (rows, q, p_z)
     per_subj = ds.per_subject(contrib.reshape(ds.n_rows, -1)).sum(axis=1)
-    return CenteringModel(
-        theta=theta,
-        weight_kind="ptilde(1-ptilde)",
-        source=ds,
-        score_meta=per_subj,
-        gram=gram,
-        f_names=ds.f_names,
-        z_names=ds.z_names,
-    )
+    return CenteringModel(theta=theta, score_meta=per_subj, gram=gram)
 
 
 def orthogonality_residual(ds: MrtDataset, mu_rows: np.ndarray) -> float:
@@ -140,11 +105,6 @@ def orthogonality_residual(ds: MrtDataset, mu_rows: np.ndarray) -> float:
             f"mu has shape {mu_rows.shape}, auxiliary block has {ds.z.shape}")
     mat = _cross(ds.f, _weights(ds), ds.z - mu_rows) / ds.n_subjects
     return float(np.abs(mat).max()) if mat.size else 0.0
-
-
-def verify_orthogonality(ds: MrtDataset, cm: CenteringModel) -> float:
-    """Empirical orthogonality residual of a fitted centering model on ``ds``."""
-    return orthogonality_residual(ds, cm.mu_rows(ds))
 
 
 def naive_centerings(ds: MrtDataset, kind: str) -> np.ndarray:
@@ -182,13 +142,5 @@ def centering_from_rows(ds: MrtDataset, mu_rows: np.ndarray, label: str) -> Cent
     if not np.allclose(rep, mu_rows, atol=1e-8):
         raise DimensionMismatch(
             f"{label}: requested centering is not representable in the moderator span")
-    return CenteringModel(
-        theta=theta,
-        weight_kind=label,
-        source=ds,
-        score_meta=np.zeros((ds.n_subjects, ds.q * ds.p_z)),
-        gram=gram / ds.n_subjects,
-        f_names=ds.f_names,
-        z_names=ds.z_names,
-        orthogonal=False,
-    )
+    return CenteringModel(theta=theta, score_meta=np.zeros((ds.n_subjects, ds.q * ds.p_z)),
+                          gram=gram / ds.n_subjects, orthogonal=False)

@@ -179,7 +179,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         with open(args.out + ".txt", "w") as fh:
             fh.write(text)
-        _write_csv(args.out + "_metrics.csv", report.metric_csv_rows())
+        _write_csv(args.out + "_metrics.csv", report.rows)
         _write_csv(args.out + "_replicates.csv", report.replicate_csv_rows())
         print(f"wrote {args.out}.txt, {args.out}_metrics.csv, {args.out}_replicates.csv")
     return 0

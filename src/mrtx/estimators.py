@@ -80,26 +80,14 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DimensionMismatch(f"unknown method {self.method!r}")
-        if self.variance_mode not in VARIANCE_MODES:
-            raise DimensionMismatch(f"unknown variance mode {self.variance_mode!r}")
+        _check_variance_mode(self.method, self.variance_mode)
         if self.centering_kind not in CENTERING_KINDS:
             raise DimensionMismatch(f"unknown centering kind {self.centering_kind!r}")
         if self.method == "a2wcls_lagged" and self.lag < 2:
             raise DimensionMismatch("a2wcls_lagged requires lag >= 2")
         if self.method in ("a2wcls", "emee", "a2emee") and self.lag != 1:
             raise DimensionMismatch(f"{self.method} is a proximal method (lag = 1)")
-        if self.method in _BINARY and self.variance_mode != "plain_sandwich":
-            raise DimensionMismatch("binary methods support plain_sandwich variance only")
         check_ci_level(self.ci_level)
-
-
-@dataclass(frozen=True)
-class LaggedNuisanceModel:
-    """Coefficients of the intermediate-decision working models for a lagged fit."""
-
-    alpha_u1: tuple[float, ...]
-    alpha_u2: tuple[np.ndarray, ...]
-    alpha_03: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,7 +112,6 @@ class FitResult:
     ci_level: float
     converged: bool
     n_iter: int
-    lagged_nuisance: LaggedNuisanceModel | None = None
     ee_norm_trace: tuple[float, ...] = ()
 
     @property
@@ -194,14 +181,6 @@ class FitResult:
     def p_value(self) -> np.ndarray:
         return self.p_value_all[self.beta0_idx]
 
-    @property
-    def per_subject_scores(self) -> np.ndarray:
-        return self.parts.subject_scores
-
-    @property
-    def bread(self) -> np.ndarray:
-        return self.parts.bread
-
     def report_text(self) -> str:
         lines = [f"method: {self.method}",
                  f"n_subjects: {self.n_subjects}",
@@ -248,18 +227,33 @@ def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     return checked_solve(gram, rhs, SingularGram, "weighted Gram"), gram
 
 
+def _check_variance_mode(method: str, mode: str, orthogonal: bool = True) -> None:
+    """The variance rule shared by direct fits and :func:`with_variance_mode`.
+
+    Binary fits retain no per-subject model matrices, and an auxiliary-adjusted
+    fit needs an orthogonality-fitted centering (``orthogonal``) to stack.
+    """
+    if mode not in VARIANCE_MODES:
+        raise DimensionMismatch(f"unknown variance mode {mode!r}")
+    if mode == "plain_sandwich":
+        return
+    if method in _BINARY:
+        raise DimensionMismatch("binary methods support plain_sandwich variance only")
+    if not orthogonal:
+        raise DimensionMismatch(
+            "stacked variance requires an orthogonality-fitted centering model")
+
+
 def _vcov(parts, sp, mode):
     if mode == "plain_sandwich" or (mode == "stacked" and sp is None):
         return plain_sandwich(parts)
     if mode == "stacked":
         return stacked_sandwich(parts, sp)
-    if mode != "stacked_small_sample":
-        raise DimensionMismatch(f"unknown variance mode {mode!r}")
     return stacked_small_sample(parts, sp)
 
 
 def _assemble(method, names, estimates, beta0_idx, beta1_idx, parts, sp,
-              config, n_iter=0, lagged=None, trace=()):
+              config, n_iter=0, trace=()):
     return FitResult(
         method=method,
         param_names=tuple(names),
@@ -273,13 +267,19 @@ def _assemble(method, names, estimates, beta0_idx, beta1_idx, parts, sp,
         ci_level=config.ci_level,
         converged=True,
         n_iter=n_iter,
-        lagged_nuisance=lagged,
         ee_norm_trace=tuple(trace),
     )
 
 
 def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None) -> FitResult:
-    """Recompute vcov/SE/CI from retained per-subject pieces, without refitting."""
+    """Recompute vcov/SE/CI from retained per-subject pieces, without refitting.
+
+    A mode the direct fit would refuse is refused here too; an
+    auxiliary-adjusted fit keeps stacked parts only when its centering is
+    orthogonal.
+    """
+    _check_variance_mode(fit.method, mode, fit.stacked_parts is not None
+                         or fit.method not in ("a2wcls", "a2wcls_lagged"))
     level = fit.ci_level if ci_level is None else ci_level
     check_ci_level(level)
     return replace(fit, vcov=_vcov(fit.parts, fit.stacked_parts, mode),
@@ -325,23 +325,17 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     f = ds.usable(ds.f)
     cols, names = [], []
 
-    lag_info = None
     if lagged:
-        alpha1_slices = []
         for u in range(1, ds.lag):
             ca_u = ds.usable(ds.a, u) - ds.usable(ds.p, u)
             z_u = ds.usable(ds.z, u)
-            start = len(names)
             cols.append(ca_u[:, None])
             names.append(f"alpha_l{u}:1")
             for i, zn in enumerate(ds.z_names):
                 cols.append((ca_u * z_u[:, i])[:, None])
                 names.append(f"alpha_l{u}:{zn}")
-            alpha1_slices.append((start, len(names)))
-        start = len(names)
         cols.append(f)
         names.extend(f"alpha_0:{n}" for n in ds.f_names)
-        lag_info = (alpha1_slices, (start, len(names)))
     else:
         if ds.d < 1:
             raise DimensionMismatch("criterion requires at least one control column")
@@ -365,49 +359,27 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
         beta1_idx = np.arange(beta1_start, len(names))
 
     X = np.column_stack([c if c.ndim == 2 else c[:, None] for c in cols])
-    return X, names, beta0_idx, beta1_idx, lag_info
-
-
-def _stacked_for(cm, X_use, wca_use, f_use, beta1_hat, n):
-    """Analytic centering-parameter pieces for the stacked variance.
-
-    Cross-derivative column for centering coefficient (k, i) is
-    ``beta1_i * P_N[sum_t w (a - ptilde) x f_k]``; the residual's own
-    derivative term vanishes by the target-block normal equations.
-    """
-    mhat = (X_use * wca_use[:, None]).T @ f_use / n        # (dim, q)
-    p_z = beta1_hat.shape[0]
-    cross = (mhat[:, :, None] * beta1_hat[None, None, :]).reshape(X_use.shape[1], -1)
-    theta_bread = -np.kron(cm.gram, np.eye(p_z))
-    return StackedParts(u_theta_scores=cm.score_meta, cross_derivative=cross,
-                        theta_bread=theta_bread)
+    return X, names, beta0_idx, beta1_idx
 
 
 def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
                 cm: CenteringModel | None, lagged: bool) -> FitResult:
-    X, names, b0_idx, b1_idx, lag_info = _pooled_design(ds, cm, lagged)
+    X, names, b0_idx, b1_idx = _pooled_design(ds, cm, lagged)
     y, w = ds.usable(ds.y), ds.usable(ds.weight_w)
     beta, gram = wls_solve(X, y, w, ds.n_subjects)
     parts = _ls_parts(X, y, w, beta, gram, ds.n_subjects, ds.n_usable)
+    _check_variance_mode(config.method, config.variance_mode, cm is None or cm.orthogonal)
 
     sp = None
     if cm is not None and cm.orthogonal:
-        wca = w * ds.usable(ds.centered_a)
-        sp = _stacked_for(cm, X, wca, ds.usable(ds.f), beta[b1_idx], ds.n_subjects)
-    if cm is not None and not cm.orthogonal and config.variance_mode != "plain_sandwich":
-        raise DimensionMismatch(
-            "stacked variance requires an orthogonality-fitted centering model")
-
-    lagged_model = None
-    if lagged:
-        alpha1_slices, (a0s, a0e) = lag_info
-        lagged_model = LaggedNuisanceModel(
-            alpha_u1=tuple(float(beta[s]) for s, _ in alpha1_slices),
-            alpha_u2=tuple(beta[s + 1: e] for s, e in alpha1_slices),
-            alpha_03=beta[a0s:a0e],
-        )
-    return _assemble(config.method, names, beta, b0_idx, b1_idx, parts, sp, config,
-                     lagged=lagged_model)
+        # the score's derivative in centering coefficient (k, i) is
+        # beta1_i * P_N[sum_t w ca x f_k], and the beta0 columns of X are ca f_k,
+        # so it is beta1_i times the Gram's beta0 column k; the residual's own
+        # derivative term vanishes by the beta0 normal equations
+        sp = StackedParts(u_theta_scores=cm.score_meta,
+                          cross_derivative=np.kron(gram[:, b0_idx], beta[b1_idx]),
+                          theta_bread=-np.kron(cm.gram, np.eye(len(b1_idx))))
+    return _assemble(config.method, names, beta, b0_idx, b1_idx, parts, sp, config)
 
 
 def _resolve_centering(ds: MrtDataset, cm: CenteringModel | None,

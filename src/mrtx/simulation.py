@@ -327,9 +327,6 @@ class McReport:
                 f"{r['mre']:>8.3f}{r['rsd']:>8.3f}{r['n_failed']:>6d}")
         return "\n".join(lines) + "\n"
 
-    def metric_csv_rows(self) -> list[dict]:
-        return [dict(r) for r in self.rows]
-
     def replicate_csv_rows(self) -> list[dict]:
         out = []
         for rep in range(self.replicates):

@@ -154,11 +154,6 @@ def leverage_adjusted_scores(parts: SandwichParts) -> np.ndarray:
     return _leverage(parts)[1]
 
 
-def small_sample_correct(parts: SandwichParts) -> np.ndarray:
-    """Corrected meat matrix from leverage-adjusted per-subject scores."""
-    return score_meat(leverage_adjusted_scores(parts))
-
-
 def stacked_small_sample(parts: SandwichParts, sp: StackedParts | None) -> np.ndarray:
     """Leverage-corrected sandwich, centering-corrected when stacked; one bread inverse."""
     binv, scores = _leverage(parts)

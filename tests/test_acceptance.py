@@ -227,14 +227,14 @@ def test_criterion_10_numerical_invariants():
     def score(params):
         return X.T @ (w * (y_vec - X @ params)) / ds.n_subjects
 
-    fd = np.empty_like(res.bread)
+    fd = np.empty_like(res.parts.bread)
     for k in range(parts.dim):
         up, dn = res.estimates.copy(), res.estimates.copy()
         up[k] += eps
         dn[k] -= eps
         fd[:, k] = (score(dn) - score(up)) / (2 * eps)
     checks["finite-difference bread"] = \
-        np.abs(fd - res.bread).max() <= 1e-4 * np.abs(res.bread).max()
+        np.abs(fd - res.parts.bread).max() <= 1e-4 * np.abs(res.parts.bread).max()
 
     v = res.vcov
     checks["vcov symmetry"] = np.abs(v - v.T).max() <= 1e-12 * max(np.abs(v).max(), 1)

@@ -81,13 +81,54 @@ def test_constant_auxiliary_degenerate():
         fit_a2wcls(ds)
 
 
-@pytest.mark.parametrize("method,lag", [("a2wcls", 1), ("a2wcls_lagged", 2),
-                                        ("a2emee", 1)])
-def test_constant_auxiliary_degenerate_every_path(method, lag):
+@pytest.mark.parametrize("method,lag,aux", [
+    ("a2wcls", 1, "constant"), ("a2wcls_lagged", 2, "constant"), ("a2emee", 1, "constant"),
+    ("a2wcls", 1, "moderator"), ("a2emee", 1, "moderator")],
+    ids=["a2wcls-1", "a2wcls_lagged-2", "a2emee-1", "a2wcls-1-moderator", "a2emee-1-moderator"])
+def test_constant_auxiliary_degenerate_every_path(method, lag, aux):
+    # a constant or moderator-equal auxiliary is its own centering: zc = 0
     y = (np.random.default_rng(12).random(60) < 0.4).astype(float)
-    ds = build_panel(10, 6, lag=lag, y=y, z=np.full(60, 1.7))
+    if aux == "constant":
+        ds = build_panel(10, 6, lag=lag, y=y, z=np.full(60, 1.7))
+    else:
+        m1 = np.random.default_rng(13).standard_normal(60)
+        ds = build_panel(10, 6, lag=lag, y=y, m1=m1, z=m1, schema=moderator_schema(
+            moderators=("m1",), aux=("z",), controls=("g1",)))
     with pytest.raises(errors.DegenerateAuxiliary):
         fit(ds, EstimatorConfig(method=method, lag=lag))
+
+
+def _assert_finite(res):
+    assert np.isfinite(res.estimates).all() and np.isfinite(res.vcov).all()
+    assert np.isfinite(res.se_all).all()
+
+
+@pytest.mark.parametrize("p_edge", [1e-7, 1 - 1e-7])
+@pytest.mark.parametrize("a_edge", [0.0, 1.0])
+@pytest.mark.parametrize("method", ["wcls", "a2wcls"])
+def test_randomization_probability_near_zero_or_one(method, a_edge, p_edge):
+    # the likelihood-ratio weight of that row is about 1 or about 5e6
+    cols = panel_from_arrays(30, 6, seed=2)
+    cols["p"][7], cols["a"][7] = p_edge, a_edge
+    ds = from_columns(cols, moderator_schema(aux=("z",), controls=("g1",)))
+    _assert_finite(fit(ds, EstimatorConfig(method=method)))
+
+
+@pytest.mark.parametrize("method", ["wcls", "a2wcls_lagged"])
+def test_lag_equal_to_horizon(method):
+    ds = build_panel(20, 6, lag=6, seed=4)
+    assert ds.n_usable == 1
+    _assert_finite(fit(ds, EstimatorConfig(method=method, lag=6)))
+
+
+@pytest.mark.parametrize("method, mode", [
+    ("wcls", "plain_sandwich"), ("a2wcls", "plain_sandwich"), ("a2wcls", "stacked"),
+    ("a2wcls", "stacked_small_sample"), ("emee", "plain_sandwich"),
+    ("a2emee", "plain_sandwich")])
+def test_single_decision_panel(method, mode):
+    y = (np.random.default_rng(3).random(40) < 0.4).astype(float)
+    ds = build_panel(40, 1, seed=5, y=y)
+    _assert_finite(fit(ds, EstimatorConfig(method=method, variance_mode=mode)))
 
 
 def test_a2_populates_both_blocks():
@@ -155,8 +196,9 @@ def test_lagged_equals_wcls_without_post_effects():
     plain = fit_wcls(ds, EstimatorConfig(method="wcls", lag=2))
     assert lagged.beta0[0] == pytest.approx(-0.1, abs=1e-10)
     assert lagged.beta0[0] == pytest.approx(plain.beta0[0], abs=1e-8)
-    assert lagged.lagged_nuisance.alpha_u1[0] == pytest.approx(0.0, abs=1e-8)
-    assert np.allclose(lagged.lagged_nuisance.alpha_u2[0], 0.0, atol=1e-8)
+    est = dict(zip(lagged.param_names, lagged.estimates))
+    assert est["alpha_l1:1"] == pytest.approx(0.0, abs=1e-8)
+    assert est["alpha_l1:z"] == pytest.approx(0.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("mode", ["stacked", "stacked_small_sample"])

@@ -6,9 +6,12 @@ import pytest
 from scipy import special, stats
 
 from mrtx import errors
+from mrtx.centering import fit_centering
 from mrtx.data import from_columns, moderator_schema
 from mrtx.estimators import (
     EstimatorConfig,
+    _pooled_design,
+    fit,
     fit_a2wcls,
     fit_a2wcls_lagged,
     fit_emee,
@@ -24,7 +27,6 @@ from mrtx.variance import (
     leverage_adjusted_scores,
     plain_sandwich,
     score_meat,
-    small_sample_correct,
     stacked_sandwich,
 )
 
@@ -105,8 +107,8 @@ def test_finite_difference_bread(maker):
     ds, fitter = maker()
     res = fitter(ds)
     numeric = -fd_bread(_ls_score(ds, res), res.estimates.copy(), res.parts.dim)
-    scale = np.abs(res.bread).max()
-    assert np.abs(numeric - res.bread).max() <= 1e-4 * scale
+    scale = np.abs(res.parts.bread).max()
+    assert np.abs(numeric - res.parts.bread).max() <= 1e-4 * scale
 
 
 def test_finite_difference_bread_binary():
@@ -120,7 +122,7 @@ def test_finite_difference_bread_binary():
         return evaluate(params, False)[1]
 
     numeric = -fd_bread(score, res.estimates.copy(), res.parts.dim)
-    assert np.abs(numeric - res.bread).max() <= 1e-4 * max(np.abs(res.bread).max(), 1.0)
+    assert np.abs(numeric - res.parts.bread).max() <= 1e-4 * max(np.abs(res.parts.bread).max(), 1.0)
 
 
 def test_vcov_symmetric_psd_over_fits():
@@ -201,7 +203,7 @@ def test_single_subject_guarded():
     ds = build_panel(1, 4, seed=5)
     res = fit_wcls(ds)
     with pytest.raises(errors.MrtxError):
-        small_sample_correct(res.parts)
+        score_meat(leverage_adjusted_scores(res.parts))
 
 
 def test_confidence_interval_quantile_oracle():
@@ -313,9 +315,64 @@ def test_same_variance_mode_reproduces_every_derived_field():
         again = with_variance_mode(res, res.variance_mode)
         for name in ("alpha", "beta0", "beta1", "beta0_names", "beta1_names", "vcov",
                      "vcov_beta0", "se", "se_all", "ci_lo", "ci_lo_all", "ci_hi",
-                     "ci_hi_all", "p_value", "p_value_all", "per_subject_scores", "bread"):
+                     "ci_hi_all", "p_value", "p_value_all"):
             np.testing.assert_array_equal(getattr(again, name), getattr(res, name),
                                           err_msg=f"{mode}: {name}")
+        for name in ("subject_scores", "bread"):
+            np.testing.assert_array_equal(getattr(again.parts, name),
+                                          getattr(res.parts, name), err_msg=f"{mode}: {name}")
+
+
+_REFUSED = {
+    "emee": (DgmSpec(kind="binary_demo", n=150, horizon=6, beta0=0.2, seed=3), "orthogonal",
+             "binary methods support plain_sandwich variance only"),
+    "a2emee": (DgmSpec(kind="binary_demo", n=150, horizon=6, beta0=0.2, seed=3), "orthogonal",
+               "binary methods support plain_sandwich variance only"),
+    "a2wcls": (DgmSpec(kind="proximal_j2", n=40, horizon=6, beta0=-0.2, beta1=0.5, seed=4),
+               "global_mean", "stacked variance requires an orthogonality-fitted centering"),
+}
+
+
+@pytest.mark.parametrize("mode", ["stacked", "stacked_small_sample"])
+@pytest.mark.parametrize("method", list(_REFUSED))
+def test_with_variance_mode_refuses_what_a_direct_fit_refuses(method, mode):
+    spec, centering, message = _REFUSED[method]
+    ds = gen_panel(spec)
+    with pytest.raises(errors.DimensionMismatch, match=message):
+        fit(ds, EstimatorConfig(method=method, variance_mode=mode, centering_kind=centering))
+    res = fit(ds, EstimatorConfig(method=method, centering_kind=centering))
+    with pytest.raises(errors.DimensionMismatch, match=message):
+        with_variance_mode(res, mode)
+
+
+@pytest.mark.parametrize("spec, method", [
+    (DgmSpec(kind="proximal_j2", n=60, horizon=8, beta0=-0.2, beta1=0.5, seed=3), "a2wcls"),
+    (DgmSpec(kind="timevarying_j3", n=60, horizon=8, beta0=(-0.2, 0.02), beta1=0.5, seed=3),
+     "a2wcls"),
+    (DgmSpec(kind="lagged_eq12", n=60, horizon=8, beta0=-0.1, beta1=0.5, seed=3),
+     "a2wcls_lagged"),
+], ids=["proximal_j2", "timevarying_j3", "lagged_eq12"])
+def test_finite_difference_cross_derivative(spec, method):
+    # d/dtheta of the score X' W (y - X beta) / n at the fitted beta, with X
+    # rebuilt around each perturbed centering
+    ds = gen_panel(spec)
+    res = fit(ds, EstimatorConfig(method=method, lag=ds.lag, variance_mode="stacked"))
+    cm = fit_centering(ds)
+    if spec.kind == "timevarying_j3":
+        assert cm.q == 2
+    y, w = ds.usable(ds.y), ds.usable(ds.weight_w)
+
+    def score(theta):
+        X = _pooled_design(ds, replace(cm, theta=theta), method == "a2wcls_lagged")[0]
+        return X.T @ (w * (y - X @ res.estimates)) / ds.n_subjects
+
+    h = 1e-6
+    cross = res.stacked_parts.cross_derivative
+    fd = np.empty_like(cross)
+    for j in range(cm.theta.size):
+        step = (np.arange(cm.theta.size) == j).reshape(cm.theta.shape) * h
+        fd[:, j] = (score(cm.theta + step) - score(cm.theta - step)) / (2 * h)
+    assert np.abs(fd - cross).max() <= 1e-6 * np.abs(cross).max()
 
 
 def test_unknown_variance_mode_rejected():
@@ -378,7 +435,7 @@ def test_leverage_scores_match_dense_oracle(name):
     scores = expected
     if res.stacked_parts is not None:
         scores = corrected_scores(scores, res.stacked_parts)
-    binv = np.linalg.inv(res.bread)
+    binv = np.linalg.inv(res.parts.bread)
     vcov = binv @ score_meat(scores) @ binv.T
     assert np.abs(res.vcov - vcov).max() <= 1e-10 * np.abs(vcov).max()
 
