@@ -20,14 +20,6 @@ from .estimators import (
     FitResult,
     closed_form_gaps,
     fit,
-    fit_a2emee,
-    fit_a2wcls,
-    fit_a2wcls_lagged,
-    fit_emee,
-    fit_lin_per_time,
-    fit_unadjusted_per_time,
-    fit_wcls,
-    fit_wcls_per_time,
     wls_solve,
     with_variance_mode,
 )

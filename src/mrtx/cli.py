@@ -27,9 +27,12 @@ import numpy as np
 from . import errors
 from .data import load_csv, moderator_schema
 from .estimators import (
+    ADJUSTED,
     CENTERING_KINDS,
     EstimatorConfig,
     METHODS,
+    PER_TIME,
+    PROXIMAL,
     VARIANCE_MODES,
     closed_form_gaps,
     fit as run_fit,
@@ -79,6 +82,8 @@ def _write_csv(path, rows: list[dict]) -> None:
 
 _DEFAULT_METHODS = {"lagged_eq12": ("wcls", "a2wcls_lagged"),
                     "binary_demo": ("emee", "a2emee")}
+_CONFIG_KEYS = ("kind", "n", "horizon", "beta0", "beta1", "eta", "seed", "methods",
+                "variance", "lag")
 
 
 def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
@@ -98,7 +103,12 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
                 if "=" not in line:
                     raise errors.ConfigParse(f"{path}:{lineno}: expected key = value")
                 key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                key = key.strip()
+                if key not in _CONFIG_KEYS:
+                    raise errors.ConfigParse(f"{path}:{lineno}: unknown key {key!r}")
+                if key in values:
+                    raise errors.ConfigParse(f"{path}:{lineno}: duplicate key {key!r}")
+                values[key] = val.strip()
     except OSError as exc:
         raise errors.ConfigParse(f"cannot read config {path}: {exc}") from None
     required = ("kind", "n", "horizon")
@@ -133,17 +143,16 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
     for m in methods:
         if m not in METHODS:
             raise errors.ConfigParse(f"unknown method {m!r} in methods")
-        if m.endswith("per_time"):
+        if m in PER_TIME:
             raise errors.ConfigParse(
                 "per-time methods need a decision index; use the fit verb")
     variance = values.get("variance", "plain_sandwich")
     if variance not in VARIANCE_MODES:
         raise errors.ConfigParse(f"unknown variance mode {variance!r}")
-    # only wcls and a2wcls_lagged address a lagged outcome, and only the
-    # continuous auxiliary-adjusted fits take a stacked variance
+    # proximal methods keep lag 1; only the adjusted fits take a stacked variance
     arms = [McArm(m, EstimatorConfig(
-        method=m, lag=lag if m in ("wcls", "a2wcls_lagged") else 1,
-        variance_mode=variance if m in ("a2wcls", "a2wcls_lagged") else "plain_sandwich"))
+        method=m, lag=1 if m in PROXIMAL else lag,
+        variance_mode=variance if m in ADJUSTED else "plain_sandwich"))
         for m in methods]
     return spec, arms
 
@@ -242,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo for a config file")
     p_sim.add_argument("--config", required=True,
-                       help="key = value file; keys: kind, n, horizon, beta0, "
-                            "beta1, eta, seed, methods, variance, lag")
+                       help="key = value file; keys: " + ", ".join(_CONFIG_KEYS))
     p_sim.add_argument("--replicates", type=_positive_int, required=True)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--workers", type=_positive_int, default=1)

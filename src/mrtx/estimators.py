@@ -17,8 +17,9 @@ are assembled:
   damped Newton (``emee``), with an alternating centering loop for the
   auxiliary-adjusted variant (``a2emee``).
 
-Robust variance always comes from retained per-subject scores; see
-:mod:`mrtx.variance`.
+Every method is fitted through :func:`fit`, which checks the method rules
+(``PER_TIME``, ``PROXIMAL``, ``ADJUSTED``) once. Robust variance always comes
+from retained per-subject scores; see :mod:`mrtx.variance`.
 """
 
 from __future__ import annotations
@@ -55,8 +56,12 @@ from .variance import (
     stacked_small_sample,
 )
 
-METHODS = ("unadjusted_per_time", "wcls_per_time", "lin_per_time",
-           "wcls", "a2wcls", "a2wcls_lagged", "emee", "a2emee")
+# the method rules: per-time fits need a decision index, proximal methods
+# address the lag-1 outcome only, adjusted methods take a CenteringModel
+PER_TIME = ("unadjusted_per_time", "wcls_per_time", "lin_per_time")
+METHODS = PER_TIME + ("wcls", "a2wcls", "a2wcls_lagged", "emee", "a2emee")
+PROXIMAL = PER_TIME + ("a2wcls", "emee", "a2emee")
+ADJUSTED = ("a2wcls", "a2wcls_lagged")
 VARIANCE_MODES = ("plain_sandwich", "stacked", "stacked_small_sample")
 CENTERING_KINDS = ("orthogonal", "global_mean", "time_specific_mean")
 _BINARY = ("emee", "a2emee")
@@ -85,8 +90,10 @@ class EstimatorConfig:
             raise DimensionMismatch(f"unknown centering kind {self.centering_kind!r}")
         if self.method == "a2wcls_lagged" and self.lag < 2:
             raise DimensionMismatch("a2wcls_lagged requires lag >= 2")
-        if self.method in ("a2wcls", "emee", "a2emee") and self.lag != 1:
+        if self.method in PROXIMAL and self.lag != 1:
             raise DimensionMismatch(f"{self.method} is a proximal method (lag = 1)")
+        if self.method == "a2emee" and self.centering_kind != "orthogonal":
+            raise DimensionMismatch("a2emee solves its own centering: orthogonal kind only")
         check_ci_level(self.ci_level)
 
 
@@ -252,10 +259,10 @@ def _vcov(parts, sp, mode):
     return stacked_small_sample(parts, sp)
 
 
-def _assemble(method, names, estimates, beta0_idx, beta1_idx, parts, sp,
-              config, n_iter=0, trace=()):
+def _assemble(names, estimates, beta0_idx, beta1_idx, parts, sp, config,
+              n_iter=0, trace=()):
     return FitResult(
-        method=method,
+        method=config.method,
         param_names=tuple(names),
         estimates=estimates,
         vcov=_vcov(parts, sp, config.variance_mode),
@@ -326,6 +333,10 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     cols, names = [], []
 
     if lagged:
+        # lagged-outcome working models: each intermediate decision point t+u
+        # contributes a centered-treatment block (A_{t+u} - p_{t+u}) with
+        # intercept and auxiliary-slope columns; the time-t centering term is
+        # spanned by the moderator features
         for u in range(1, ds.lag):
             ca_u = ds.usable(ds.a, u) - ds.usable(ds.p, u)
             z_u = ds.usable(ds.z, u)
@@ -379,65 +390,7 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
         sp = StackedParts(u_theta_scores=cm.score_meta,
                           cross_derivative=np.kron(gram[:, b0_idx], beta[b1_idx]),
                           theta_bread=-np.kron(cm.gram, np.eye(len(b1_idx))))
-    return _assemble(config.method, names, beta, b0_idx, b1_idx, parts, sp, config)
-
-
-def _resolve_centering(ds: MrtDataset, cm: CenteringModel | None,
-                       config: EstimatorConfig) -> CenteringModel:
-    if cm is not None:
-        return cm
-    if config.centering_kind == "orthogonal":
-        return fit_centering(ds)
-    mu = naive_centerings(ds, config.centering_kind)
-    return centering_from_rows(ds, mu, config.centering_kind)
-
-
-# ---------------------------------------------------------------------------
-# public continuous-outcome fits
-
-
-def fit_wcls(ds: MrtDataset, config: EstimatorConfig | None = None) -> FitResult:
-    """Pooled weighted-and-centered least squares for the lag-``ds.lag`` effect."""
-    config = config or EstimatorConfig(method="wcls", lag=ds.lag)
-    return _fit_pooled(ds, replace(config, method="wcls"), cm=None, lagged=False)
-
-
-def fit_a2wcls(ds: MrtDataset, cm: CenteringModel | None = None,
-               config: EstimatorConfig | None = None) -> FitResult:
-    """Auxiliary-adjusted pooled criterion for the proximal effect."""
-    config = config or EstimatorConfig(method="a2wcls")
-    config = replace(config, method="a2wcls")
-    cm = _resolve_centering(ds, cm, config)
-    return _fit_pooled(ds, config, cm=cm, lagged=False)
-
-
-def fit_a2wcls_lagged(ds: MrtDataset, cm: CenteringModel | None = None,
-                      config: EstimatorConfig | None = None) -> FitResult:
-    """Lagged-outcome criterion with intermediate-decision working models.
-
-    For each intermediate decision point ``t+u`` the working model
-    contributes a centered-treatment block ``(A_{t+u} - p_{t+u})`` with
-    intercept and auxiliary-slope columns; the time-``t`` centering term is
-    spanned by the moderator features. Auxiliary adjustment and variance
-    handling match :func:`fit_a2wcls`.
-    """
-    if ds.lag < 2:
-        raise DimensionMismatch("a2wcls_lagged requires a dataset with lag >= 2")
-    if ds.horizon < ds.lag:
-        raise LagHorizonExceeded(f"lag {ds.lag} exceeds panel horizon {ds.horizon}")
-    config = config or EstimatorConfig(method="a2wcls_lagged", lag=ds.lag)
-    config = replace(config, method="a2wcls_lagged", lag=ds.lag)
-    cm = _resolve_centering(ds, cm, config)
-    return _fit_pooled(ds, config, cm=cm, lagged=True)
-
-
-def _per_time_rows(ds: MrtDataset, t: int):
-    if ds.lag != 1:
-        raise DimensionMismatch("per-time estimators address the proximal outcome (lag 1)")
-    sel = ds.t == t
-    if not sel.any():
-        raise DimensionMismatch(f"decision index t={t} not present")
-    return sel
+    return _assemble(names, beta, b0_idx, b1_idx, parts, sp, config)
 
 
 def _centered_controls(g: np.ndarray):
@@ -450,10 +403,12 @@ def _centered_controls(g: np.ndarray):
     return centered[:, keep], keep
 
 
-def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig,
-                  with_controls: bool, with_interactions: bool,
-                  method: str) -> FitResult:
-    sel = _per_time_rows(ds, t)
+def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig) -> FitResult:
+    """Proximal effect at decision ``t``: ``wcls_per_time`` adds mean-centered
+    controls to the unadjusted fit, ``lin_per_time`` also their interactions."""
+    sel = ds.t == t
+    if not sel.any():
+        raise DimensionMismatch(f"decision index t={t} not present")
     y = ds.y[sel]
     ca = (ds.a.astype(float) - ds.p)[sel]          # centered at the true p_t
     n = y.shape[0]
@@ -461,7 +416,7 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig,
     names = ["alpha:1"]
     b1_idx = np.arange(0)
     kept_names: tuple[str, ...] = ()
-    if with_controls:
+    if config.method != "unadjusted_per_time":
         gt, keep = _centered_controls(ds.g[sel][:, [i for i, nm in enumerate(ds.g_names)
                                                     if nm != "1"]])
         kept_names = tuple(nm for nm in ds.g_names if nm != "1")
@@ -471,7 +426,7 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig,
     b0_pos = sum(c.shape[1] for c in cols)
     cols.append(ca[:, None])
     names.append("beta0:1")
-    if with_interactions and with_controls:
+    if config.method == "lin_per_time":
         start = sum(c.shape[1] for c in cols)
         cols.append(ca[:, None] * cols[1])
         names.extend(f"beta1:{nm}~t{t}" for nm in kept_names)
@@ -480,29 +435,7 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig,
     w = np.ones(n)
     beta, gram = wls_solve(X, y, w, n)
     parts = _ls_parts(X, y, w, beta, gram, n, 1)
-    return _assemble(method, names, beta, np.array([b0_pos]), b1_idx, parts, None,
-                     config)
-
-
-def fit_unadjusted_per_time(ds: MrtDataset, t: int,
-                            config: EstimatorConfig | None = None) -> FitResult:
-    """Proximal effect at decision ``t`` from outcome and treatment alone."""
-    config = config or EstimatorConfig(method="unadjusted_per_time")
-    return _fit_per_time(ds, t, config, False, False, "unadjusted_per_time")
-
-
-def fit_wcls_per_time(ds: MrtDataset, t: int,
-                      config: EstimatorConfig | None = None) -> FitResult:
-    """Adds mean-centered controls to the per-time criterion."""
-    config = config or EstimatorConfig(method="wcls_per_time")
-    return _fit_per_time(ds, t, config, True, False, "wcls_per_time")
-
-
-def fit_lin_per_time(ds: MrtDataset, t: int,
-                     config: EstimatorConfig | None = None) -> FitResult:
-    """Adds centered controls and their treatment interactions."""
-    config = config or EstimatorConfig(method="lin_per_time")
-    return _fit_per_time(ds, t, config, True, True, "lin_per_time")
+    return _assemble(names, beta, np.array([b0_pos]), b1_idx, parts, None, config)
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +569,12 @@ def _binary_result(ds: MrtDataset, config: EstimatorConfig, evaluate, X: np.ndar
     names = [f"alpha:{n}" for n in ds.g_names] + feat_names
     b0_idx = np.arange(ds.d, ds.d + ds.q)
     b1_idx = np.arange(ds.d + ds.q, ds.d + len(feat_names))
-    return _assemble(config.method, names, params, b0_idx, b1_idx, parts, None, config,
+    return _assemble(names, params, b0_idx, b1_idx, parts, None, config,
                      n_iter=n_iter, trace=trace)
 
 
-def fit_emee(ds: MrtDataset, config: EstimatorConfig | None = None) -> FitResult:
+def _fit_emee(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     """Log-relative-risk excursion effect for binary outcomes (damped Newton)."""
-    config = config or EstimatorConfig(method="emee")
-    config = replace(config, method="emee")
     _check_binary(ds)
     evaluate, X = _emee_system(ds, ds.f)
     params, n_iter, trace = _newton(evaluate, _emee_init(ds))
@@ -651,8 +582,7 @@ def fit_emee(ds: MrtDataset, config: EstimatorConfig | None = None) -> FitResult
                           [f"beta0:{n}" for n in ds.f_names], n_iter, trace)
 
 
-def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
-               config: EstimatorConfig | None = None) -> FitResult:
+def _fit_a2emee(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     """Auxiliary-adjusted binary fit via an alternating centering loop.
 
     The centering coefficients solve, per auxiliary column, the first-order
@@ -664,10 +594,6 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
     pass builds the sandwich. Since ``theta`` solves this binary condition,
     no centering model or kind is taken.
     """
-    config = config or EstimatorConfig(method="a2emee")
-    config = replace(config, method="a2emee")
-    if cm is not None or config.centering_kind != "orthogonal":
-        raise DimensionMismatch("a2emee solves its own centering: no cm, orthogonal kind only")
     if ds.p_z < 1:
         raise DimensionMismatch("a2emee requires auxiliary columns")
     _check_binary(ds)
@@ -702,22 +628,30 @@ def fit_a2emee(ds: MrtDataset, cm: CenteringModel | None = None,
 
 def fit(ds: MrtDataset, config: EstimatorConfig,
         cm: CenteringModel | None = None, t: int | None = None) -> FitResult:
-    """Run the configured estimator on ``ds`` (``t`` for per-time methods)."""
+    """Run the configured estimator on ``ds``, the one entry for every method:
+    an ``ADJUSTED`` method takes an optional centering model ``cm`` (else one of
+    ``config.centering_kind`` is fitted), and only a ``PER_TIME`` method takes ``t``."""
+    method = config.method
     if config.lag != ds.lag:
         raise DimensionMismatch(
             f"config lag {config.lag} does not match dataset lag {ds.lag}")
-    if config.method.endswith("per_time"):
+    if ds.horizon < ds.lag:
+        raise LagHorizonExceeded(f"lag {ds.lag} exceeds panel horizon {ds.horizon}")
+    if cm is not None and method not in ADJUSTED:
+        raise DimensionMismatch("a2emee solves its own centering: no cm" if method == "a2emee"
+                                else f"{method} takes no centering model")
+    if method in PER_TIME:
         if t is None:
             raise DimensionMismatch("per-time methods need a decision index t")
-        return {"unadjusted_per_time": fit_unadjusted_per_time,
-                "wcls_per_time": fit_wcls_per_time,
-                "lin_per_time": fit_lin_per_time}[config.method](ds, t, config)
-    if config.method == "wcls":
-        return fit_wcls(ds, config)
-    if config.method == "a2wcls":
-        return fit_a2wcls(ds, cm, config)
-    if config.method == "a2wcls_lagged":
-        return fit_a2wcls_lagged(ds, cm, config)
-    if config.method == "emee":
-        return fit_emee(ds, config)
-    return fit_a2emee(ds, cm, config)
+        return _fit_per_time(ds, t, config)
+    if t is not None:
+        raise DimensionMismatch(f"{method} takes no decision index t")
+    if method in ADJUSTED:
+        kind = config.centering_kind
+        if cm is None:
+            cm = fit_centering(ds) if kind == "orthogonal" else \
+                centering_from_rows(ds, naive_centerings(ds, kind), kind)
+        return _fit_pooled(ds, config, cm, lagged=method == "a2wcls_lagged")
+    if method == "wcls":
+        return _fit_pooled(ds, config, None, lagged=False)
+    return _fit_emee(ds, config) if method == "emee" else _fit_a2emee(ds, config)

@@ -367,7 +367,7 @@ def compute_metrics(est_m, se_m, var_m, cover_m, est_b, var_b, truth: float) -> 
         "mre": float(np.mean(var_b / var_m)),
         "rsd": rsd,
         "mc_sd": sd_m,
-        "mc_se": sd_m / np.sqrt(max(est_m.size, 1)),
+        "mc_se": sd_m / float(np.sqrt(max(est_m.size, 1))),
         "bias": float(np.mean(est_m)) - truth,
     }
 

@@ -9,12 +9,7 @@ benchmark conflict (three criterion-1 cells) is documented in the README's
 import numpy as np
 
 from mrtx.data import moderator_schema
-from mrtx.estimators import (
-    EstimatorConfig,
-    closed_form_gaps,
-    fit_a2emee,
-    fit_emee,
-)
+from mrtx.estimators import EstimatorConfig, closed_form_gaps, fit
 from mrtx.replication import run_table
 from mrtx.simulation import DgmSpec, McArm, gen_panel, run_monte_carlo, _rng_for
 
@@ -172,7 +167,7 @@ def test_criterion_09_binary_properties():
     ests = []
     for r in range(reps):
         ds = gen_panel(spec, rng=_rng_for(spec, r))
-        ests.append(fit_emee(ds).beta0[0])
+        ests.append(fit(ds, EstimatorConfig(method="emee")).beta0[0])
     ests = np.array(ests)
     mc_se = ests.std(ddof=1) / np.sqrt(reps)
     recovers = abs(ests.mean() - 0.2) <= 3 * mc_se
@@ -183,8 +178,8 @@ def test_criterion_09_binary_properties():
     last = None
     for r in range(100):
         ds = gen_panel(pair_spec, rng=_rng_for(pair_spec, r))
-        fe = fit_emee(ds)
-        fa = fit_a2emee(ds)
+        fe = fit(ds, EstimatorConfig(method="emee"))
+        fa = fit(ds, EstimatorConfig(method="a2emee"))
         diffs.append(fa.beta0[0] - fe.beta0[0])
         ratios.append(fe.vcov_beta0[0, 0] / fa.vcov_beta0[0, 0])
         a2_ests.append(fa.beta0[0])
@@ -212,8 +207,7 @@ def test_criterion_10_numerical_invariants():
     spec = DgmSpec(kind="lagged_eq12", n=120, horizon=12, beta0=-0.1,
                    beta1=0.5, seed=SEED)
     ds = gen_panel(spec)
-    from mrtx.estimators import fit_a2wcls_lagged
-    res = fit_a2wcls_lagged(ds)
+    res = fit(ds, EstimatorConfig(method="a2wcls_lagged", lag=2))
     parts = res.parts
     X = parts.model_matrix.reshape(-1, parts.dim)
     w = parts.weights.reshape(-1)

@@ -9,7 +9,7 @@ import pytest
 from mrtx import errors, estimators
 from mrtx.data import from_columns, moderator_schema
 from mrtx.centering import centering_from_rows
-from mrtx.estimators import EstimatorConfig, fit, fit_a2emee, fit_emee
+from mrtx.estimators import EstimatorConfig, fit
 from mrtx.simulation import DgmSpec, gen_panel
 
 from conftest import build_panel
@@ -66,7 +66,7 @@ def bisection_oracle(ds, lo=-2.0, hi=2.0, tol=1e-12):
 
 def test_emee_matches_bisection_oracle_and_truth():
     ds = binary_panel(100_000, 10, rr=0.2, seed=1)
-    res = fit_emee(ds)
+    res = fit(ds, EstimatorConfig(method="emee"))
     oracle = bisection_oracle(ds)
     assert res.beta0[0] == pytest.approx(oracle, abs=1e-8)
     assert abs(res.beta0[0] - 0.2) <= 3 * res.se[0]
@@ -74,13 +74,13 @@ def test_emee_matches_bisection_oracle_and_truth():
 
 def test_emee_null_effect():
     ds = binary_panel(50_000, 10, rr=0.0, seed=2)
-    res = fit_emee(ds)
+    res = fit(ds, EstimatorConfig(method="emee"))
     assert abs(res.beta0[0]) <= 3 * res.se[0]
 
 
 def test_emee_root_residual():
     ds = binary_panel(2_000, 8, rr=0.2, seed=3)
-    res = fit_emee(ds)
+    res = fit(ds, EstimatorConfig(method="emee"))
     from mrtx.estimators import _emee_system
     evaluate, _ = _emee_system(ds, ds.f)
     _, u, _ = evaluate(res.estimates, False)
@@ -93,18 +93,18 @@ def test_cross_sectional_log_ratio_oracle():
     ds = binary_panel(50_000, 1, rr=0.2, seed=4)
     y, a = ds.y, ds.a
     log_ratio = np.log(y[a == 1].mean() / y[a == 0].mean())
-    res = fit_emee(ds)
+    res = fit(ds, EstimatorConfig(method="emee"))
     assert res.beta0[0] == pytest.approx(log_ratio, abs=1e-10)
     # with a pure-noise auxiliary the adjusted fit agrees asymptotically
-    adj = fit_a2emee(ds)
+    adj = fit(ds, EstimatorConfig(method="a2emee"))
     assert adj.beta0[0] == pytest.approx(log_ratio, abs=0.5 * res.se[0])
 
 
 def test_a2emee_matches_emee_under_null_moderation():
     spec = DgmSpec(kind="binary_demo", n=20_000, horizon=10, beta0=0.2, seed=5)
     ds = gen_panel(spec)
-    base = fit_emee(ds)
-    adj = fit_a2emee(ds)
+    base = fit(ds, EstimatorConfig(method="emee"))
+    adj = fit(ds, EstimatorConfig(method="a2emee"))
     assert adj.converged
     assert abs(adj.beta1[0]) <= 4 * adj.se_all[-1]
     assert adj.beta0[0] == pytest.approx(base.beta0[0], abs=2 * base.se[0])
@@ -113,7 +113,7 @@ def test_a2emee_matches_emee_under_null_moderation():
 def test_a2emee_trace_decreases():
     spec = DgmSpec(kind="binary_demo", n=3_000, horizon=10, beta0=0.2, seed=6)
     ds = gen_panel(spec)
-    adj = fit_a2emee(ds)
+    adj = fit(ds, EstimatorConfig(method="a2emee"))
     trace = adj.ee_norm_trace
     # recorded for inspection: the alternating loop settles after a few passes
     assert len(trace) >= 1
@@ -123,14 +123,14 @@ def test_a2emee_trace_decreases():
 def test_binary_outcome_validation():
     ds = build_panel(10, 4, y=np.random.default_rng(0).standard_normal(40))
     with pytest.raises(errors.DimensionMismatch):
-        fit_emee(ds)
+        fit(ds, EstimatorConfig(method="emee"))
 
 
 def test_newton_nonconvergence_reported(monkeypatch):
     ds = binary_panel(500, 6, rr=0.2, seed=7)
     monkeypatch.setattr(estimators, "_MAX_ITER", 1)
     with pytest.raises(errors.NonConvergence):
-        fit_emee(ds)
+        fit(ds, EstimatorConfig(method="emee"))
 
 
 def test_a2emee_requires_auxiliary():
@@ -144,14 +144,12 @@ def test_a2emee_requires_auxiliary():
     }
     ds = from_columns(cols, moderator_schema(), lag=1, y_is_aligned=True)
     with pytest.raises(errors.DimensionMismatch):
-        fit_a2emee(ds)
+        fit(ds, EstimatorConfig(method="a2emee"))
 
 
 def test_a2emee_refuses_outside_centering():
     ds = binary_panel(200, 6, rr=0.2, seed=11)
     cm = centering_from_rows(ds, np.full(ds.z.shape, 5.0), "global_mean")
-    with pytest.raises(errors.DimensionMismatch, match="a2emee solves its own centering"):
-        fit_a2emee(ds, cm)
     with pytest.raises(errors.DimensionMismatch, match="a2emee solves its own centering"):
         fit(ds, EstimatorConfig(method="a2emee"), cm)
     for kind in ("global_mean", "time_specific_mean"):
@@ -161,16 +159,16 @@ def test_a2emee_refuses_outside_centering():
 
 
 @pytest.mark.parametrize("value, word", [(0.0, "zero"), (1.0, "one")])
-@pytest.mark.parametrize("fitter", [fit_emee, fit_a2emee], ids=["emee", "a2emee"])
-def test_constant_binary_outcome_rejected(fitter, value, word):
+@pytest.mark.parametrize("method", ["emee", "a2emee"])
+def test_constant_binary_outcome_rejected(method, value, word):
     ds = build_panel(10, 4, y=np.full(40, value))
     with pytest.raises(errors.DimensionMismatch, match=f"identically {word}"):
-        fitter(ds)
+        fit(ds, EstimatorConfig(method=method))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("fitter", [fit_emee, fit_a2emee], ids=["emee", "a2emee"])
-def test_huge_control_is_typed_error(fitter):
+@pytest.mark.parametrize("method", ["emee", "a2emee"])
+def test_huge_control_is_typed_error(method):
     # the aux column z is also a control, so it enters every EMEE design
     ds = binary_panel(200, 6, seed=3)
     cols = {k: np.asarray(v) for k, v in ds.columns.items()}
@@ -178,12 +176,12 @@ def test_huge_control_is_typed_error(fitter):
     ds = from_columns(cols, moderator_schema(aux=("z",), controls=("z",)), lag=1,
                       y_is_aligned=True)
     with pytest.raises(errors.SingularJacobian, match="non-finite"):
-        fitter(ds)
+        fit(ds, EstimatorConfig(method=method))
 
 
 _POOL_PROBE = """
 import os, threading, time
-from mrtx.estimators import fit_a2emee, fit_emee
+from mrtx.estimators import EstimatorConfig, fit
 from mrtx.simulation import DgmSpec, gen_panel
 
 def other_threads_cpu_s():
@@ -203,8 +201,8 @@ ds = gen_panel(DgmSpec(kind="binary_demo", n=2000, horizon=10, beta0=0.2, seed=1
 print(len(os.listdir("/proc/self/task")))
 time.sleep(0.5)         # let the BLAS threads' start-up spin end
 before = other_threads_cpu_s()
-fit_emee(ds)
-fit_a2emee(ds)
+fit(ds, EstimatorConfig(method="emee"))
+fit(ds, EstimatorConfig(method="a2emee"))
 time.sleep(0.3)         # a woken thread spins on after the call returns
 print(other_threads_cpu_s() - before)
 """

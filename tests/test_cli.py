@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -136,6 +137,33 @@ def test_simulate_bad_arm_settings_are_config_parse(tmp_path, capsys, key, value
     code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
     assert code == 28               # ConfigParse
     assert f"error[ConfigParse]: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bata1 = 0.8", "unknown key 'bata1'"), ("n = 20", "duplicate key 'n'")])
+def test_simulate_unknown_or_repeated_key_is_config_parse(tmp_path, capsys, line, message):
+    cfg = tmp_path / "dgm.cfg"
+    write_config(cfg, kind="proximal_j2", n=10, horizon=6)
+    with open(cfg, "a") as fh:
+        fh.write(line + "\n")
+    code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
+    assert code == 28               # ConfigParse
+    assert f"error[ConfigParse]: {cfg}:5: {message}" in capsys.readouterr().err
+
+
+def test_simulate_metrics_csv_cells_are_numbers(tmp_path, capsys):
+    cfg = tmp_path / "dgm.cfg"
+    write_config(cfg, kind="proximal_j2", n=20, horizon=6, seed=7)
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(cfg), "--replicates", "5", "--out", out]) == 0
+    capsys.readouterr()
+    with open(out + "_metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        for key, value in row.items():
+            if key not in ("method", "coef"):
+                float(value)
 
 
 def test_simulate_readme_config_example(tmp_path, capsys):

@@ -8,16 +8,7 @@ point estimates must center on the target within Monte Carlo error, and the
 import numpy as np
 import pytest
 
-from mrtx.estimators import (
-    EstimatorConfig,
-    fit,
-    fit_a2emee,
-    fit_emee,
-    fit_lin_per_time,
-    fit_unadjusted_per_time,
-    fit_wcls_per_time,
-    with_variance_mode,
-)
+from mrtx.estimators import PER_TIME, EstimatorConfig, fit, with_variance_mode
 from mrtx.simulation import DgmSpec, McArm, gen_panel, run_monte_carlo, _rng_for
 
 from conftest import build_panel
@@ -59,12 +50,12 @@ def per_time_panel(rng, n=1000, p=0.5):
     return build_panel(n, 1, a=a, p=np.full(n, p), y=y, g1=g)
 
 
-@pytest.mark.parametrize("fitter", [fit_unadjusted_per_time, fit_wcls_per_time,
-                                    fit_lin_per_time])
-def test_per_time_consistency(fitter):
+@pytest.mark.parametrize("method", PER_TIME)
+def test_per_time_consistency(method):
     reps = 500
     rng = np.random.default_rng(55)
-    ests = np.array([fitter(per_time_panel(rng), 1).beta0[0] for _ in range(reps)])
+    config = EstimatorConfig(method=method)
+    ests = np.array([fit(per_time_panel(rng), config, t=1).beta0[0] for _ in range(reps)])
     mc_se = ests.std(ddof=1) / np.sqrt(reps)
     assert abs(ests.mean() - 0.4) <= 3 * mc_se
 
@@ -112,8 +103,8 @@ def test_coverage_binary():
     hits_e = hits_a = 0
     for r in range(reps):
         ds = gen_panel(spec, rng=_rng_for(spec, r))
-        fe = fit_emee(ds)
-        fa = fit_a2emee(ds)
+        fe = fit(ds, EstimatorConfig(method="emee"))
+        fa = fit(ds, EstimatorConfig(method="a2emee"))
         hits_e += bool(fe.ci_lo[0] <= 0.2 <= fe.ci_hi[0])
         hits_a += bool(fa.ci_lo[0] <= 0.2 <= fa.ci_hi[0])
     for label, hits in (("emee", hits_e), ("a2emee", hits_a)):

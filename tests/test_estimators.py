@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from mrtx import errors, estimators
+from mrtx.centering import fit_centering
 from mrtx.data import from_columns, moderator_schema
 from mrtx.estimators import (
+    ADJUSTED,
+    METHODS,
+    PER_TIME,
+    PROXIMAL,
     EstimatorConfig,
     fit,
-    fit_a2wcls,
-    fit_a2wcls_lagged,
-    fit_unadjusted_per_time,
-    fit_wcls,
     with_variance_mode,
 )
 from mrtx.simulation import DgmSpec, gen_panel
@@ -30,7 +31,7 @@ def test_exact_linear_recovery():
     ds = build_panel(n, T, a=a, p=np.full(n * T, 0.5), y=y,
                      ptilde=np.full(n * T, 0.5),
                      schema=moderator_schema(aux=("z",), ptilde="ptilde"))
-    res = fit_wcls(ds)
+    res = fit(ds, EstimatorConfig(method="wcls"))
     assert res.beta0[0] == pytest.approx(c, abs=1e-12)
 
 
@@ -39,8 +40,8 @@ def test_subject_permutation_bit_identical():
     order = np.random.default_rng(5).permutation(72)
     shuffled = {k: np.asarray(v)[order] for k, v in cols.items()}
     schema = moderator_schema(aux=("z",), controls=("g1",))
-    f1 = fit_wcls(from_columns(cols, schema))
-    f2 = fit_wcls(from_columns(shuffled, schema))
+    f1 = fit(from_columns(cols, schema), EstimatorConfig(method="wcls"))
+    f2 = fit(from_columns(shuffled, schema), EstimatorConfig(method="wcls"))
     assert np.array_equal(f1.estimates, f2.estimates)
     assert np.array_equal(f1.vcov, f2.vcov)
 
@@ -67,8 +68,8 @@ def test_outcome_shift_equivariance():
     cols_shift = dict(cols)
     cols_shift["y"] = np.asarray(cols["y"]) + 12.5
     ds2 = from_columns(cols_shift, schema)
-    for fitter in (fit_wcls, lambda d: fit_a2wcls(d)):
-        r1, r2 = fitter(ds), fitter(ds2)
+    for method in ("wcls", "a2wcls"):
+        r1, r2 = (fit(d, EstimatorConfig(method=method)) for d in (ds, ds2))
         np.testing.assert_allclose(r1.beta0, r2.beta0, atol=1e-10)
         np.testing.assert_allclose(r1.beta1, r2.beta1, atol=1e-10)
         # only the intercept-type nuisance component moves
@@ -78,7 +79,7 @@ def test_outcome_shift_equivariance():
 def test_constant_auxiliary_degenerate():
     ds = build_panel(10, 4, z=np.full(40, 1.7))
     with pytest.raises(errors.DegenerateAuxiliary):
-        fit_a2wcls(ds)
+        fit(ds, EstimatorConfig(method="a2wcls"))
 
 
 @pytest.mark.parametrize("method,lag,aux", [
@@ -134,7 +135,7 @@ def test_single_decision_panel(method, mode):
 def test_a2_populates_both_blocks():
     spec = DgmSpec(kind="proximal_j2", n=60, horizon=10, beta0=-0.2, beta1=0.5, seed=4)
     ds = gen_panel(spec)
-    res = fit_a2wcls(ds)
+    res = fit(ds, EstimatorConfig(method="a2wcls"))
     assert res.beta0.shape == (1,)
     assert res.beta1.shape == (1,)
     assert res.beta1_names == ("beta1:z",)
@@ -149,8 +150,8 @@ def test_single_time_wcls_equals_per_time():
     ds = build_panel(n, 1, a=a, p=np.full(n, 0.5), y=y,
                      ptilde=np.full(n, 0.5),
                      schema=moderator_schema(aux=("z",), ptilde="ptilde"))
-    pooled = fit_wcls(ds)
-    per_time = fit_unadjusted_per_time(ds, 1)
+    pooled = fit(ds, EstimatorConfig(method="wcls"))
+    per_time = fit(ds, EstimatorConfig(method="unadjusted_per_time"), t=1)
     assert pooled.beta0[0] == pytest.approx(per_time.beta0[0], abs=1e-12)
     assert pooled.se[0] == pytest.approx(per_time.se[0], abs=1e-12)
 
@@ -161,9 +162,9 @@ def test_residual_orthogonality_all_linear_fits():
     prox = gen_panel(DgmSpec(kind="proximal_j2", n=40, horizon=8,
                              beta0=-0.2, beta1=0.5, seed=9))
     fits = [
-        (fit_wcls(ds, EstimatorConfig(method="wcls", lag=2)), ds),
-        (fit_a2wcls_lagged(ds), ds),
-        (fit_a2wcls(prox), prox),
+        (fit(ds, EstimatorConfig(method="wcls", lag=2)), ds),
+        (fit(ds, EstimatorConfig(method="a2wcls_lagged", lag=2)), ds),
+        (fit(prox, EstimatorConfig(method="a2wcls")), prox),
     ]
     for res, d in fits:
         parts = res.parts
@@ -192,8 +193,8 @@ def test_lagged_equals_wcls_without_post_effects():
     }
     schema = moderator_schema(aux=("z",), ptilde="pt")
     ds = from_columns(cols, schema, lag=2, y_is_aligned=True)
-    lagged = fit_a2wcls_lagged(ds)
-    plain = fit_wcls(ds, EstimatorConfig(method="wcls", lag=2))
+    lagged = fit(ds, EstimatorConfig(method="a2wcls_lagged", lag=2))
+    plain = fit(ds, EstimatorConfig(method="wcls", lag=2))
     assert lagged.beta0[0] == pytest.approx(-0.1, abs=1e-10)
     assert lagged.beta0[0] == pytest.approx(plain.beta0[0], abs=1e-8)
     est = dict(zip(lagged.param_names, lagged.estimates))
@@ -227,6 +228,30 @@ def test_config_validation():
         EstimatorConfig(method="nope")
 
 
+@pytest.mark.parametrize("rule, method", [
+    *[("proximal", m) for m in PROXIMAL],
+    ("orthogonal kind", "a2emee"),
+    *[("no centering model", m) for m in METHODS if m not in ADJUSTED],
+    *[("no decision index", m) for m in METHODS if m not in PER_TIME]])
+def test_method_rules(rule, method, small_panel):
+    if rule == "proximal":
+        with pytest.raises(errors.DimensionMismatch, match="proximal method"):
+            EstimatorConfig(method=method, lag=2)
+    elif rule == "orthogonal kind":
+        with pytest.raises(errors.DimensionMismatch, match="a2emee solves its own centering"):
+            EstimatorConfig(method=method, centering_kind="global_mean")
+    elif rule == "no centering model":
+        cm = fit_centering(small_panel)
+        config = EstimatorConfig(method=method)
+        with pytest.raises(errors.DimensionMismatch, match="centering"):
+            fit(small_panel, config, cm, t=1 if method in PER_TIME else None)
+    else:
+        lag = 2 if method == "a2wcls_lagged" else 1
+        ds = build_panel(8, 6, lag=lag, seed=3)
+        with pytest.raises(errors.DimensionMismatch, match="takes no decision index"):
+            fit(ds, EstimatorConfig(method=method, lag=lag), t=1)
+
+
 def test_dispatcher_lag_mismatch():
     ds = build_panel(5, 4)
     with pytest.raises(errors.DimensionMismatch):
@@ -237,14 +262,14 @@ def test_lag_horizon_exceeded():
     ds = build_panel(5, 1, lag=1)
     object.__setattr__(ds, "lag", 3)
     with pytest.raises(errors.LagHorizonExceeded):
-        fit_a2wcls_lagged(ds)
+        fit(ds, EstimatorConfig(method="a2wcls_lagged", lag=3))
 
 
 def test_naive_centering_refuses_stacked(small_panel):
     cfg = EstimatorConfig(method="a2wcls", variance_mode="stacked",
                           centering_kind="global_mean")
     with pytest.raises(errors.DimensionMismatch):
-        fit_a2wcls(small_panel, config=cfg)
+        fit(small_panel, cfg)
 
 
 def test_stacked_equals_plain_without_moderation_signal():
@@ -252,9 +277,8 @@ def test_stacked_equals_plain_without_moderation_signal():
     spec = DgmSpec(kind="nonmoderator_robust", n=2000, horizon=10,
                    beta0=-0.2, seed=6)
     ds = gen_panel(spec)
-    stacked = fit_a2wcls(ds, config=EstimatorConfig(method="a2wcls",
-                                                    variance_mode="stacked"))
-    plain = fit_a2wcls(ds, config=EstimatorConfig(method="a2wcls"))
+    stacked = fit(ds, EstimatorConfig(method="a2wcls", variance_mode="stacked"))
+    plain = fit(ds, EstimatorConfig(method="a2wcls"))
     assert stacked.se[0] == pytest.approx(plain.se[0], rel=1e-2)
 
 
@@ -273,11 +297,11 @@ def test_huge_outcome_is_variance_overflow(method, mode):
 def test_huge_auxiliary_is_singular_gram():
     ds = build_panel(8, 6, seed=3, z=panel_from_arrays(8, 6, seed=3)["z"] * 1e200)
     with pytest.raises(errors.SingularGram, match="non-finite"):
-        fit_a2wcls(ds)
+        fit(ds, EstimatorConfig(method="a2wcls"))
 
 
 def test_fit_summaries_computed_once(monkeypatch):
-    res = fit_wcls(build_panel(10, 5, seed=1))
+    res = fit(build_panel(10, 5, seed=1), EstimatorConfig(method="wcls"))
     calls = []
     real = estimators.confidence_intervals
 
@@ -295,7 +319,7 @@ def test_fit_summaries_computed_once(monkeypatch):
 def test_fit_result_frozen_and_summaries_read_only():
     ds = gen_panel(DgmSpec(kind="proximal_j2", n=40, horizon=6, beta0=-0.2,
                            beta1=0.5, seed=4))
-    res = fit_a2wcls(ds)
+    res = fit(ds, EstimatorConfig(method="a2wcls"))
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.vcov = 2.0 * res.vcov
     for arr in (res.se_all, res.ci_lo_all, res.ci_hi_all, res.p_value_all):

@@ -11,9 +11,8 @@ PUBLIC = {
     "CenteringModel", "centering_from_rows", "fit_centering", "naive_centerings",
     "orthogonality_residual",
     # estimators
-    "EstimatorConfig", "FitResult", "closed_form_gaps", "fit", "fit_a2emee", "fit_a2wcls",
-    "fit_a2wcls_lagged", "fit_emee", "fit_lin_per_time", "fit_unadjusted_per_time",
-    "fit_wcls", "fit_wcls_per_time", "wls_solve", "with_variance_mode",
+    "EstimatorConfig", "FitResult", "closed_form_gaps", "fit", "wls_solve",
+    "with_variance_mode",
     # variance
     "SandwichParts", "StackedParts", "confidence_intervals", "plain_sandwich",
     "stacked_sandwich",

@@ -12,11 +12,6 @@ from mrtx.estimators import (
     EstimatorConfig,
     _pooled_design,
     fit,
-    fit_a2wcls,
-    fit_a2wcls_lagged,
-    fit_emee,
-    fit_unadjusted_per_time,
-    fit_wcls,
     with_variance_mode,
 )
 from mrtx.simulation import DgmSpec, gen_panel, _rng_for
@@ -49,7 +44,7 @@ def test_single_time_matches_robust_ols_oracle():
     a = rng.integers(0, 2, n).astype(float)
     y = rng.standard_normal(n) * (1 + a) + a
     ds = build_panel(n, 1, a=a, p=np.full(n, 0.5), y=y)
-    res = fit_unadjusted_per_time(ds, 1)
+    res = fit(ds, EstimatorConfig(method="unadjusted_per_time"), t=1)
     X = np.column_stack([np.ones(n), a - 0.5])
     expected = hc0_oracle(X, y)
     np.testing.assert_allclose(res.vcov, expected, atol=1e-10)
@@ -63,7 +58,7 @@ def test_duplicated_subjects_halve_vcov():
     doubled["subject_id"] = np.concatenate([cols["subject_id"],
                                             np.asarray(cols["subject_id"]) + 1000])
     ds2 = from_columns(doubled, schema)
-    r1, r2 = fit_wcls(ds), fit_wcls(ds2)
+    r1, r2 = (fit(d, EstimatorConfig(method="wcls")) for d in (ds, ds2))
     # per-subject moments unchanged, so the scaled vcov is identical and the
     # doubled N halves the squared SE
     np.testing.assert_allclose(r2.vcov, r1.vcov, atol=1e-10)
@@ -95,13 +90,13 @@ def _ls_score(ds, res):
 @pytest.mark.parametrize("maker", [
     lambda: (gen_panel(DgmSpec(kind="proximal_j2", n=50, horizon=8,
                                beta0=-0.2, beta1=0.5, seed=3)),
-             lambda ds: fit_a2wcls(ds)),
+             lambda ds: fit(ds, EstimatorConfig(method="a2wcls"))),
     lambda: (gen_panel(DgmSpec(kind="lagged_eq12", n=50, horizon=8,
                                beta0=-0.1, beta1=0.5, seed=3)),
-             lambda ds: fit_a2wcls_lagged(ds)),
+             lambda ds: fit(ds, EstimatorConfig(method="a2wcls_lagged", lag=2))),
     lambda: (gen_panel(DgmSpec(kind="lagged_eq12", n=50, horizon=8,
                                beta0=-0.1, beta1=0.5, seed=4)),
-             lambda ds: fit_wcls(ds, EstimatorConfig(method="wcls", lag=2))),
+             lambda ds: fit(ds, EstimatorConfig(method="wcls", lag=2))),
 ])
 def test_finite_difference_bread(maker):
     ds, fitter = maker()
@@ -114,7 +109,7 @@ def test_finite_difference_bread(maker):
 def test_finite_difference_bread_binary():
     spec = DgmSpec(kind="binary_demo", n=400, horizon=6, beta0=0.2, seed=5)
     ds = gen_panel(spec)
-    res = fit_emee(ds)
+    res = fit(ds, EstimatorConfig(method="emee"))
     from mrtx.estimators import _emee_system
     evaluate, _ = _emee_system(ds, ds.f)
 
@@ -131,8 +126,7 @@ def test_vcov_symmetric_psd_over_fits():
                        beta1=0.5, seed=seed)
         ds = gen_panel(spec)
         for mode in ("plain_sandwich", "stacked", "stacked_small_sample"):
-            res = fit_a2wcls(ds, config=EstimatorConfig(method="a2wcls",
-                                                        variance_mode=mode))
+            res = fit(ds, EstimatorConfig(method="a2wcls", variance_mode=mode))
             v = res.vcov
             assert np.abs(v - v.T).max() <= 1e-12 * max(np.abs(v).max(), 1.0)
             eig = np.linalg.eigvalsh((v + v.T) / 2)
@@ -146,7 +140,7 @@ def test_scale_equivariance():
     scaled = dict(cols)
     scaled["y"] = np.asarray(cols["y"]) * 3.0
     ds2 = from_columns(scaled, schema)
-    r1, r2 = fit_wcls(ds), fit_wcls(ds2)
+    r1, r2 = (fit(d, EstimatorConfig(method="wcls")) for d in (ds, ds2))
     np.testing.assert_allclose(r2.beta0, 3.0 * r1.beta0, atol=1e-12)
     np.testing.assert_allclose(r2.se, 3.0 * r1.se, atol=1e-12)
     np.testing.assert_allclose(r2.ci_lo, 3.0 * r1.ci_lo, atol=1e-12)
@@ -156,7 +150,7 @@ def test_scale_equivariance():
 def test_stacked_reduces_to_plain_when_cross_derivative_zero():
     spec = DgmSpec(kind="proximal_j2", n=60, horizon=8, beta0=-0.2, beta1=0.5, seed=8)
     ds = gen_panel(spec)
-    res = fit_a2wcls(ds)
+    res = fit(ds, EstimatorConfig(method="a2wcls"))
     sp = res.stacked_parts
     from mrtx.variance import StackedParts
     zeroed = StackedParts(u_theta_scores=sp.u_theta_scores,
@@ -174,8 +168,7 @@ def test_stacked_exceeds_known_centering_on_average():
     diffs = []
     for rep in range(200):
         ds = gen_panel(spec, rng=_rng_for(spec, rep))
-        res = fit_a2wcls(ds, config=EstimatorConfig(method="a2wcls",
-                                                    variance_mode="stacked"))
+        res = fit(ds, EstimatorConfig(method="a2wcls", variance_mode="stacked"))
         plain = with_variance_mode(res, "plain_sandwich")
         diffs.append(res.se[0] - plain.se[0])
     assert np.mean(diffs) > 0
@@ -186,7 +179,7 @@ def test_small_sample_inflates_and_converges():
     inflations = []
     for rep in range(100):
         ds = gen_panel(spec, rng=_rng_for(spec, rep))
-        res = fit_wcls(ds)
+        res = fit(ds, EstimatorConfig(method="wcls"))
         corrected = with_variance_mode(res, "stacked_small_sample")
         inflations.append(corrected.se[0] / res.se[0])
     inflations = np.array(inflations)
@@ -194,14 +187,14 @@ def test_small_sample_inflates_and_converges():
 
     big = DgmSpec(kind="proximal_j2", n=2000, horizon=8, beta0=-0.2, beta1=0.5, seed=2)
     ds = gen_panel(big)
-    res = fit_wcls(ds)
+    res = fit(ds, EstimatorConfig(method="wcls"))
     corrected = with_variance_mode(res, "stacked_small_sample")
     assert corrected.se[0] / res.se[0] == pytest.approx(1.0, abs=0.01)
 
 
 def test_single_subject_guarded():
     ds = build_panel(1, 4, seed=5)
-    res = fit_wcls(ds)
+    res = fit(ds, EstimatorConfig(method="wcls"))
     with pytest.raises(errors.MrtxError):
         score_meat(leverage_adjusted_scores(res.parts))
 
@@ -282,11 +275,11 @@ def _duplicated_moderator_emee():
     m = rng.standard_normal(120)
     ds = build_panel(20, 6, y=(rng.random(120) < 0.3).astype(float), m1=m, m2=m,
                      schema=moderator_schema(moderators=("m1", "m2"), aux=("z",)))
-    fit_emee(ds)
+    fit(ds, EstimatorConfig(method="emee"))
 
 
 def _zero_theta_bread():
-    res = fit_a2wcls(build_panel(20, 6, seed=2))
+    res = fit(build_panel(20, 6, seed=2), EstimatorConfig(method="a2wcls"))
     sp = res.stacked_parts
     stacked_sandwich(res.parts, replace(sp, theta_bread=np.zeros_like(sp.theta_bread)))
 
@@ -294,7 +287,7 @@ def _zero_theta_bread():
 def _saturated_single_subject():
     # three usable rows for three parameters: H = I, so I - H vanishes
     ds = build_panel(1, 3, seed=0, a=[1, 0, 1])
-    fit_wcls(ds, EstimatorConfig(method="wcls", variance_mode="stacked_small_sample"))
+    fit(ds, EstimatorConfig(method="wcls", variance_mode="stacked_small_sample"))
 
 
 @pytest.mark.parametrize("exc, trigger", [
@@ -311,7 +304,7 @@ def test_same_variance_mode_reproduces_every_derived_field():
     ds = gen_panel(DgmSpec(kind="proximal_j2", n=40, horizon=6, beta0=-0.2,
                            beta1=0.5, seed=4))
     for mode in ("plain_sandwich", "stacked", "stacked_small_sample"):
-        res = fit_a2wcls(ds, config=EstimatorConfig(method="a2wcls", variance_mode=mode))
+        res = fit(ds, EstimatorConfig(method="a2wcls", variance_mode=mode))
         again = with_variance_mode(res, res.variance_mode)
         for name in ("alpha", "beta0", "beta1", "beta0_names", "beta1_names", "vcov",
                      "vcov_beta0", "se", "se_all", "ci_lo", "ci_lo_all", "ci_hi",
@@ -376,7 +369,7 @@ def test_finite_difference_cross_derivative(spec, method):
 
 
 def test_unknown_variance_mode_rejected():
-    res = fit_wcls(build_panel(10, 5, seed=1))
+    res = fit(build_panel(10, 5, seed=1), EstimatorConfig(method="wcls"))
     with pytest.raises(errors.DimensionMismatch, match="unknown variance mode 'bogus'"):
         with_variance_mode(res, "bogus")
 
@@ -398,29 +391,26 @@ def _subject_varying_weights_wcls():
     p = np.repeat(np.random.default_rng(6).uniform(0.2, 0.8, n), T)
     rng = np.random.default_rng(7)
     ds = build_panel(n, T, seed=7, p=p, a=(rng.random(n * T) < p).astype(float))
-    res = fit_wcls(ds, EstimatorConfig(method="wcls", variance_mode="stacked_small_sample"))
+    res = fit(ds, EstimatorConfig(method="wcls", variance_mode="stacked_small_sample"))
     assert np.ptp(res.parts.weights.mean(axis=1)) > 0.1     # weights differ across subjects
     return ds, res
 
 
-def _panel_fit(spec, fitter):
+def _panel_fit(spec, config):
     ds = gen_panel(spec)
-    return ds, fitter(ds)
+    return ds, fit(ds, config)
 
 
 _SMALL_SAMPLE_FITS = {
     "a2wcls_proximal": lambda: _panel_fit(
         DgmSpec(kind="proximal_j2", n=60, horizon=10, beta0=-0.2, beta1=0.5, seed=11),
-        lambda ds: fit_a2wcls(ds, config=EstimatorConfig(
-            method="a2wcls", variance_mode="stacked_small_sample"))),
+        EstimatorConfig(method="a2wcls", variance_mode="stacked_small_sample")),
     "wcls_lag2": lambda: _panel_fit(
         DgmSpec(kind="lagged_eq12", n=60, horizon=10, beta0=-0.1, beta1=0.5, seed=12),
-        lambda ds: fit_wcls(ds, EstimatorConfig(
-            method="wcls", lag=2, variance_mode="stacked_small_sample"))),
+        EstimatorConfig(method="wcls", lag=2, variance_mode="stacked_small_sample")),
     "a2wcls_lagged_lag2": lambda: _panel_fit(
         DgmSpec(kind="lagged_eq12", n=60, horizon=10, beta0=-0.1, beta1=0.5, seed=13),
-        lambda ds: fit_a2wcls_lagged(ds, config=EstimatorConfig(
-            method="a2wcls_lagged", lag=2, variance_mode="stacked_small_sample"))),
+        EstimatorConfig(method="a2wcls_lagged", lag=2, variance_mode="stacked_small_sample")),
     "wcls_subject_weights": _subject_varying_weights_wcls,
 }
 
@@ -460,7 +450,7 @@ def test_leverage_scores_build_no_hat_array():
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
 def test_bad_ci_level_is_dimension_mismatch(level):
-    res = fit_wcls(build_panel(10, 5, seed=1))
+    res = fit(build_panel(10, 5, seed=1), EstimatorConfig(method="wcls"))
     with pytest.raises(errors.DimensionMismatch, match="ci_level must lie in"):
         with_variance_mode(res, "plain_sandwich", ci_level=level)
     with pytest.raises(errors.DimensionMismatch, match="ci_level must lie in"):

@@ -3,13 +3,7 @@ import pytest
 
 from mrtx import errors
 from mrtx.data import moderator_schema
-from mrtx.estimators import (
-    closed_form_gaps,
-    fit_lin_per_time,
-    fit_unadjusted_per_time,
-    fit_wcls_per_time,
-    wls_solve,
-)
+from mrtx.estimators import EstimatorConfig, closed_form_gaps, fit, wls_solve
 
 from conftest import build_panel
 
@@ -74,9 +68,9 @@ def single_time_panel(y, a, p=0.5, g=None):
 
 def test_saturated_two_point_fit():
     ds = single_time_panel(y=[1.0, 0.0, 1.0, 0.0], a=[1, 0, 1, 0])
-    fit = fit_unadjusted_per_time(ds, 1)
-    assert fit.beta0[0] == pytest.approx(1.0)
-    assert fit.alpha[0] == pytest.approx(0.5)
+    res = fit(ds, EstimatorConfig(method="unadjusted_per_time"), t=1)
+    assert res.beta0[0] == pytest.approx(1.0)
+    assert res.alpha[0] == pytest.approx(0.5)
 
 
 def ols_slope_intercept(y, x):
@@ -91,16 +85,16 @@ def test_four_point_toy_against_ols_oracle():
     y = [1.0, 2.0, 3.0, 4.0]
     for a in ([0, 1, 0, 1], [0, 0, 1, 1]):
         ds = single_time_panel(y=y, a=a)
-        fit = fit_unadjusted_per_time(ds, 1)
+        res = fit(ds, EstimatorConfig(method="unadjusted_per_time"), t=1)
         slope, intercept = ols_slope_intercept(y, np.asarray(a) - 0.5)
-        assert fit.beta0[0] == pytest.approx(slope)
-        assert fit.alpha[0] == pytest.approx(intercept)
+        assert res.beta0[0] == pytest.approx(slope)
+        assert res.alpha[0] == pytest.approx(intercept)
     # the alternating assignment gives the difference in group means = 1,
     # the blocked assignment gives 2 with intercept 2.5
     ds = single_time_panel(y=y, a=[0, 0, 1, 1])
-    fit = fit_unadjusted_per_time(ds, 1)
-    assert fit.beta0[0] == pytest.approx(2.0)
-    assert fit.alpha[0] == pytest.approx(2.5)
+    res = fit(ds, EstimatorConfig(method="unadjusted_per_time"), t=1)
+    assert res.beta0[0] == pytest.approx(2.0)
+    assert res.alpha[0] == pytest.approx(2.5)
 
 
 def test_null_effect_limit():
@@ -109,8 +103,8 @@ def test_null_effect_limit():
     y = rng.standard_normal(n)
     a = rng.integers(0, 2, n)
     ds = single_time_panel(y=y, a=a)
-    fit = fit_unadjusted_per_time(ds, 1)
-    assert abs(fit.beta0[0]) < 4.0 / np.sqrt(n / 4)
+    res = fit(ds, EstimatorConfig(method="unadjusted_per_time"), t=1)
+    assert abs(res.beta0[0]) < 4.0 / np.sqrt(n / 4)
 
 
 def test_constant_control_matches_unadjusted():
@@ -119,8 +113,8 @@ def test_constant_control_matches_unadjusted():
     a = rng.integers(0, 2, 30)
     ds_c = single_time_panel(y=y, a=a, g=np.full(30, 3.0))
     ds_u = single_time_panel(y=y, a=a)
-    fit_c = fit_wcls_per_time(ds_c, 1)
-    fit_u = fit_unadjusted_per_time(ds_u, 1)
+    fit_c = fit(ds_c, EstimatorConfig(method="wcls_per_time"), t=1)
+    fit_u = fit(ds_u, EstimatorConfig(method="unadjusted_per_time"), t=1)
     assert fit_c.beta0[0] == pytest.approx(fit_u.beta0[0], abs=1e-12)
 
 
@@ -131,9 +125,9 @@ def test_control_residual_orthogonality():
     a = rng.integers(0, 2, n)
     y = 1.0 + 0.5 * g + (a - 0.5) * 0.7 + rng.standard_normal(n)
     ds = single_time_panel(y=y, a=a, g=g)
-    fit = fit_wcls_per_time(ds, 1)
+    res = fit(ds, EstimatorConfig(method="wcls_per_time"), t=1)
     gt = g - g.mean()
-    resid = y - fit.alpha[0] - gt * fit.alpha[1] - (a - 0.5) * fit.beta0[0]
+    resid = y - res.alpha[0] - gt * res.alpha[1] - (a - 0.5) * res.beta0[0]
     assert abs(np.sum(resid * gt)) / n <= 1e-8
 
 
@@ -142,9 +136,9 @@ def test_lin_reduces_to_unadjusted_with_degenerate_control():
     y = rng.standard_normal(40)
     a = rng.integers(0, 2, 40)
     ds = single_time_panel(y=y, a=a, g=np.zeros(40))
-    fit_l = fit_lin_per_time(ds, 1)
+    fit_l = fit(ds, EstimatorConfig(method="lin_per_time"), t=1)
     ds_u = single_time_panel(y=y, a=a)
-    fit_u = fit_unadjusted_per_time(ds_u, 1)
+    fit_u = fit(ds_u, EstimatorConfig(method="unadjusted_per_time"), t=1)
     assert fit_l.beta0[0] == pytest.approx(fit_u.beta0[0], abs=1e-12)
     assert fit_l.beta1.size == 0
 
@@ -157,9 +151,9 @@ def test_lin_recovers_noiseless_interaction():
     gt = g - g.mean()
     y = 2.0 + 0.3 * gt + (a - 0.5) * (0.7 + 1.4 * gt)
     ds = single_time_panel(y=y, a=a, g=g)
-    fit = fit_lin_per_time(ds, 1)
-    assert fit.beta0[0] == pytest.approx(0.7, abs=1e-10)
-    assert fit.beta1[0] == pytest.approx(1.4, abs=1e-10)
+    res = fit(ds, EstimatorConfig(method="lin_per_time"), t=1)
+    assert res.beta0[0] == pytest.approx(0.7, abs=1e-10)
+    assert res.beta1[0] == pytest.approx(1.4, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
