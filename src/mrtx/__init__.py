@@ -8,11 +8,10 @@ from .centering import (
     orthogonality_residual,
 )
 from .data import (
-    FeatureSpec,
     MrtDataset,
+    Schema,
     from_columns,
     load_csv,
-    moderator_schema,
     to_csv,
 )
 from .estimators import (

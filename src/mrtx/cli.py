@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import errors
-from .data import load_csv, moderator_schema
+from .data import Schema, load_csv
 from .estimators import (
     ADJUSTED,
     CENTERING_KINDS,
@@ -158,7 +158,7 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
 
 
 def cmd_fit(args) -> int:
-    schema = moderator_schema(
+    schema = Schema(
         moderators=_csv_list(args.moderators or ""),
         aux=_csv_list(args.aux or ""),
         controls=_csv_list(args.controls or ""),

@@ -2,10 +2,10 @@
 
 The long format is one row per (subject, decision point). A validated
 :class:`MrtDataset` stores every named column once and materializes the
-design roles (moderator features ``f``, auxiliary variables ``z``, control
-features ``g``, weight-numerator ``p_tilde``) from a list of
-:class:`FeatureSpec` entries, so the same panel can be re-viewed under a
-different role mapping without copying data.
+paper's four design roles from a :class:`Schema`: the moderator features
+``f = [1, *moderators]``, the auxiliary variables ``z``, the control
+features ``g = [1, *controls]`` and the weight numerator ``p_tilde``. The
+same panel can be re-viewed under another schema without copying data.
 
 Outcome alignment: the ``y`` column supplied at load time is the proximal
 series (row ``t`` holds the outcome observed right after decision ``t``).
@@ -23,7 +23,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -39,29 +39,24 @@ from .errors import (
 
 BASE_COLUMNS = ("subject_id", "t", "a", "p", "y")
 
-ROLE_MODERATOR = "moderator_f"
-ROLE_AUXILIARY = "auxiliary_z"
-ROLE_CONTROL = "control_g"
-ROLE_NUMERATOR = "numerator_ptilde"
-_ROLES = (ROLE_MODERATOR, ROLE_AUXILIARY, ROLE_CONTROL, ROLE_NUMERATOR)
-
 
 @dataclass(frozen=True)
-class FeatureSpec:
-    """Maps named columns onto one design role.
+class Schema:
+    """The paper's column roles: moderators ``f(S_t)``, auxiliary variables
+    ``Z_t``, controls ``g(H_t)`` and the weight-numerator column ``p~``.
 
-    ``intercept=True`` on the moderator role prepends a constant-1 column
-    exactly once; the same flag on the control role does likewise.
+    ``f`` and ``g`` each get a leading intercept; without ``ptilde`` the
+    numerator is the pooled treatment frequency.
     """
 
-    role: str
-    source_columns: tuple[str, ...] = ()
-    intercept: bool = False
+    moderators: tuple[str, ...] = ()
+    aux: tuple[str, ...] = ()
+    controls: tuple[str, ...] = ()
+    ptilde: str | None = None
 
     def __post_init__(self):
-        if self.role not in _ROLES:
-            raise DimensionMismatch(f"unknown feature role {self.role!r}")
-        object.__setattr__(self, "source_columns", tuple(self.source_columns))
+        for role in ("moderators", "aux", "controls"):
+            object.__setattr__(self, role, tuple(getattr(self, role)))
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -93,7 +88,7 @@ class MrtDataset:
     n_subjects: int
     horizon: int
     lag: int
-    schema: tuple[FeatureSpec, ...]
+    schema: Schema
     columns: Mapping[str, np.ndarray] = field(repr=False)
     f_names: tuple[str, ...] = ()
     z_names: tuple[str, ...] = ()
@@ -158,38 +153,52 @@ class MrtDataset:
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()[:16]
 
-    def with_schema(self, schema: Sequence[FeatureSpec]) -> "MrtDataset":
+    def with_schema(self, schema: Schema) -> "MrtDataset":
         """Re-view the same panel under a different role mapping."""
-        return _build_dataset(dict(self.columns), list(schema), self.lag,
-                              y_is_aligned=True)
+        return _build_dataset({**self.columns, "y": self.columns["y_raw"]}, schema, self.lag)
 
 
-def _column_matrix(columns: Mapping[str, np.ndarray], spec: FeatureSpec,
-                   n_rows: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    cols, names = [], []
-    if spec.intercept:
-        cols.append(np.ones(n_rows))
-        names.append("1")
-    for name in spec.source_columns:
+def _column_matrix(columns: Mapping[str, np.ndarray], names: tuple[str, ...],
+                   intercept: bool) -> tuple[np.ndarray, tuple[str, ...]]:
+    for name in names:
         if name not in columns:
             raise MissingColumn(f"column {name!r} not found")
-        cols.append(np.asarray(columns[name], dtype=float))
-        names.append(name)
+    n_rows = columns["t"].shape[0]
+    cols = [columns[name] for name in names]
+    if intercept:
+        cols, names = [np.ones(n_rows), *cols], ("1", *names)
     if not cols:
         return np.empty((n_rows, 0)), ()
-    return np.column_stack(cols), tuple(names)
+    return np.column_stack(cols), names
 
 
-def _validate_base(columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, ...]:
-    for name in ("subject_id", "t", "a", "p", "y"):
+def _numeric(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every column but ``subject_id`` as float; the first non-number is a
+    :class:`MissingValue` at its subject and ``t``."""
+    for name in BASE_COLUMNS:
         if name not in columns:
             raise MissingColumn(f"required column {name!r} not found")
-    subject = np.asarray(columns["subject_id"])
-    t = np.asarray(columns["t"])
-    a = np.asarray(columns["a"], dtype=float)
-    p = np.asarray(columns["p"], dtype=float)
-    y = np.asarray(columns["y"], dtype=float)
-    return subject, t, a, p, y
+    out = {}
+    for name, col in columns.items():
+        col = np.asarray(col)
+        if name != "subject_id":
+            try:
+                col = col.astype(float, copy=False)
+            except (TypeError, ValueError):
+                i = _first_non_number(col)
+                raise MissingValue(f"non-numeric value {str(col[i])!r} in column {name!r}",
+                                   columns["subject_id"][i], _row_t(columns, i)) from None
+        out[name] = col
+    return out
+
+
+def _first_non_number(col) -> int:
+    """Index of the first token ``float`` refuses (called once a cast has failed)."""
+    for i, token in enumerate(col):
+        try:
+            float(token)
+        except (TypeError, ValueError):
+            return i
 
 
 def _first_bad(mask: np.ndarray, subject: np.ndarray, t: np.ndarray):
@@ -197,11 +206,12 @@ def _first_bad(mask: np.ndarray, subject: np.ndarray, t: np.ndarray):
     return subject[i], int(t[i])
 
 
-def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
-                   lag: int, y_is_aligned: bool) -> MrtDataset:
+def _build_dataset(columns: Mapping[str, np.ndarray], schema: Schema,
+                   lag: int) -> MrtDataset:
     if lag < 1:
         raise DimensionMismatch(f"lag must be >= 1, got {lag}")
-    subject, t, a, p, y = _validate_base(columns)
+    columns = _numeric(columns)
+    subject, t, a, p, y = (columns[name] for name in BASE_COLUMNS)
     n_rows = subject.shape[0]
     if n_rows == 0:
         raise MissingValue("no data rows")
@@ -210,8 +220,8 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
     same = subject[1:] == subject[:-1]
     if not ((subject[1:] > subject[:-1]) | (same & (t[1:] >= t[:-1]))).all():
         order = np.lexsort((t, subject))
-        columns = {k: np.asarray(v)[order] for k, v in columns.items()}
-        subject, t, a, p, y = _validate_base(columns)
+        columns = {k: v[order] for k, v in columns.items()}
+        subject, t, a, p, y = (columns[name] for name in BASE_COLUMNS)
 
     bad = ~np.isin(a, (0.0, 1.0))
     if bad.any():
@@ -241,8 +251,8 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
     if lag > horizon:
         raise LagHorizonExceeded(f"lag {lag} exceeds panel horizon {horizon}")
 
-    y_raw = np.asarray(columns["y_raw"] if y_is_aligned and "y_raw" in columns else y, dtype=float)
-    if not y_is_aligned and lag > 1:
+    y_raw = y
+    if lag > 1:
         # shift within subject: aligned row t <- raw row t + (lag - 1)
         y_mat = y.reshape(n_subjects, horizon)
         aligned = np.zeros_like(y_mat)
@@ -250,35 +260,20 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
         y = aligned.reshape(-1)
 
     usable = t <= horizon - lag + 1
-    mats, named = {}, {}
-    for role in _ROLES:
-        specs = [s for s in schema if s.role == role]
-        if len(specs) > 1:
-            raise DimensionMismatch(f"role {role!r} declared more than once")
-        if specs:
-            mats[role], named[role] = _column_matrix(columns, specs[0], n_rows)
-        else:
-            mats[role], named[role] = np.empty((n_rows, 0)), ()
-
-    if mats[ROLE_NUMERATOR].shape[1] > 1:
-        raise DimensionMismatch("numerator_ptilde must map a single column")
-    if mats[ROLE_NUMERATOR].shape[1] == 1:
-        p_tilde = mats[ROLE_NUMERATOR][:, 0]
-    else:
+    f, f_names = _column_matrix(columns, schema.moderators, True)
+    z, z_names = _column_matrix(columns, schema.aux, False)
+    g, g_names = _column_matrix(columns, schema.controls, True)
+    if schema.ptilde is None:
         # legal default numerator: pooled treatment frequency, constant in t
         p_tilde = np.full(n_rows, float(np.mean(a)))
+    else:
+        p_tilde = _column_matrix(columns, (schema.ptilde,), False)[0][:, 0]
     bad = ~((p_tilde > 0.0) & (p_tilde < 1.0))
     if bad.any():
         sid, tt = _first_bad(bad, subject, t)
         raise ProbabilityOutOfRange("weight numerator p_tilde must lie in (0,1)", sid, tt)
 
-    f = mats[ROLE_MODERATOR]
-    if f.shape[1] == 0:
-        f = np.ones((n_rows, 1))
-        named[ROLE_MODERATOR] = ("1",)
-
-    for label, arr in (("y", y[usable]), ("z", mats[ROLE_AUXILIARY]),
-                       ("f", f), ("g", mats[ROLE_CONTROL])):
+    for label, arr in (("y", y[usable]), ("z", z), ("f", f), ("g", g)):
         if arr.size and not np.isfinite(arr).all():
             flat = np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
             idx = np.arange(n_rows)[usable] if label == "y" else np.arange(arr.shape[0])
@@ -296,37 +291,35 @@ def _build_dataset(columns: dict[str, np.ndarray], schema: list[FeatureSpec],
         y=_as_readonly(y),
         y_raw=_as_readonly(y_raw),
         f=_as_readonly(f),
-        z=_as_readonly(mats[ROLE_AUXILIARY]),
-        g=_as_readonly(mats[ROLE_CONTROL]),
+        z=_as_readonly(z),
+        g=_as_readonly(g),
         p_tilde=_as_readonly(p_tilde),
         n_subjects=n_subjects,
         horizon=horizon,
         lag=lag,
-        schema=tuple(schema),
-        columns={k: _as_readonly(np.asarray(v, dtype=float) if k != "subject_id" else np.asarray(v))
-                 for k, v in keep.items()},
-        f_names=named[ROLE_MODERATOR],
-        z_names=named[ROLE_AUXILIARY],
-        g_names=named[ROLE_CONTROL],
+        schema=schema,
+        columns={k: _as_readonly(v) for k, v in keep.items()},
+        f_names=f_names,
+        z_names=z_names,
+        g_names=g_names,
     )
 
 
-def from_columns(columns: Mapping[str, np.ndarray], schema: Sequence[FeatureSpec],
-                 lag: int = 1, y_is_aligned: bool = False) -> MrtDataset:
+def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
+                 lag: int = 1) -> MrtDataset:
     """Build and validate a dataset from in-memory columns.
 
-    ``y`` is the raw proximal series unless ``y_is_aligned`` is set (used by
-    panel generators that produce the lagged outcome directly).
+    ``y`` is the raw proximal series, aligned to ``lag`` here as in
+    :func:`load_csv`.
     """
-    return _build_dataset({k: np.asarray(v) for k, v in columns.items()},
-                          list(schema), lag, y_is_aligned)
+    return _build_dataset(columns, schema, lag)
 
 
 def _row_t(raw: Mapping[str, np.ndarray], i: int):
     """``t`` of CSV data row ``i``, or its raw token when ``t`` itself is bad."""
     try:
         return int(float(raw["t"][i]))
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         return raw["t"][i]
 
 
@@ -349,7 +342,7 @@ def _data_lines(fh, path, width: int):
         yield line
 
 
-def load_csv(path, schema: Sequence[FeatureSpec], lag: int = 1) -> MrtDataset:
+def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
     """Load a long-format CSV and return a validated :class:`MrtDataset`.
 
     The header must name ``subject_id, t, a, p, y`` plus every column
@@ -363,9 +356,8 @@ def load_csv(path, schema: Sequence[FeatureSpec], lag: int = 1) -> MrtDataset:
         except StopIteration:
             raise MissingColumn("empty CSV file") from None
         header = [h.strip() for h in header]
-        needed = set(BASE_COLUMNS)
-        for spec in schema:
-            needed.update(spec.source_columns)
+        needed = {*BASE_COLUMNS, *schema.moderators, *schema.aux, *schema.controls,
+                  schema.ptilde} - {None}
         for name in sorted(needed):
             if name not in header:
                 raise MissingColumn(f"required column {name!r} not in CSV header")
@@ -391,20 +383,15 @@ def load_csv(path, schema: Sequence[FeatureSpec], lag: int = 1) -> MrtDataset:
         try:
             vals = raw[name].astype(float)
         except ValueError:
-            for i, token in enumerate(raw[name]):
-                try:
-                    float(token)
-                except ValueError:
-                    raise MissingValue(f"unparsable value {token!r} in column {name!r} "
-                                       f"at row {i + 2}", raw["subject_id"][i],
-                                       _row_t(raw, i)) from None
-            raise
+            i = _first_non_number(raw[name])
+            raise MissingValue(f"unparsable value {raw[name][i]!r} in column {name!r} "
+                               f"at row {i + 2}", raw["subject_id"][i], _row_t(raw, i)) from None
         if name in needed and not np.all(np.isfinite(vals)):
             i = int(np.argmax(~np.isfinite(vals)))
             raise MissingValue(f"non-finite value in column {name!r} at row {i + 2}",
                                raw["subject_id"][i], _row_t(raw, i))
         columns[name] = vals
-    return _build_dataset(columns, list(schema), lag, y_is_aligned=False)
+    return _build_dataset(columns, schema, lag)
 
 
 def to_csv(ds: MrtDataset, path) -> None:
@@ -424,16 +411,3 @@ def to_csv(ds: MrtDataset, path) -> None:
                    repr(float(ds.p[i])), repr(float(ds.y_raw[i]))]
             row += [repr(float(ds.columns[n][i])) for n in extra]
             writer.writerow(row)
-
-
-def moderator_schema(moderators: Iterable[str] = (), aux: Iterable[str] = (),
-                     controls: Iterable[str] = (), ptilde: str | None = None) -> list[FeatureSpec]:
-    """Schema builder used by the CLI and the simulators; both intercepts are on."""
-    schema = [FeatureSpec(ROLE_MODERATOR, tuple(moderators), intercept=True),
-              FeatureSpec(ROLE_CONTROL, tuple(controls), intercept=True)]
-    aux = tuple(aux)
-    if aux:
-        schema.append(FeatureSpec(ROLE_AUXILIARY, aux))
-    if ptilde is not None:
-        schema.append(FeatureSpec(ROLE_NUMERATOR, (ptilde,)))
-    return schema

@@ -286,7 +286,7 @@ def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None)
     orthogonal.
     """
     _check_variance_mode(fit.method, mode, fit.stacked_parts is not None
-                         or fit.method not in ("a2wcls", "a2wcls_lagged"))
+                         or fit.method not in ADJUSTED)
     level = fit.ci_level if ci_level is None else ci_level
     check_ci_level(level)
     return replace(fit, vcov=_vcov(fit.parts, fit.stacked_parts, mode),
@@ -348,8 +348,6 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
         cols.append(f)
         names.extend(f"alpha_0:{n}" for n in ds.f_names)
     else:
-        if ds.d < 1:
-            raise DimensionMismatch("criterion requires at least one control column")
         cols.append(ds.usable(ds.g))
         names.extend(f"alpha:{n}" for n in ds.g_names)
 
@@ -417,10 +415,9 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig) -> FitResult:
     b1_idx = np.arange(0)
     kept_names: tuple[str, ...] = ()
     if config.method != "unadjusted_per_time":
-        gt, keep = _centered_controls(ds.g[sel][:, [i for i, nm in enumerate(ds.g_names)
-                                                    if nm != "1"]])
-        kept_names = tuple(nm for nm in ds.g_names if nm != "1")
-        kept_names = tuple(kept_names[i] for i in keep)
+        # a column-indexed copy is column-major, so each mean is a pairwise sum
+        gt, keep = _centered_controls(ds.g[sel][:, np.arange(1, ds.d)])
+        kept_names = tuple(ds.g_names[1:][i] for i in keep)
         cols.append(gt)
         names.extend(f"alpha:{nm}~t{t}" for nm in kept_names)
     b0_pos = sum(c.shape[1] for c in cols)
@@ -554,8 +551,7 @@ def _check_binary(ds: MrtDataset):
 def _emee_init(ds: MrtDataset) -> np.ndarray:
     """Newton start for the EMEE without auxiliary: the log mean outcome as intercept."""
     init = np.zeros(ds.d + ds.q)
-    if "1" in ds.g_names:
-        init[list(ds.g_names).index("1")] = np.log(max(ds.usable(ds.y).mean(), 1e-8))
+    init[0] = np.log(max(ds.usable(ds.y).mean(), 1e-8))
     return init
 
 

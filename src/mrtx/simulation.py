@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureSpec, MrtDataset, from_columns, moderator_schema
+from .data import MrtDataset, Schema, from_columns
 from .errors import ConfigParse, MrtxError, ZeroVariance
 from .estimators import EstimatorConfig, fit as run_fit
 
@@ -153,10 +153,8 @@ def _build_lagged(spec: DgmSpec, rng, noise_scale):
     a_next[:, :T - 1] = A[:, 1:]
     z_next = np.zeros((n, T))
     z_next[:, :T - 1] = Z[:, 1:]
-    cols = _panel_columns(n, T, a=A, p=P, y=y2, y_raw=y_raw, z=Z,
-                          a_next=a_next, z_next=z_next)
-    schema = moderator_schema(aux=("z",))
-    return from_columns(cols, schema, lag=2, y_is_aligned=True)
+    cols = _panel_columns(n, T, a=A, p=P, y=y_raw, z=Z, a_next=a_next, z_next=z_next)
+    return from_columns(cols, Schema(aux=("z",)), lag=2)
 
 
 def _build_proximal(spec: DgmSpec, rng, noise_scale):
@@ -167,9 +165,7 @@ def _build_proximal(spec: DgmSpec, rng, noise_scale):
     cols = _panel_columns(n, T - 1,
                           a=A[:, 1:], p=P[:, 1:], y=y2[:, :T - 1], z=Z[:, 1:],
                           prev_ca=prev_ca, prev_caz=prev_ca * Z[:, :T - 1])
-    schema = moderator_schema(aux=("z",),
-                              controls=("z", "prev_ca", "prev_caz"))
-    return from_columns(cols, schema, lag=1, y_is_aligned=True)
+    return from_columns(cols, Schema(aux=("z",), controls=("z", "prev_ca", "prev_caz")))
 
 
 def _build_timevarying(spec: DgmSpec, rng, noise_scale):
@@ -203,8 +199,7 @@ def _build_timevarying(spec: DgmSpec, rng, noise_scale):
     y = ((b00 + b01 * tgrid + delta + spec.beta1 * (Z - zmean)) * (A - P)
          + 0.8 * Z + eps)
     cols = _panel_columns(n, T, a=A, p=P, y=y, z=Z)
-    schema = moderator_schema(moderators=("t",), aux=("z",), controls=("z", "t"))
-    return from_columns(cols, schema, lag=1, y_is_aligned=True)
+    return from_columns(cols, Schema(moderators=("t",), aux=("z",), controls=("z", "t")))
 
 
 def _build_robust(spec: DgmSpec, rng, noise_scale):
@@ -214,8 +209,7 @@ def _build_robust(spec: DgmSpec, rng, noise_scale):
     eps = noise_scale * gen_ar_errors(T, rng, n=n)
     y = 0.2 * Z + float(spec.beta0) * (A - P) + eps
     cols = _panel_columns(n, T, a=A, p=P, y=y, z=Z)
-    schema = moderator_schema(aux=("z",), controls=("z",))
-    return from_columns(cols, schema, lag=1, y_is_aligned=True)
+    return from_columns(cols, Schema(aux=("z",), controls=("z",)))
 
 
 def _build_centerbias(spec: DgmSpec, rng, noise_scale):
@@ -242,8 +236,7 @@ def _build_centerbias(spec: DgmSpec, rng, noise_scale):
     ptilde_t = np.clip(A.mean(axis=0), 1.0 / (2 * n), 1.0 - 1.0 / (2 * n))
     ptilde = np.broadcast_to(ptilde_t, (n, T))
     cols = _panel_columns(n, T, a=A, p=P, y=y, z=Z, ptilde=ptilde)
-    schema = moderator_schema(aux=("z",), controls=("z",), ptilde="ptilde")
-    return from_columns(cols, schema, lag=1, y_is_aligned=True)
+    return from_columns(cols, Schema(aux=("z",), controls=("z",), ptilde="ptilde"))
 
 
 def _build_binary(spec: DgmSpec, rng, noise_scale):
@@ -253,8 +246,7 @@ def _build_binary(spec: DgmSpec, rng, noise_scale):
     prob = expit(-1.0 + 0.2 * Z) * np.exp(float(spec.beta0) * A)
     y = (rng.random((n, T)) < prob).astype(float)
     cols = _panel_columns(n, T, a=A, p=P, y=y, z=Z)
-    schema = moderator_schema(aux=("z",), controls=("z",))
-    return from_columns(cols, schema, lag=1, y_is_aligned=True)
+    return from_columns(cols, Schema(aux=("z",), controls=("z",)))
 
 
 _BUILDERS = {
@@ -289,7 +281,7 @@ class McArm:
 
     label: str
     config: EstimatorConfig
-    schema: tuple[FeatureSpec, ...] | None = None
+    schema: Schema | None = None
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrtx.data import from_columns, moderator_schema
+from mrtx.data import Schema, from_columns
 
 
 def panel_from_arrays(n, T, lag=1, seed=0, **overrides):
@@ -23,7 +23,7 @@ def panel_from_arrays(n, T, lag=1, seed=0, **overrides):
 def build_panel(n, T, lag=1, seed=0, schema=None, **overrides):
     cols = panel_from_arrays(n, T, lag=lag, seed=seed, **overrides)
     if schema is None:
-        schema = moderator_schema(aux=("z",), controls=("g1",))
+        schema = Schema(aux=("z",), controls=("g1",))
     return from_columns(cols, schema, lag=lag)
 
 

@@ -8,7 +8,7 @@ benchmark conflict (three criterion-1 cells) is documented in the README's
 
 import numpy as np
 
-from mrtx.data import moderator_schema
+from mrtx.data import Schema
 from mrtx.estimators import EstimatorConfig, closed_form_gaps, fit
 from mrtx.replication import run_table
 from mrtx.simulation import DgmSpec, McArm, gen_panel, run_monte_carlo, _rng_for
@@ -146,7 +146,7 @@ def test_criterion_08_post_treatment_bias():
          # the next decision's raw treatment and state entered directly as
          # controls (the adjustment the centered working models avoid)
          McArm("naive", EstimatorConfig(method="wcls", lag=2),
-               schema=tuple(moderator_schema(aux=("z",), controls=("a_next", "z_next")))),
+               schema=Schema(aux=("z",), controls=("a_next", "z_next"))),
          McArm("a2", EstimatorConfig(method="a2wcls_lagged", lag=2,
                                      variance_mode="stacked"))],
         600)

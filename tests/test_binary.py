@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrtx import errors, estimators
-from mrtx.data import from_columns, moderator_schema
+from mrtx.data import Schema, from_columns
 from mrtx.centering import centering_from_rows
 from mrtx.estimators import EstimatorConfig, fit
 from mrtx.simulation import DgmSpec, gen_panel
@@ -30,10 +30,10 @@ def binary_panel(n, T, rr=0.2, seed=0, half_prob=True):
     }
     if half_prob:
         cols["pt"] = np.full(n * T, 0.5)
-        schema = moderator_schema(aux=("z",), ptilde="pt")
+        schema = Schema(aux=("z",), ptilde="pt")
     else:
-        schema = moderator_schema(aux=("z",))
-    return from_columns(cols, schema, lag=1, y_is_aligned=True)
+        schema = Schema(aux=("z",))
+    return from_columns(cols, schema, lag=1)
 
 
 def bisection_oracle(ds, lo=-2.0, hi=2.0, tol=1e-12):
@@ -142,7 +142,7 @@ def test_a2emee_requires_auxiliary():
         "a": rng.integers(0, 2, 60).astype(float),
         "p": np.full(60, 0.5), "y": y,
     }
-    ds = from_columns(cols, moderator_schema(), lag=1, y_is_aligned=True)
+    ds = from_columns(cols, Schema(), lag=1)
     with pytest.raises(errors.DimensionMismatch):
         fit(ds, EstimatorConfig(method="a2emee"))
 
@@ -173,8 +173,7 @@ def test_huge_control_is_typed_error(method):
     ds = binary_panel(200, 6, seed=3)
     cols = {k: np.asarray(v) for k, v in ds.columns.items()}
     cols["z"] = cols["z"] * 1e200
-    ds = from_columns(cols, moderator_schema(aux=("z",), controls=("z",)), lag=1,
-                      y_is_aligned=True)
+    ds = from_columns(cols, Schema(aux=("z",), controls=("z",)), lag=1)
     with pytest.raises(errors.SingularJacobian, match="non-finite"):
         fit(ds, EstimatorConfig(method=method))
 

@@ -9,14 +9,14 @@ from mrtx.centering import (
     naive_centerings,
     orthogonality_residual,
 )
-from mrtx.data import moderator_schema
+from mrtx.data import Schema
 
 from conftest import build_panel
 
 
 def two_row_panel(ptilde, z):
     return build_panel(2, 1, ptilde=ptilde, z=z, a=[1, 0], p=[0.5, 0.5],
-                       schema=moderator_schema(aux=("z",), ptilde="ptilde"))
+                       schema=Schema(aux=("z",), ptilde="ptilde"))
 
 
 def test_equal_weights_reduce_to_mean():
@@ -52,7 +52,7 @@ def test_orthogonality_after_fit(n, T, seed):
     ds = build_panel(n, T, seed=seed,
                      z=rng.standard_normal(n * T) * 3 + 1,
                      ptilde=rng.uniform(0.05, 0.95, n * T),
-                     schema=moderator_schema(aux=("z",), ptilde="ptilde"))
+                     schema=Schema(aux=("z",), ptilde="ptilde"))
     cm = fit_centering(ds)
     assert orthogonality_residual(ds, cm.mu_rows(ds)) <= 1e-8
 
@@ -70,7 +70,7 @@ def test_unweighted_mean_fails_when_weights_vary():
     z = np.array([1.0, 3.0, 1.0, 3.0])
     pt = np.array([0.5, 0.1, 0.5, 0.1])
     ds = build_panel(2, 2, z=z, ptilde=pt,
-                     schema=moderator_schema(aux=("z",), ptilde="ptilde"))
+                     schema=Schema(aux=("z",), ptilde="ptilde"))
     w = pt * (1 - pt)
     weighted = np.sum(w * z) / np.sum(w)
     unweighted = z.mean()
@@ -101,7 +101,7 @@ def test_affine_equivariance():
     n, T = 6, 5
     z = rng.standard_normal(n * T)
     f_extra = rng.standard_normal(n * T)
-    schema = moderator_schema(moderators=("m1",), aux=("z",))
+    schema = Schema(moderators=("m1",), aux=("z",))
     ds = build_panel(n, T, z=z, m1=f_extra, schema=schema)
     cm = fit_centering(ds)
     a, b = 2.5, -1.25
@@ -123,7 +123,7 @@ def test_constant_numerator_equals_pooled_mean():
 
 def test_degenerate_moderators_raise():
     ds = build_panel(3, 3, m1=np.zeros(9), m2=np.zeros(9),
-                     schema=moderator_schema(moderators=("m1", "m2"), aux=("z",)))
+                     schema=Schema(moderators=("m1", "m2"), aux=("z",)))
     with pytest.raises(errors.SingularGram):
         fit_centering(ds)
 

@@ -9,7 +9,7 @@ import pytest
 
 import mrtx
 from mrtx.cli import main
-from mrtx.data import to_csv
+from mrtx.data import Schema, from_columns, to_csv
 from mrtx.simulation import DgmSpec, gen_panel
 
 from conftest import build_panel
@@ -177,6 +177,17 @@ def test_simulate_readme_config_example(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "kind=lagged_eq12 n=250 T=30 beta1=0.5" in out
     assert "a2wcls_lagged" in out
+
+
+def test_readme_library_sketch_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    ds = gen_panel(DgmSpec(kind="nonmoderator_robust", n=60, horizon=8, beta0=0.2, seed=4))
+    cols = {("mood" if k == "z" else k): v for k, v in ds.columns.items() if k != "y_raw"}
+    to_csv(from_columns(cols, Schema(aux=("mood",))), tmp_path / "panel.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "beta0:1" in capsys.readouterr().out
 
 
 def test_gaps_examples(capsys):

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from mrtx import errors
-from mrtx.data import (
-    FeatureSpec,
-    from_columns,
-    load_csv,
-    moderator_schema,
-    to_csv,
-)
+from mrtx.data import Schema, from_columns, load_csv, to_csv
 from mrtx.simulation import DgmSpec, gen_panel
 
 from conftest import build_panel, panel_from_arrays
@@ -38,7 +32,7 @@ GOOD_ROWS = [
 def test_identity_load(tmp_path):
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER, GOOD_ROWS)
-    ds = load_csv(path, moderator_schema(aux=("z",)), lag=1)
+    ds = load_csv(path, Schema(aux=("z",)), lag=1)
     assert ds.n_subjects == 2
     assert ds.horizon == 3
     assert ds.n_rows == 6
@@ -52,7 +46,7 @@ def test_probability_out_of_range(tmp_path):
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER, rows)
     with pytest.raises(errors.ProbabilityOutOfRange) as exc:
-        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+        load_csv(path, Schema(aux=("z",)), lag=1)
     assert exc.value.subject_id == "1" and exc.value.t == 2
 
 
@@ -63,7 +57,7 @@ def test_non_finite_time_is_missing_value(tmp_path, token):
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER, rows)
     with pytest.raises(errors.MissingValue, match="row 6") as exc:
-        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+        load_csv(path, Schema(aux=("z",)), lag=1)
     assert exc.value.subject_id == "2" and exc.value.t == token
 
 
@@ -73,14 +67,14 @@ def test_non_contiguous_time(tmp_path):
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER, rows)
     with pytest.raises(errors.NonContiguousTime):
-        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+        load_csv(path, Schema(aux=("z",)), lag=1)
 
 
 def test_missing_column(tmp_path):
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER[:-1], [r[:-1] for r in GOOD_ROWS])
     with pytest.raises(errors.MissingColumn):
-        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+        load_csv(path, Schema(aux=("z",)), lag=1)
 
 
 def test_non_binary_treatment(tmp_path):
@@ -89,7 +83,7 @@ def test_non_binary_treatment(tmp_path):
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER, rows)
     with pytest.raises(errors.NonBinaryTreatment):
-        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+        load_csv(path, Schema(aux=("z",)), lag=1)
 
 
 def test_unparsable_token_names_row(tmp_path):
@@ -98,8 +92,18 @@ def test_unparsable_token_names_row(tmp_path):
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER, rows)
     with pytest.raises(errors.MissingValue, match="'abc' in column 'y' at row 6") as exc:
-        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+        load_csv(path, Schema(aux=("z",)), lag=1)
     assert exc.value.subject_id == "2" and exc.value.t == 2
+
+
+@pytest.mark.parametrize("name", ["note", "a"])
+def test_non_numeric_column_is_missing_value(name):
+    cols = panel_from_arrays(3, 4)
+    cols[name] = np.asarray(cols.get(name, cols["z"])).astype(str)
+    cols[name][5] = "abc"           # subject 2, t = 2
+    with pytest.raises(errors.MissingValue, match=f"'abc' in column '{name}'") as exc:
+        from_columns(cols, Schema(aux=("z",)))
+    assert exc.value.subject_id == 2 and exc.value.t == 2
 
 
 def test_nan_rejected(tmp_path):
@@ -108,14 +112,14 @@ def test_nan_rejected(tmp_path):
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER, rows)
     with pytest.raises(errors.MissingValue):
-        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+        load_csv(path, Schema(aux=("z",)), lag=1)
 
 
 def test_weight_examples():
     # direct evaluation of the weight-ratio definition
     ds = build_panel(2, 2, a=[1, 0, 1, 0], p=[0.25, 0.25, 0.5, 0.5],
                      ptilde=[0.5] * 4,
-                     schema=moderator_schema(aux=("z",), ptilde="ptilde"))
+                     schema=Schema(aux=("z",), ptilde="ptilde"))
     assert ds.weight_w[0] == pytest.approx(0.5 / 0.25)           # a=1
     assert ds.weight_w[1] == pytest.approx((1 - 0.5) / (1 - 0.25))  # a=0
     assert ds.centered_a[0] == pytest.approx(0.5)
@@ -125,7 +129,7 @@ def test_weight_examples():
 def test_weight_unity_when_numerator_matches():
     p = np.clip(np.random.default_rng(1).random(12), 0.05, 0.95)
     ds = build_panel(3, 4, p=p, ptilde=p,
-                     schema=moderator_schema(aux=("z",), ptilde="ptilde"))
+                     schema=Schema(aux=("z",), ptilde="ptilde"))
     np.testing.assert_allclose(ds.weight_w, 1.0)
 
 
@@ -140,7 +144,7 @@ def test_design_blocks_cached_per_view():
     assert ds.weight_w is ds.weight_w
     assert ds.centered_a is ds.centered_a
     # a re-view with another numerator gets its own blocks, not the cached ones
-    view = ds.with_schema(moderator_schema(aux=("z",), ptilde="pt"))
+    view = ds.with_schema(Schema(aux=("z",), ptilde="pt"))
     a, p = view.a.astype(float), view.p
     np.testing.assert_array_equal(
         view.weight_w, np.where(a == 1.0, pt, 1.0 - pt) / np.where(a == 1.0, p, 1.0 - p))
@@ -164,10 +168,10 @@ def test_round_trip_bit_exact(tmp_path):
                          repr(float(rng.standard_normal())),
                          repr(float(rng.standard_normal()))])
     write_csv(path, HEADER, rows)
-    ds = load_csv(path, moderator_schema(aux=("z",)), lag=1)
+    ds = load_csv(path, Schema(aux=("z",)), lag=1)
     out = tmp_path / "copy.csv"
     to_csv(ds, out)
-    ds2 = load_csv(out, moderator_schema(aux=("z",)), lag=1)
+    ds2 = load_csv(out, Schema(aux=("z",)), lag=1)
     for field in ("t", "a", "p", "y", "y_raw", "z"):
         np.testing.assert_array_equal(getattr(ds, field), getattr(ds2, field))
 
@@ -186,21 +190,16 @@ def test_row_order_is_canonicalized():
     cols = panel_from_arrays(3, 4, seed=5)
     order = np.random.default_rng(0).permutation(12)
     shuffled = {k: np.asarray(v)[order] for k, v in cols.items()}
-    ds1 = from_columns(cols, moderator_schema(aux=("z",)))
-    ds2 = from_columns(shuffled, moderator_schema(aux=("z",)))
+    ds1 = from_columns(cols, Schema(aux=("z",)))
+    ds2 = from_columns(shuffled, Schema(aux=("z",)))
     np.testing.assert_array_equal(ds1.y, ds2.y)
     np.testing.assert_array_equal(ds1.a, ds2.a)
 
 
 def test_feature_spec_intercept_once():
-    ds = build_panel(2, 3, schema=moderator_schema(moderators=(), aux=("z",)))
+    ds = build_panel(2, 3, schema=Schema(moderators=(), aux=("z",)))
     assert ds.f_names == ("1",)
     assert np.all(ds.f == 1.0)
-
-
-def test_bad_role_rejected():
-    with pytest.raises(errors.DimensionMismatch):
-        FeatureSpec("not_a_role", ("z",))
 
 
 def test_dataset_arrays_immutable(small_panel):
@@ -213,7 +212,7 @@ def test_dataset_arrays_immutable(small_panel):
 def test_from_columns_leaves_caller_arrays_writeable():
     cols = panel_from_arrays(3, 4)
     cols["subject_id"] = cols["subject_id"].astype(float)
-    ds = from_columns(cols, moderator_schema(aux=("z",)))
+    ds = from_columns(cols, Schema(aux=("z",)))
     for name in ("subject_id", "t", "a", "p", "y", "z"):
         assert cols[name].flags.writeable, name
     assert np.shares_memory(ds.columns["z"], cols["z"])      # a view, not a copy
@@ -230,7 +229,7 @@ def test_unequal_panel_lengths_name_shortest_subject():
     cols = {"subject_id": ids, "t": t, "a": np.tile([0.0, 1.0], 4),
             "p": np.full(8, 0.5), "y": np.zeros(8)}
     with pytest.raises(errors.NonContiguousTime, match="unequal panel lengths") as exc:
-        from_columns(cols, moderator_schema())
+        from_columns(cols, Schema())
     assert exc.value.subject_id == "b" and exc.value.t == -1
 
 
@@ -240,7 +239,7 @@ def test_unequal_lengths_dividing_row_count_name_shortest_subject():
             "t": np.array([1, 2, 1, 2, 3, 4]), "a": np.tile([0.0, 1.0], 3),
             "p": np.full(6, 0.5), "y": np.zeros(6)}
     with pytest.raises(errors.NonContiguousTime, match="unequal panel lengths") as exc:
-        from_columns(cols, moderator_schema())
+        from_columns(cols, Schema())
     assert exc.value.subject_id == "A" and exc.value.t == -1
 
 
@@ -298,7 +297,7 @@ def test_field_count_errors_name_file_row(tmp_path, edit, message, newline):
     path = tmp_path / "panel.csv"
     write_lines(path, edit(csv_lines()), newline=newline)
     with pytest.raises(errors.MissingValue, match=message):
-        load_csv(path, moderator_schema(aux=("z",)), lag=1)
+        load_csv(path, Schema(aux=("z",)), lag=1)
 
 
 @pytest.mark.parametrize("ids,newline,order", [
@@ -316,7 +315,7 @@ def test_loader_matches_csv_oracle(tmp_path, ids, newline, order):
         lines = lines[:1] + [lines[1 + i] for i in order]
     path = tmp_path / "panel.csv"
     write_lines(path, lines, newline=newline)
-    schema = moderator_schema(aux=("z",))
+    schema = Schema(aux=("z",))
     ds = load_csv(path, schema, lag=1)
     assert ds.n_subjects == 2 and ds.horizon == 3
     assert_same_dataset(ds, csv_oracle(path, schema))
@@ -332,7 +331,7 @@ def test_every_float_is_python_float(tmp_path):
         fh.write("subject_id,t,a,p,y,z\n")
         np.savetxt(fh, data, fmt=["%d", "%d", "%d", "%.17g", "%.17g", "%.17g"],
                    delimiter=",")
-    schema = moderator_schema(aux=("z",), controls=("z",))
+    schema = Schema(aux=("z",), controls=("z",))
     loaded = load_csv(path, schema, lag=1)
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh))
@@ -349,7 +348,7 @@ def test_header_only_csv_is_missing_value(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(errors.MissingValue, match="no data rows"):
-            load_csv(path, moderator_schema(aux=("z",)), lag=1)
+            load_csv(path, Schema(aux=("z",)), lag=1)
 
 
 def test_empty_columns_are_missing_value():
@@ -357,11 +356,11 @@ def test_empty_columns_are_missing_value():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(errors.MissingValue, match="no data rows"):
-            from_columns(cols, moderator_schema(aux=("z",)))
+            from_columns(cols, Schema(aux=("z",)))
 
 
 def test_lag_beyond_horizon_rejected_at_build():
     cols = panel_from_arrays(5, 3)
     with pytest.raises(errors.LagHorizonExceeded, match="lag 4 exceeds panel horizon 3"):
-        from_columns(cols, moderator_schema(aux=("z",)), lag=4)
-    assert from_columns(cols, moderator_schema(aux=("z",)), lag=3).n_usable == 1
+        from_columns(cols, Schema(aux=("z",)), lag=4)
+    assert from_columns(cols, Schema(aux=("z",)), lag=3).n_usable == 1

@@ -7,7 +7,7 @@ import pytest
 
 from mrtx import errors, estimators
 from mrtx.centering import fit_centering
-from mrtx.data import from_columns, moderator_schema
+from mrtx.data import Schema, from_columns
 from mrtx.estimators import (
     ADJUSTED,
     METHODS,
@@ -30,7 +30,7 @@ def test_exact_linear_recovery():
     y = 1.3 + c * (a - 0.5)
     ds = build_panel(n, T, a=a, p=np.full(n * T, 0.5), y=y,
                      ptilde=np.full(n * T, 0.5),
-                     schema=moderator_schema(aux=("z",), ptilde="ptilde"))
+                     schema=Schema(aux=("z",), ptilde="ptilde"))
     res = fit(ds, EstimatorConfig(method="wcls"))
     assert res.beta0[0] == pytest.approx(c, abs=1e-12)
 
@@ -39,7 +39,7 @@ def test_subject_permutation_bit_identical():
     cols = panel_from_arrays(12, 6, seed=11)
     order = np.random.default_rng(5).permutation(72)
     shuffled = {k: np.asarray(v)[order] for k, v in cols.items()}
-    schema = moderator_schema(aux=("z",), controls=("g1",))
+    schema = Schema(aux=("z",), controls=("g1",))
     f1 = fit(from_columns(cols, schema), EstimatorConfig(method="wcls"))
     f2 = fit(from_columns(shuffled, schema), EstimatorConfig(method="wcls"))
     assert np.array_equal(f1.estimates, f2.estimates)
@@ -53,17 +53,17 @@ def test_shuffled_string_ids_bit_identical(method):
     cols["subject_id"] = np.array([f"s{i:03d}" for i in ds.subject_ids])   # sorted
     order = np.random.default_rng(9).permutation(ds.n_rows)
     shuffled = {k: v[order] for k, v in cols.items()}
-    schema = moderator_schema(aux=("z",), controls=("z",))
+    schema = Schema(aux=("z",), controls=("z",))
     config = EstimatorConfig(method=method)
-    f1 = fit(from_columns(cols, schema, y_is_aligned=True), config)
-    f2 = fit(from_columns(shuffled, schema, y_is_aligned=True), config)
+    f1 = fit(from_columns(cols, schema), config)
+    f2 = fit(from_columns(shuffled, schema), config)
     assert np.array_equal(f1.estimates, f2.estimates)
     assert np.array_equal(f1.vcov, f2.vcov)
 
 
 def test_outcome_shift_equivariance():
     cols = panel_from_arrays(15, 6, seed=2)
-    schema = moderator_schema(aux=("z",), controls=("g1",))
+    schema = Schema(aux=("z",), controls=("g1",))
     ds = from_columns(cols, schema)
     cols_shift = dict(cols)
     cols_shift["y"] = np.asarray(cols["y"]) + 12.5
@@ -93,7 +93,7 @@ def test_constant_auxiliary_degenerate_every_path(method, lag, aux):
         ds = build_panel(10, 6, lag=lag, y=y, z=np.full(60, 1.7))
     else:
         m1 = np.random.default_rng(13).standard_normal(60)
-        ds = build_panel(10, 6, lag=lag, y=y, m1=m1, z=m1, schema=moderator_schema(
+        ds = build_panel(10, 6, lag=lag, y=y, m1=m1, z=m1, schema=Schema(
             moderators=("m1",), aux=("z",), controls=("g1",)))
     with pytest.raises(errors.DegenerateAuxiliary):
         fit(ds, EstimatorConfig(method=method, lag=lag))
@@ -111,7 +111,7 @@ def test_randomization_probability_near_zero_or_one(method, a_edge, p_edge):
     # the likelihood-ratio weight of that row is about 1 or about 5e6
     cols = panel_from_arrays(30, 6, seed=2)
     cols["p"][7], cols["a"][7] = p_edge, a_edge
-    ds = from_columns(cols, moderator_schema(aux=("z",), controls=("g1",)))
+    ds = from_columns(cols, Schema(aux=("z",), controls=("g1",)))
     _assert_finite(fit(ds, EstimatorConfig(method=method)))
 
 
@@ -149,7 +149,7 @@ def test_single_time_wcls_equals_per_time():
     y = rng.standard_normal(n) + a
     ds = build_panel(n, 1, a=a, p=np.full(n, 0.5), y=y,
                      ptilde=np.full(n, 0.5),
-                     schema=moderator_schema(aux=("z",), ptilde="ptilde"))
+                     schema=Schema(aux=("z",), ptilde="ptilde"))
     pooled = fit(ds, EstimatorConfig(method="wcls"))
     per_time = fit(ds, EstimatorConfig(method="unadjusted_per_time"), t=1)
     assert pooled.beta0[0] == pytest.approx(per_time.beta0[0], abs=1e-12)
@@ -185,14 +185,16 @@ def test_lagged_equals_wcls_without_post_effects():
     p = np.full((n, T), 0.5)
     y2 = np.zeros((n, T))
     y2[:, :T - 1] = 0.7 - 0.1 * (a[:, :T - 1] - 0.5)
+    y_raw = np.zeros((n, T))
+    y_raw[:, 1:] = y2[:, :T - 1]       # raw row t is Y_{t+1}; lag 2 aligns it back
     cols = {
         "subject_id": np.repeat(np.arange(n), T),
         "t": np.tile(np.arange(1, T + 1), n),
-        "a": a.reshape(-1), "p": p.reshape(-1), "y": y2.reshape(-1),
+        "a": a.reshape(-1), "p": p.reshape(-1), "y": y_raw.reshape(-1),
         "z": z.reshape(-1), "pt": np.full(n * T, 0.5),
     }
-    schema = moderator_schema(aux=("z",), ptilde="pt")
-    ds = from_columns(cols, schema, lag=2, y_is_aligned=True)
+    schema = Schema(aux=("z",), ptilde="pt")
+    ds = from_columns(cols, schema, lag=2)
     lagged = fit(ds, EstimatorConfig(method="a2wcls_lagged", lag=2))
     plain = fit(ds, EstimatorConfig(method="wcls", lag=2))
     assert lagged.beta0[0] == pytest.approx(-0.1, abs=1e-10)

@@ -6,7 +6,7 @@ PUBLIC = {
     # submodules bound by the package's own imports
     "centering", "data", "errors", "estimators", "replication", "simulation", "variance",
     # data
-    "FeatureSpec", "MrtDataset", "from_columns", "load_csv", "moderator_schema", "to_csv",
+    "MrtDataset", "Schema", "from_columns", "load_csv", "to_csv",
     # centering
     "CenteringModel", "centering_from_rows", "fit_centering", "naive_centerings",
     "orthogonality_residual",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mrtx import errors
-from mrtx.data import moderator_schema
+from mrtx.data import Schema
 from mrtx.estimators import EstimatorConfig, fit
 from mrtx.simulation import (
     KINDS,
@@ -155,7 +155,7 @@ def test_workers_below_one_rejected(workers):
 
 def test_schema_arm_fits_the_reviewed_panel():
     spec = DgmSpec(kind="lagged_eq12", n=40, horizon=8, beta0=-0.1, beta1=0.5, seed=6)
-    schema = tuple(moderator_schema(aux=("z",), controls=("a_next", "z_next")))
+    schema = Schema(aux=("z",), controls=("a_next", "z_next"))
     config = EstimatorConfig(method="wcls", lag=2)
     rep = run_monte_carlo(spec, [McArm("wcls", config),
                                  McArm("naive", config, schema=schema)], 3)
@@ -241,7 +241,7 @@ def test_fit_failures_counted_not_dropped():
             McArm("a2wcls", EstimatorConfig(method="a2wcls"))]
 
     import mrtx.simulation as sim
-    from mrtx.data import from_columns, moderator_schema
+    from mrtx.data import from_columns
     original = sim._BUILDERS["nonmoderator_robust"]
     calls = {"n": 0}
 
@@ -251,8 +251,7 @@ def test_fit_failures_counted_not_dropped():
         if calls["n"] == 1:
             cols = dict(ds.columns)
             cols["z"] = np.zeros(ds.n_rows)
-            return from_columns(cols, moderator_schema(aux=("z",)),
-                                lag=1, y_is_aligned=True)
+            return from_columns(cols, Schema(aux=("z",)), lag=1)
         return ds
 
     sim._BUILDERS["nonmoderator_robust"] = sometimes_degenerate

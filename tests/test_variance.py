@@ -7,7 +7,7 @@ from scipy import special, stats
 
 from mrtx import errors
 from mrtx.centering import fit_centering
-from mrtx.data import from_columns, moderator_schema
+from mrtx.data import Schema, from_columns
 from mrtx.estimators import (
     EstimatorConfig,
     _pooled_design,
@@ -52,7 +52,7 @@ def test_single_time_matches_robust_ols_oracle():
 
 def test_duplicated_subjects_halve_vcov():
     cols = panel_from_arrays(10, 5, seed=1)
-    schema = moderator_schema(aux=("z",), controls=("g1",))
+    schema = Schema(aux=("z",), controls=("g1",))
     ds = from_columns(cols, schema)
     doubled = {k: np.concatenate([np.asarray(v), np.asarray(v)]) for k, v in cols.items()}
     doubled["subject_id"] = np.concatenate([cols["subject_id"],
@@ -135,7 +135,7 @@ def test_vcov_symmetric_psd_over_fits():
 
 def test_scale_equivariance():
     cols = panel_from_arrays(20, 6, seed=7)
-    schema = moderator_schema(aux=("z",), controls=("g1",))
+    schema = Schema(aux=("z",), controls=("g1",))
     ds = from_columns(cols, schema)
     scaled = dict(cols)
     scaled["y"] = np.asarray(cols["y"]) * 3.0
@@ -274,7 +274,7 @@ def _duplicated_moderator_emee():
     rng = np.random.default_rng(4)
     m = rng.standard_normal(120)
     ds = build_panel(20, 6, y=(rng.random(120) < 0.3).astype(float), m1=m, m2=m,
-                     schema=moderator_schema(moderators=("m1", "m2"), aux=("z",)))
+                     schema=Schema(moderators=("m1", "m2"), aux=("z",)))
     fit(ds, EstimatorConfig(method="emee"))
 
 

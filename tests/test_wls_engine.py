@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrtx import errors
-from mrtx.data import moderator_schema
+from mrtx.data import Schema
 from mrtx.estimators import EstimatorConfig, closed_form_gaps, fit, wls_solve
 
 from conftest import build_panel
@@ -61,7 +61,7 @@ def test_singular_gram():
 def single_time_panel(y, a, p=0.5, g=None):
     n = len(y)
     extra = {} if g is None else {"g1": g}
-    schema = moderator_schema(aux=("z",), controls=("g1",) if g is not None else ())
+    schema = Schema(aux=("z",), controls=("g1",) if g is not None else ())
     return build_panel(n, 1, a=a, p=np.full(n, p), y=y, z=np.zeros(n),
                        schema=schema, **extra)
 
