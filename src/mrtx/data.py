@@ -56,7 +56,11 @@ class Schema:
 
     def __post_init__(self):
         for role in ("moderators", "aux", "controls"):
-            object.__setattr__(self, role, tuple(getattr(self, role)))
+            names = getattr(self, role)
+            if isinstance(names, str):     # tuple() would split it into characters
+                raise DimensionMismatch(f"Schema.{role} takes a sequence of column "
+                                        f"names, not the string {names!r}")
+            object.__setattr__(self, role, tuple(names))
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:

@@ -473,69 +473,75 @@ def closed_form_gaps(p: float, alpha1, beta1, sigma_g) -> dict[str, float]:
 # binary outcomes: log-relative-risk estimating equations
 
 
+def _dot(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``M @ b``; a one-column ``@`` is several times slower than the product."""
+    if M.shape[1] > 1:
+        return M @ b
+    return M[:, 0] * b[0] if b.ndim == 1 else M * b[0]
+
+
 def _emee_system(ds: MrtDataset, feat: np.ndarray):
     """EMEE equations over the usable rows with design ``X = [g, ca * feat]``.
 
-    ``evaluate(params, want_jac)`` returns the per-row weighted residual ``r``,
-    the averaged equations ``X' r / n`` and, if asked, their Jacobian.
+    ``evaluate(params)`` returns the per-row weighted residual ``r``, the
+    averaged equations ``X' r / n`` and their Jacobian. As ``blip * mean`` is
+    ``exp(g alpha)``, ``r = w blip (y - mean)`` is ``wy blip - w exp(g alpha)``.
+    ``X`` and the row derivatives are held transposed, a contiguous row per column.
     """
-    g = ds.usable(ds.g)
-    f_x = ds.usable(feat)
-    a = ds.usable(ds.a.astype(float))
-    y = ds.usable(ds.y)
-    w_u = ds.usable(ds.weight_w)
-    ca_u = ds.usable(ds.centered_a)
-    X = np.column_stack([g, ca_u[:, None] * f_x])
-    n = ds.n_subjects
-    k_g = g.shape[1]
+    g, f_x = ds.usable(ds.g), ds.usable(feat)
+    a, w = ds.usable(ds.a.astype(float)), ds.usable(ds.weight_w)
+    wy = w * ds.usable(ds.y)
+    awy = a * wy
+    k_g, n = g.shape[1], ds.n_subjects
+    Xt = np.empty((k_g + f_x.shape[1], len(w)))
+    Xt[:k_g] = g.T
+    np.multiply(f_x.T, ds.usable(ds.centered_a), out=Xt[k_g:])
+    Dt = np.empty_like(Xt)                                   # -d r / d params
 
-    def evaluate(params, want_jac):
+    def evaluate(params):
         # an overflow gives a non-finite norm, which the line search halves away
         # from; checked_solve rejects a non-finite Jacobian or equation vector
         with np.errstate(over="ignore", invalid="ignore"):
-            alpha, betab = params[:k_g], params[k_g:]
-            lin_b = f_x @ betab
-            blip = np.exp(-a * lin_b)
-            mean = np.exp(g @ alpha + a * lin_b)
-            r = w_u * blip * (y - mean)
-            u = X.T @ r / n
-            if not want_jac:
-                return r, u, None
-            # d(blip * resid)/dalpha = -blip*mean*g ; d/dbeta = -a*blip*y*f
-            da = -(w_u * blip * mean)[:, None] * g
-            db = -(w_u * a * blip * y)[:, None] * f_x
-            return r, u, X.T @ np.column_stack([da, db]) / n
+            blip = _dot(f_x, -params[k_g:])
+            np.exp(np.multiply(blip, a, out=blip), out=blip)     # exp(-a feat beta)
+            wbm = _dot(g, params[:k_g])
+            np.multiply(np.exp(wbm, out=wbm), w, out=wbm)        # w blip mean
+            r = wy * blip
+            r -= wbm
+            np.multiply(g.T, wbm, out=Dt[:k_g])
+            np.multiply(f_x.T, np.multiply(blip, awy, out=blip), out=Dt[k_g:])
+            return r, Xt @ r / n, Xt @ Dt.T / -n
 
-    return evaluate, X
+    return evaluate, Xt
 
 
 def _newton(evaluate, init: np.ndarray):
-    params = init.copy()
-    _, u, _ = evaluate(params, False)
-    norm = float(np.abs(u).max())
-    trace = [norm]
-    for it in range(1, _MAX_ITER + 1):
-        if norm <= _TOL:
-            return params, it - 1, trace
-        _, u, jac = evaluate(params, True)
+    """Damped Newton from ``init``, evaluating each iterate once with its Jacobian.
+
+    Returns ``(params, n_iter, trace, r, jac)``: the root with its residual and
+    Jacobian, so the sandwich needs no further evaluation.
+    """
+    params = init
+    r, u, jac = evaluate(params)
+    trace = [float(np.abs(u).max())]
+    for it in range(_MAX_ITER + 1):
+        if trace[-1] <= _TOL:
+            return params, it, trace, r, jac
+        if it == _MAX_ITER:
+            raise NonConvergence(f"Newton failed to converge in {_MAX_ITER} iterations "
+                                 f"(final norm {trace[-1]:.3g})", n_iter=_MAX_ITER)
         step = checked_solve(jac, u, SingularJacobian, "Newton Jacobian")
-        scale = 1.0
-        for _ in range(40):
-            cand = params - scale * step
-            _, u_new, _ = evaluate(cand, False)
-            norm_new = float(np.abs(u_new).max())
-            if norm_new < norm:
+        for halvings in range(40):
+            cand = params - 0.5 ** halvings * step
+            out = evaluate(cand)
+            norm = float(np.abs(out[1]).max())
+            if norm < trace[-1]:
                 break
-            scale *= 0.5
         else:
             raise NonConvergence("step halving failed to reduce the estimating "
-                                 f"equation norm ({norm:.3g})", n_iter=it)
-        params, norm = cand, norm_new
+                                 f"equation norm ({trace[-1]:.3g})", n_iter=it + 1)
+        params, (r, u, jac) = cand, out
         trace.append(norm)
-    if norm <= _TOL:
-        return params, _MAX_ITER, trace
-    raise NonConvergence(f"Newton failed to converge in {_MAX_ITER} iterations "
-                         f"(final norm {norm:.3g})", n_iter=_MAX_ITER)
 
 
 def _check_binary(ds: MrtDataset):
@@ -548,19 +554,11 @@ def _check_binary(ds: MrtDataset):
         raise DimensionMismatch("binary outcome is identically one")
 
 
-def _emee_init(ds: MrtDataset) -> np.ndarray:
-    """Newton start for the EMEE without auxiliary: the log mean outcome as intercept."""
-    init = np.zeros(ds.d + ds.q)
-    init[0] = np.log(max(ds.usable(ds.y).mean(), 1e-8))
-    return init
-
-
-def _binary_result(ds: MrtDataset, config: EstimatorConfig, evaluate, X: np.ndarray,
-                   params: np.ndarray, feat_names: list[str], n_iter: int,
-                   trace) -> FitResult:
-    """Sandwich pieces at the root ``params`` and the assembled fit."""
-    r, _, jac = evaluate(params, True)
-    scores = (X * r[:, None]).reshape(ds.n_subjects, ds.n_usable, -1).sum(axis=1)
+def _binary_result(ds: MrtDataset, config: EstimatorConfig, Xt: np.ndarray, solved,
+                   feat_names: list[str], n_iter: int, trace) -> FitResult:
+    """The fit at the root of ``solved``, whose ``r`` and ``jac`` give the sandwich."""
+    params, _, _, r, jac = solved
+    scores = (Xt * r).reshape(len(Xt), ds.n_subjects, ds.n_usable).sum(axis=2).T
     parts = SandwichParts(bread=-jac, subject_scores=scores)   # positive orientation
     names = [f"alpha:{n}" for n in ds.g_names] + feat_names
     b0_idx = np.arange(ds.d, ds.d + ds.q)
@@ -569,48 +567,46 @@ def _binary_result(ds: MrtDataset, config: EstimatorConfig, evaluate, X: np.ndar
                      n_iter=n_iter, trace=trace)
 
 
-def _fit_emee(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
-    """Log-relative-risk excursion effect for binary outcomes (damped Newton)."""
-    _check_binary(ds)
-    evaluate, X = _emee_system(ds, ds.f)
-    params, n_iter, trace = _newton(evaluate, _emee_init(ds))
-    return _binary_result(ds, config, evaluate, X, params,
-                          [f"beta0:{n}" for n in ds.f_names], n_iter, trace)
+def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
+    """Log-relative-risk excursion effect for binary outcomes: ``emee`` is one
+    damped Newton solve from the log mean outcome as intercept.
 
-
-def _fit_a2emee(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
-    """Auxiliary-adjusted binary fit via an alternating centering loop.
-
-    The centering coefficients solve, per auxiliary column, the first-order
-    (in the auxiliary slope) version of the binary orthogonality condition,
-    which is linear given the current effect coefficients; the effect and
-    nuisance coefficients are then re-solved by Newton with the centered
-    auxiliary interaction included. Passes stop once no entry of
-    ``(params, theta)`` moves by ``_TOL`` from the previous pass; only that
-    pass builds the sandwich. Since ``theta`` solves this binary condition,
-    no centering model or kind is taken.
+    ``a2emee`` goes on from that fit with an alternating loop. Each pass solves
+    the centering ``theta``, per auxiliary column, from the first-order (in the
+    auxiliary slope) binary orthogonality condition, linear given the effect
+    coefficients, then re-solves the EMEE with the centered auxiliary included.
+    Passes stop once no entry of ``(params, theta)`` moves by ``_TOL``; only that
+    pass builds the sandwich. No centering model or kind is taken.
     """
-    if ds.p_z < 1:
+    if config.method == "a2emee" and ds.p_z < 1:
         raise DimensionMismatch("a2emee requires auxiliary columns")
     _check_binary(ds)
+    init = np.zeros(ds.d + ds.q)
+    init[0] = np.log(max(ds.usable(ds.y).mean(), 1e-8))
+    evaluate, Xt = _emee_system(ds, ds.f)
+    solved = _newton(evaluate, init)
+    names = [f"beta0:{n}" for n in ds.f_names]
+    if config.method == "emee":
+        return _binary_result(ds, config, Xt, solved, names, solved[1], solved[2])
     w_az = ds.usable(ds.weight_w * ds.a.astype(float) * ds.centered_a * ds.y)
     f_use, z_use = ds.usable(ds.f), ds.usable(ds.z)
-    base = _newton(_emee_system(ds, ds.f)[0], _emee_init(ds))[0]
-    params = np.concatenate([base, np.zeros(ds.p_z)])
+    params = np.concatenate([solved[0], np.zeros(ds.p_z)])
     theta = fit_centering(ds).theta
-    names = [f"beta0:{n}" for n in ds.f_names] + [f"beta1:{n}" for n in ds.z_names]
+    names += [f"beta1:{n}" for n in ds.z_names]
     trace: list[float] = []
     state = None
     for outer in range(1, _MAX_ITER + 1):
-        zc = ds.z - ds.f @ theta
+        zc = ds.z - _dot(ds.f, theta)
         _check_auxiliary(ds, zc)
-        evaluate, X = _emee_system(ds, np.column_stack([ds.f, zc]))
-        params, _, pass_trace = _newton(evaluate, params)
-        trace.append(pass_trace[-1])
+        evaluate = Xt = solved = None          # free the last system before the next
+        evaluate, Xt = _emee_system(ds, np.column_stack([ds.f, zc]))
+        solved = _newton(evaluate, params)
+        params = solved[0]
+        trace.append(solved[2][-1])
         prev, state = state, np.concatenate([params, theta.reshape(-1)])
         if prev is not None and float(np.abs(state - prev).max()) < _TOL:
-            return _binary_result(ds, config, evaluate, X, params, names, outer, trace)
-        weights = w_az * np.exp(-f_use @ params[ds.d:ds.d + ds.q])
+            return _binary_result(ds, config, Xt, solved, names, outer, trace)
+        weights = w_az * np.exp(-_dot(f_use, params[ds.d:ds.d + ds.q]))
         theta, _ = weighted_projection(f_use, z_use, weights, ds.n_subjects,
                                        SingularGram, "binary centering system")
     raise NonConvergence(
@@ -650,4 +646,4 @@ def fit(ds: MrtDataset, config: EstimatorConfig,
         return _fit_pooled(ds, config, cm, lagged=method == "a2wcls_lagged")
     if method == "wcls":
         return _fit_pooled(ds, config, None, lagged=False)
-    return _fit_emee(ds, config) if method == "emee" else _fit_a2emee(ds, config)
+    return _fit_binary(ds, config)

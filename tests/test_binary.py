@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -83,7 +84,7 @@ def test_emee_root_residual():
     res = fit(ds, EstimatorConfig(method="emee"))
     from mrtx.estimators import _emee_system
     evaluate, _ = _emee_system(ds, ds.f)
-    _, u, _ = evaluate(res.estimates, False)
+    _, u, _ = evaluate(res.estimates)
     assert np.abs(u).max() <= 1e-8
 
 
@@ -210,7 +211,7 @@ print(other_threads_cpu_s() - before)
 def test_binary_fits_leave_blas_threads_idle():
     """At 20 000 rows a one-column ``F' Z`` through ``@`` is a threaded BLAS
     ``ddot`` whose woken thread then spins idle; the binary fits form such
-    products by einsum, so the other threads of the process stay idle."""
+    products by einsum or broadcasting, so the other threads stay idle."""
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("needs /proc/self/task")
     env = {**os.environ, "PYTHONPATH": str(Path(estimators.__file__).parents[1])}
@@ -221,3 +222,79 @@ def test_binary_fits_leave_blas_threads_idle():
     if int(n_threads) == 1:
         pytest.skip("BLAS runs single-threaded here")
     assert float(other_cpu_s) < 0.020
+
+
+# (method, n, horizon, seed) of the binary_demo panels whose EMEE and A2-EMEE
+# fits were recorded before the evaluator and Newton loop were rewritten
+RECORDED_BINARY = [(m, n, T, seed) for m in ("emee", "a2emee")
+                   for n, T, seed in [(500, 8, 0), (500, 8, 1), (500, 8, 2), (500, 8, 3),
+                                      (2000, 10, 20240901)]]
+
+
+@pytest.mark.parametrize("method, n, horizon, seed", RECORDED_BINARY)
+def test_binary_fit_matches_recorded(method, n, horizon, seed):
+    ref = json.loads((Path(__file__).parent / "reference" / "binary_emee_a2emee.json")
+                     .read_text())[f"{method}:n{n}:T{horizon}:seed{seed}"]
+    ds = gen_panel(DgmSpec(kind="binary_demo", n=n, horizon=horizon, beta0=0.2, seed=seed))
+    res = fit(ds, EstimatorConfig(method=method))
+    np.testing.assert_allclose(res.estimates, ref["estimates"], rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(res.vcov, ref["vcov"], rtol=1e-10, atol=1e-12)
+    assert res.n_iter == ref["n_iter"]
+    assert len(res.ee_norm_trace) == ref["trace_len"]
+
+
+def _count_evaluations(monkeypatch):
+    """Log every EMEE evaluation as ``(solve, params, norm)`` and every Newton
+    solve's iteration count; ``solve`` is None outside any Newton solve."""
+    calls, solves, current = [], [], [None]
+    system, newton = estimators._emee_system, estimators._newton
+
+    def counted_system(*args, **kwargs):
+        evaluate, X = system(*args, **kwargs)
+
+        def counted(params, *rest):
+            out = evaluate(params, *rest)
+            calls.append((current[0], params.copy(), float(np.abs(out[1]).max())))
+            return out
+
+        return counted, X
+
+    def counted_newton(*args, **kwargs):
+        current[0] = len(solves)
+        solves.append(None)
+        try:
+            out = newton(*args, **kwargs)
+        finally:
+            current[0] = None
+        solves[-1] = out[1]
+        return out
+
+    monkeypatch.setattr(estimators, "_emee_system", counted_system)
+    monkeypatch.setattr(estimators, "_newton", counted_newton)
+    return calls, solves
+
+
+@pytest.mark.parametrize("method", ["emee", "a2emee"])
+def test_one_evaluation_per_newton_iterate(method, monkeypatch):
+    calls, solves = _count_evaluations(monkeypatch)
+    ds = gen_panel(DgmSpec(kind="binary_demo", n=2000, horizon=10, beta0=0.2, seed=1))
+    res = fit(ds, EstimatorConfig(method=method))
+    # the sandwich is read off the last accepted iterate: no evaluation outside a solve
+    assert [c for c in calls if c[0] is None] == []
+    assert len(solves) == (1 if method == "emee" else 1 + res.n_iter)
+    for s, n_iter in enumerate(solves):
+        mine = [c for c in calls if c[0] == s]
+        # each candidate is evaluated once: accepted if it lowers the norm,
+        # else a step halving
+        best, halvings = mine[0][2], 0
+        for _, _, norm in mine[1:]:
+            if norm < best:
+                best = norm
+            else:
+                halvings += 1
+        assert len(mine) == 1 + n_iter + halvings
+        for i in range(len(mine)):
+            for j in range(i):
+                assert not np.array_equal(mine[i][1], mine[j][1])
+    if method == "emee":
+        assert len(calls) == res.n_iter + 1

@@ -364,3 +364,11 @@ def test_lag_beyond_horizon_rejected_at_build():
     with pytest.raises(errors.LagHorizonExceeded, match="lag 4 exceeds panel horizon 3"):
         from_columns(cols, Schema(aux=("z",)), lag=4)
     assert from_columns(cols, Schema(aux=("z",)), lag=3).n_usable == 1
+
+
+@pytest.mark.parametrize("role", ["moderators", "aux", "controls"])
+def test_schema_rejects_bare_string(role):
+    # tuple("zz") would silently give two columns named "z"
+    with pytest.raises(errors.DimensionMismatch, match=f"Schema.{role}"):
+        Schema(**{role: "zz"})
+    assert getattr(Schema(**{role: ["zz"]}), role) == ("zz",)

@@ -114,7 +114,7 @@ def test_finite_difference_bread_binary():
     evaluate, _ = _emee_system(ds, ds.f)
 
     def score(params):
-        return evaluate(params, False)[1]
+        return evaluate(params)[1]
 
     numeric = -fd_bread(score, res.estimates.copy(), res.parts.dim)
     assert np.abs(numeric - res.parts.bread).max() <= 1e-4 * max(np.abs(res.parts.bread).max(), 1.0)
