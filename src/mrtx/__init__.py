@@ -35,7 +35,6 @@ from .simulation import (
 )
 from .variance import (
     SandwichParts,
-    StackedParts,
     confidence_intervals,
     plain_sandwich,
     stacked_sandwich,

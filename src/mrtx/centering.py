@@ -27,17 +27,19 @@ from .variance import checked_solve
 class CenteringModel:
     """Linear centering model ``mu_i(s) = f(s)' theta_i`` for each auxiliary column.
 
-    ``score_meta`` holds each subject's contribution to the centering
-    estimating equation (the weighted normal-equation residual, one q-block
-    per auxiliary column), so variance stacking never needs a refit.
-    ``orthogonal`` is False for deliberately misspecified centerings built by
-    :func:`centering_from_rows`; those cannot back a stacked variance.
+    ``influence`` holds each subject's influence on ``theta``, ``G^{-1} U_j``
+    with ``U_j`` the subject's weighted normal-equation residual, so variance
+    stacking never needs a refit. Models built by :func:`centering_from_rows`
+    carry none: they are not orthogonality-fitted and cannot back a stacked
+    variance.
     """
 
-    theta: np.ndarray              # (q, p_z)
-    score_meta: np.ndarray         # (n_subjects, q * p_z), column-major in aux index
-    gram: np.ndarray               # (q, q) weighted Gram used for the fit
-    orthogonal: bool = True
+    theta: np.ndarray                       # (q, p_z)
+    influence: np.ndarray | None = None     # (n_subjects, q, p_z)
+
+    @property
+    def orthogonal(self) -> bool:
+        return self.influence is not None
 
     @property
     def q(self) -> int:
@@ -90,9 +92,13 @@ def fit_centering(ds: MrtDataset) -> CenteringModel:
     theta, gram = weighted_projection(ds.f, ds.z, w, ds.n_subjects,
                                       SingularGram, "centering fit")
     resid = ds.z - ds.f @ theta                          # (rows, p_z)
-    contrib = (ds.f * w[:, None])[:, :, None] * resid[:, None, :]   # (rows, q, p_z)
-    per_subj = ds.per_subject(contrib.reshape(ds.n_rows, -1)).sum(axis=1)
-    return CenteringModel(theta=theta, score_meta=per_subj, gram=gram)
+    # each subject's normal-equation residual U_j, laid out (q, N, p_z) so that
+    # one solve takes every subject's right-hand side; weighted_projection
+    # has already checked the Gram
+    u = np.einsum("ntk,nt,nti->kni", ds.per_subject(ds.f), ds.per_subject(w),
+                  ds.per_subject(resid))
+    influence = np.linalg.solve(gram, u.reshape(ds.q, -1)).reshape(u.shape)
+    return CenteringModel(theta, influence.transpose(1, 0, 2))
 
 
 def orthogonality_residual(ds: MrtDataset, mu_rows: np.ndarray) -> float:
@@ -136,11 +142,10 @@ def centering_from_rows(ds: MrtDataset, mu_rows: np.ndarray, label: str) -> Cent
     mu_rows = np.asarray(mu_rows, dtype=float)
     if mu_rows.ndim == 1:
         mu_rows = mu_rows[:, None]
-    theta, gram = weighted_projection(ds.f, mu_rows, np.ones(ds.n_rows), 1,
-                                      SingularGram, "centering representation")
+    theta, _ = weighted_projection(ds.f, mu_rows, np.ones(ds.n_rows), 1,
+                                   SingularGram, "centering representation")
     rep = ds.f @ theta
     if not np.allclose(rep, mu_rows, atol=1e-8):
         raise DimensionMismatch(
             f"{label}: requested centering is not representable in the moderator span")
-    return CenteringModel(theta=theta, score_meta=np.zeros((ds.n_subjects, ds.q * ds.p_z)),
-                          gram=gram / ds.n_subjects, orthogonal=False)
+    return CenteringModel(theta)

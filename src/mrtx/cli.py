@@ -40,15 +40,10 @@ from .estimators import (
 from .replication import TABLES, run_table
 from .simulation import DgmSpec, McArm, run_monte_carlo
 
-_ERROR_CLASSES = [
-    errors.MissingColumn, errors.NonBinaryTreatment, errors.ProbabilityOutOfRange,
-    errors.MissingValue, errors.NonContiguousTime, errors.DimensionMismatch,
-    errors.SingularGram, errors.SingularBread, errors.SingularThetaBread,
-    errors.SingularLeverage, errors.SingularJacobian, errors.DegenerateAuxiliary,
-    errors.LagHorizonExceeded, errors.NonConvergence,
-    errors.ZeroVariance, errors.ConfigParse, errors.UnknownTable,
-    errors.VarianceOverflow,
-]
+# every error the library raises: the MrtxError subclasses but the two bases
+_ERROR_CLASSES = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.MrtxError)
+                  and cls not in (errors.MrtxError, errors.DataError)]
 
 
 def _exit_code_map() -> str:

@@ -263,7 +263,6 @@ def _build_dataset(columns: Mapping[str, np.ndarray], schema: Schema,
         aligned[:, : horizon - (lag - 1)] = y_mat[:, lag - 1:]
         y = aligned.reshape(-1)
 
-    usable = t <= horizon - lag + 1
     f, f_names = _column_matrix(columns, schema.moderators, True)
     z, z_names = _column_matrix(columns, schema.aux, False)
     g, g_names = _column_matrix(columns, schema.controls, True)
@@ -277,10 +276,13 @@ def _build_dataset(columns: Mapping[str, np.ndarray], schema: Schema,
         sid, tt = _first_bad(bad, subject, t)
         raise ProbabilityOutOfRange("weight numerator p_tilde must lie in (0,1)", sid, tt)
 
-    for label, arr in (("y", y[usable]), ("z", z), ("f", f), ("g", g)):
+    # the supplied outcome rows that usable aligned rows read are t >= lag;
+    # a bad one is named at its own t
+    feeds = t >= lag
+    for label, arr in (("y", y_raw[feeds]), ("z", z), ("f", f), ("g", g)):
         if arr.size and not np.isfinite(arr).all():
             flat = np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
-            idx = np.arange(n_rows)[usable] if label == "y" else np.arange(arr.shape[0])
+            idx = np.flatnonzero(feeds) if label == "y" else np.arange(arr.shape[0])
             i = int(idx[np.argmax(~flat)])
             raise MissingValue(f"non-finite value in {label}", subject[i], int(t[i]))
 

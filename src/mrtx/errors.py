@@ -62,10 +62,6 @@ class SingularBread(MrtxError):
     exit_code = 19
 
 
-class SingularThetaBread(MrtxError):
-    exit_code = 20
-
-
 class SingularLeverage(MrtxError):
     """A per-subject (I - H_j) block is numerically singular."""
 

@@ -47,7 +47,6 @@ from .errors import (
 )
 from .variance import (
     SandwichParts,
-    StackedParts,
     check_ci_level,
     checked_solve,
     confidence_intervals,
@@ -114,7 +113,6 @@ class FitResult:
     beta0_idx: np.ndarray = field(repr=False)
     beta1_idx: np.ndarray = field(repr=False)
     parts: SandwichParts = field(repr=False)
-    stacked_parts: StackedParts | None = field(repr=False)
     variance_mode: str
     ci_level: float
     converged: bool
@@ -251,25 +249,24 @@ def _check_variance_mode(method: str, mode: str, orthogonal: bool = True) -> Non
             "stacked variance requires an orthogonality-fitted centering model")
 
 
-def _vcov(parts, sp, mode):
-    if mode == "plain_sandwich" or (mode == "stacked" and sp is None):
+def _vcov(parts, mode):
+    if mode == "plain_sandwich" or (mode == "stacked" and parts.centering_shift is None):
         return plain_sandwich(parts)
     if mode == "stacked":
-        return stacked_sandwich(parts, sp)
-    return stacked_small_sample(parts, sp)
+        return stacked_sandwich(parts)
+    return stacked_small_sample(parts)
 
 
-def _assemble(names, estimates, beta0_idx, beta1_idx, parts, sp, config,
+def _assemble(names, estimates, beta0_idx, beta1_idx, parts, config,
               n_iter=0, trace=()):
     return FitResult(
         method=config.method,
         param_names=tuple(names),
         estimates=estimates,
-        vcov=_vcov(parts, sp, config.variance_mode),
+        vcov=_vcov(parts, config.variance_mode),
         beta0_idx=np.asarray(beta0_idx, dtype=int),
         beta1_idx=np.asarray(beta1_idx, dtype=int),
         parts=parts,
-        stacked_parts=sp,
         variance_mode=config.variance_mode,
         ci_level=config.ci_level,
         converged=True,
@@ -282,14 +279,14 @@ def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None)
     """Recompute vcov/SE/CI from retained per-subject pieces, without refitting.
 
     A mode the direct fit would refuse is refused here too; an
-    auxiliary-adjusted fit keeps stacked parts only when its centering is
+    auxiliary-adjusted fit keeps a centering shift only when its centering is
     orthogonal.
     """
-    _check_variance_mode(fit.method, mode, fit.stacked_parts is not None
+    _check_variance_mode(fit.method, mode, fit.parts.centering_shift is not None
                          or fit.method not in ADJUSTED)
     level = fit.ci_level if ci_level is None else ci_level
     check_ci_level(level)
-    return replace(fit, vcov=_vcov(fit.parts, fit.stacked_parts, mode),
+    return replace(fit, vcov=_vcov(fit.parts, mode),
                    variance_mode=mode, ci_level=level)
 
 
@@ -297,13 +294,14 @@ def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None)
 # shared least-squares plumbing
 
 
-def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use):
+def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use, shift=None):
     """Per-subject pieces of a least-squares fit; its Gram is the bread."""
     D = X_use.reshape(n, t_use, X_use.shape[1])
     W = w_use.reshape(n, t_use)
     R = (y_use - X_use @ beta).reshape(n, t_use)
     scores = np.einsum("ntk,nt->nk", D, W * R)
-    return SandwichParts(bread=gram, subject_scores=scores, model_matrix=D, weights=W)
+    return SandwichParts(bread=gram, subject_scores=scores, model_matrix=D, weights=W,
+                         centering_shift=shift)
 
 
 def _rms(block: np.ndarray) -> np.ndarray:
@@ -376,19 +374,17 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
     X, names, b0_idx, b1_idx = _pooled_design(ds, cm, lagged)
     y, w = ds.usable(ds.y), ds.usable(ds.weight_w)
     beta, gram = wls_solve(X, y, w, ds.n_subjects)
-    parts = _ls_parts(X, y, w, beta, gram, ds.n_subjects, ds.n_usable)
     _check_variance_mode(config.method, config.variance_mode, cm is None or cm.orthogonal)
-
-    sp = None
+    shift = None
     if cm is not None and cm.orthogonal:
         # the score's derivative in centering coefficient (k, i) is
         # beta1_i * P_N[sum_t w ca x f_k], and the beta0 columns of X are ca f_k,
-        # so it is beta1_i times the Gram's beta0 column k; the residual's own
-        # derivative term vanishes by the beta0 normal equations
-        sp = StackedParts(u_theta_scores=cm.score_meta,
-                          cross_derivative=np.kron(gram[:, b0_idx], beta[b1_idx]),
-                          theta_bread=-np.kron(cm.gram, np.eye(len(b1_idx))))
-    return _assemble(names, beta, b0_idx, b1_idx, parts, sp, config)
+        # so it is beta1_i times the Gram's beta0 row k (the residual's own
+        # derivative term vanishes by the beta0 normal equations); applied to
+        # each subject's influence on theta, it is that subject's score shift
+        shift = (cm.influence @ beta[b1_idx]) @ gram[b0_idx]
+    parts = _ls_parts(X, y, w, beta, gram, ds.n_subjects, ds.n_usable, shift)
+    return _assemble(names, beta, b0_idx, b1_idx, parts, config)
 
 
 def _centered_controls(g: np.ndarray):
@@ -432,7 +428,7 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig) -> FitResult:
     w = np.ones(n)
     beta, gram = wls_solve(X, y, w, n)
     parts = _ls_parts(X, y, w, beta, gram, n, 1)
-    return _assemble(names, beta, np.array([b0_pos]), b1_idx, parts, None, config)
+    return _assemble(names, beta, np.array([b0_pos]), b1_idx, parts, config)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +559,7 @@ def _binary_result(ds: MrtDataset, config: EstimatorConfig, Xt: np.ndarray, solv
     names = [f"alpha:{n}" for n in ds.g_names] + feat_names
     b0_idx = np.arange(ds.d, ds.d + ds.q)
     b1_idx = np.arange(ds.d + ds.q, ds.d + len(feat_names))
-    return _assemble(names, params, b0_idx, b1_idx, parts, None, config,
+    return _assemble(names, params, b0_idx, b1_idx, parts, config,
                      n_iter=n_iter, trace=trace)
 
 

@@ -5,9 +5,9 @@ asymptotic variance is the usual sandwich ``Q^{-1} Sigma Q^{-1}`` scaled so
 that ``SE = sqrt(diag / N)``. Two refinements are pure post-processing on
 retained per-subject pieces:
 
-* stacking replaces each subject's mean-model score with the version
-  corrected for the estimated centering parameters, using the analytic
-  cross-derivative of the criterion in the centering coefficients;
+* stacking adds to each subject's mean-model score a fixed shift for the
+  estimated centering coefficients: the score's analytic derivative in them
+  times the subject's influence on them (``SandwichParts.centering_shift``);
 * leverage correction is the Mancl–DeRouen small-sample fix: per-subject
   residuals are premultiplied by ``(I - H_j)^{-1}`` before the meat is
   rebuilt, solved as one k×k system per subject (``leverage_adjusted_scores``).
@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     SingularBread,
     SingularLeverage,
-    SingularThetaBread,
     VarianceOverflow,
 )
 
@@ -37,19 +36,17 @@ class SandwichParts:
     """Everything needed to rebuild a sandwich without refitting.
 
     ``bread`` is the per-subject-averaged derivative of the estimating
-    function (positive-definite Gram for least-squares criteria); ``meat``
-    averages per-subject score outer products. Least-squares fits also retain
-    per-subject ``model_matrix``/``weights`` for the leverage correction.
+    function (positive-definite Gram for least-squares criteria). Least-squares
+    fits also retain per-subject ``model_matrix``/``weights`` for the leverage
+    correction; a fit with an orthogonality-fitted centering retains the
+    per-subject ``centering_shift`` that the stacked variances add to the scores.
     """
 
     bread: np.ndarray              # (dim, dim)
     subject_scores: np.ndarray     # (N, dim)
-    model_matrix: np.ndarray | None = None   # (N, T_use, dim)
-    weights: np.ndarray | None = None        # (N, T_use)
-
-    @property
-    def meat(self) -> np.ndarray:
-        return score_meat(self.subject_scores)
+    model_matrix: np.ndarray | None = None     # (N, T_use, dim)
+    weights: np.ndarray | None = None          # (N, T_use)
+    centering_shift: np.ndarray | None = None  # (N, dim)
 
     @property
     def n_subjects(self) -> int:
@@ -58,20 +55,6 @@ class SandwichParts:
     @property
     def dim(self) -> int:
         return self.bread.shape[0]
-
-
-@dataclass(frozen=True)
-class StackedParts:
-    """Centering-parameter pieces for the stacked variance.
-
-    Layout convention: the centering coefficients flatten C-order over
-    (moderator component, auxiliary column), matching
-    ``CenteringModel.score_meta``.
-    """
-
-    u_theta_scores: np.ndarray     # (N, q * p_z)
-    cross_derivative: np.ndarray   # (dim, q * p_z)
-    theta_bread: np.ndarray        # (q * p_z, q * p_z)
 
 
 def checked_solve(mat: np.ndarray, rhs: np.ndarray, exc, what: str) -> np.ndarray:
@@ -107,29 +90,29 @@ def _sandwich(binv: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return vcov
 
 
+def _bread_inverse(parts: SandwichParts) -> np.ndarray:
+    return checked_solve(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread")
+
+
+def _shifted(parts: SandwichParts, scores: np.ndarray) -> np.ndarray:
+    """``scores`` plus the centering shift, when the fit retained one."""
+    return scores if parts.centering_shift is None else scores + parts.centering_shift
+
+
 def plain_sandwich(parts: SandwichParts) -> np.ndarray:
     """Full-parameter ``Q^{-1} Sigma Q^{-1}``; ``SE = sqrt(diag/N)`` downstream."""
-    binv = checked_solve(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread")
-    return _sandwich(binv, parts.subject_scores)
+    return _sandwich(_bread_inverse(parts), parts.subject_scores)
 
 
-def corrected_scores(scores: np.ndarray, sp: StackedParts) -> np.ndarray:
-    """Per-subject mean-model scores corrected for estimated centering."""
-    adj = checked_solve(sp.theta_bread, sp.u_theta_scores.T,
-                        SingularThetaBread, "centering bread")   # (m, N)
-    return scores - (sp.cross_derivative @ adj).T
-
-
-def stacked_sandwich(parts: SandwichParts, sp: StackedParts) -> np.ndarray:
-    """Sandwich with meat rebuilt from centering-corrected scores."""
-    scores = corrected_scores(parts.subject_scores, sp)
-    return plain_sandwich(SandwichParts(parts.bread, scores))
+def stacked_sandwich(parts: SandwichParts) -> np.ndarray:
+    """Sandwich with each subject's score shifted for the estimated centering."""
+    return _sandwich(_bread_inverse(parts), _shifted(parts, parts.subject_scores))
 
 
 def _leverage(parts: SandwichParts) -> tuple[np.ndarray, np.ndarray]:
     if parts.model_matrix is None or parts.weights is None:
         raise SingularLeverage("per-subject model matrices were not retained")
-    binv = checked_solve(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread")
+    binv = _bread_inverse(parts)
     d = parts.model_matrix                                    # (N, T, k)
     gram = np.einsum("ntk,nt,ntl->nkl", d, parts.weights, d, optimize=True)   # G_j
     # bread is (1/N) sum_j G_j, so B^{-1} = bread^{-1} / N
@@ -154,12 +137,10 @@ def leverage_adjusted_scores(parts: SandwichParts) -> np.ndarray:
     return _leverage(parts)[1]
 
 
-def stacked_small_sample(parts: SandwichParts, sp: StackedParts | None) -> np.ndarray:
-    """Leverage-corrected sandwich, centering-corrected when stacked; one bread inverse."""
+def stacked_small_sample(parts: SandwichParts) -> np.ndarray:
+    """Leverage-corrected sandwich, centering-shifted when stacked; one bread inverse."""
     binv, scores = _leverage(parts)
-    if sp is not None:
-        scores = corrected_scores(scores, sp)
-    return _sandwich(binv, scores)
+    return _sandwich(binv, _shifted(parts, scores))
 
 
 def check_ci_level(level: float) -> None:

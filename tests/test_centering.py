@@ -149,3 +149,24 @@ def test_global_mean_fails_orthogonality_on_drifting_design():
     assert orthogonality_residual(ds, mu) > 1e-3
     cm = fit_centering(ds)
     assert orthogonality_residual(ds, cm.mu_rows(ds)) <= 1e-8
+
+
+def test_influence_matches_per_subject_loop():
+    # influence_j = G^{-1} U_j, with G and each subject's normal-equation
+    # residual U_j summed row by row
+    rng = np.random.default_rng(9)
+    n, T = 7, 5
+    ds = build_panel(n, T, seed=9, m1=rng.standard_normal(n * T), z2=rng.standard_normal(n * T),
+                     ptilde=rng.uniform(0.2, 0.8, n * T),
+                     schema=Schema(moderators=("m1",), aux=("z", "z2"), ptilde="ptilde"))
+    cm = fit_centering(ds)
+    gram = np.zeros((2, 2))
+    u = np.zeros((n, 2, 2))
+    for r in range(ds.n_rows):
+        w = ds.p_tilde[r] * (1 - ds.p_tilde[r])
+        gram += w * np.outer(ds.f[r], ds.f[r]) / n
+        u[r // T] += w * np.outer(ds.f[r], ds.z[r] - ds.f[r] @ cm.theta)
+    expected = np.stack([np.linalg.inv(gram) @ u_j for u_j in u])
+    assert cm.orthogonal and cm.influence.shape == (n, 2, 2)
+    np.testing.assert_allclose(cm.influence, expected, rtol=1e-10, atol=1e-12)
+    assert not centering_from_rows(ds, naive_centerings(ds, "global_mean"), "g").orthogonal

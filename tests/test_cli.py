@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mrtx
+from mrtx import errors
 from mrtx.cli import main
 from mrtx.data import Schema, from_columns, to_csv
 from mrtx.simulation import DgmSpec, gen_panel
@@ -233,6 +234,15 @@ def test_entry_point_help():
     assert proc.returncode == 0
     assert "exit codes" in proc.stdout
     assert "fit" in proc.stdout and "replicate" in proc.stdout
+    leaves = [cls for cls in vars(errors).values()
+              if isinstance(cls, type) and issubclass(cls, errors.MrtxError)
+              and not cls.__subclasses__()]
+    assert len(leaves) >= 17
+    codes = [cls.exit_code for cls in leaves]
+    assert len(set(codes)) == len(codes) and not {0, 2} & set(codes)
+    listed = proc.stdout.split("exit codes:")[1].splitlines()
+    for cls in leaves:
+        assert f"  {cls.exit_code:<3}{cls.__name__}" in listed, cls.__name__
 
 
 @pytest.mark.parametrize("module", ["mrtx", "mrtx.cli"])

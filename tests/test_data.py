@@ -372,3 +372,52 @@ def test_schema_rejects_bare_string(role):
     with pytest.raises(errors.DimensionMismatch, match=f"Schema.{role}"):
         Schema(**{role: "zz"})
     assert getattr(Schema(**{role: ["zz"]}), role) == ("zz",)
+
+
+@pytest.mark.parametrize("lag", [1, 2])
+def test_non_finite_outcome_names_its_own_row(lag):
+    # the supplied y row at t = 4 feeds aligned row t = 4 - (lag - 1); the
+    # error names the supplied row, as load_csv does
+    cols = panel_from_arrays(3, 6)
+    cols["y"][3] = np.nan               # subject 1, t = 4
+    with pytest.raises(errors.MissingValue, match="non-finite value in y") as exc:
+        from_columns(cols, Schema(aux=("z",)), lag=lag)
+    assert exc.value.subject_id == 1 and exc.value.t == 4
+
+
+def test_unread_outcome_row_is_not_checked():
+    # at lag 2 no usable aligned row reads the supplied y at t = 1
+    cols = panel_from_arrays(3, 6)
+    cols["y"][6] = np.nan               # subject 2, t = 1
+    assert from_columns(cols, Schema(aux=("z",)), lag=2).n_usable == 5
+    with pytest.raises(errors.MissingValue):
+        from_columns(cols, Schema(aux=("z",)), lag=1)
+
+
+def test_ptilde_of_one_names_subject_and_t():
+    cols = panel_from_arrays(3, 4, ptilde=np.full(12, 0.5))
+    cols["ptilde"][6] = 1.0             # subject 2, t = 3
+    with pytest.raises(errors.ProbabilityOutOfRange, match="p_tilde") as exc:
+        from_columns(cols, Schema(aux=("z",), ptilde="ptilde"))
+    assert exc.value.subject_id == 2 and exc.value.t == 3
+
+
+def test_nan_auxiliary_names_subject_and_t():
+    cols = panel_from_arrays(3, 4)
+    cols["z"][9] = np.nan               # subject 3, t = 2
+    with pytest.raises(errors.MissingValue, match="non-finite value in z") as exc:
+        from_columns(cols, Schema(aux=("z",)))
+    assert exc.value.subject_id == 3 and exc.value.t == 2
+
+
+@pytest.mark.parametrize("role", ["moderators", "aux", "controls", "ptilde"])
+def test_schema_naming_absent_column_is_missing_column(role):
+    cols = panel_from_arrays(3, 4)
+    schema = Schema(**{role: "absent" if role == "ptilde" else ("absent",)})
+    with pytest.raises(errors.MissingColumn, match="'absent'"):
+        from_columns(cols, schema)
+
+
+def test_lag_zero_is_dimension_mismatch():
+    with pytest.raises(errors.DimensionMismatch, match="lag must be >= 1, got 0"):
+        from_columns(panel_from_arrays(3, 4), Schema(aux=("z",)), lag=0)

@@ -332,3 +332,20 @@ def test_fit_result_frozen_and_summaries_read_only():
     np.testing.assert_array_equal(stacked.se_all, expected)
     assert not np.array_equal(stacked.se_all, res.se_all)
     assert stacked.n_subjects == res.n_subjects == ds.n_subjects
+
+
+@pytest.mark.parametrize("method", PER_TIME)
+def test_per_time_fit_at_absent_t_is_dimension_mismatch(method):
+    ds = build_panel(10, 5, seed=2)
+    with pytest.raises(errors.DimensionMismatch, match="t=6 not present"):
+        fit(ds, EstimatorConfig(method=method), t=6)
+
+
+@pytest.mark.parametrize("method", ["wcls_per_time", "lin_per_time"])
+def test_per_time_without_controls_equals_unadjusted(method):
+    ds = build_panel(30, 4, seed=5, schema=Schema(aux=("z",)))
+    unadjusted = fit(ds, EstimatorConfig(method="unadjusted_per_time"), t=2)
+    res = fit(ds, EstimatorConfig(method=method), t=2)
+    assert res.param_names == unadjusted.param_names
+    np.testing.assert_array_equal(res.estimates, unadjusted.estimates)
+    np.testing.assert_array_equal(res.vcov, unadjusted.vcov)

@@ -14,7 +14,7 @@ PUBLIC = {
     "EstimatorConfig", "FitResult", "closed_form_gaps", "fit", "wls_solve",
     "with_variance_mode",
     # variance
-    "SandwichParts", "StackedParts", "confidence_intervals", "plain_sandwich",
+    "SandwichParts", "confidence_intervals", "plain_sandwich",
     "stacked_sandwich",
     # simulation and replication
     "DgmSpec", "McArm", "McReport", "compute_metrics", "gen_ar_errors", "gen_panel",

@@ -153,6 +153,12 @@ def test_workers_below_one_rejected(workers):
                         workers=workers)
 
 
+def test_zero_replicates_rejected():
+    spec = DgmSpec(kind="nonmoderator_robust", n=20, horizon=5, beta0=-0.2, seed=1)
+    with pytest.raises(errors.ConfigParse, match="replicates must be >= 1"):
+        run_monte_carlo(spec, [McArm("wcls", EstimatorConfig(method="wcls"))], 0)
+
+
 def test_schema_arm_fits_the_reviewed_panel():
     spec = DgmSpec(kind="lagged_eq12", n=40, horizon=8, beta0=-0.1, beta1=0.5, seed=6)
     schema = Schema(aux=("z",), controls=("a_next", "z_next"))

@@ -18,7 +18,6 @@ from mrtx.simulation import DgmSpec, gen_panel, _rng_for
 from mrtx.variance import (
     SandwichParts,
     confidence_intervals,
-    corrected_scores,
     leverage_adjusted_scores,
     plain_sandwich,
     score_meat,
@@ -151,12 +150,10 @@ def test_stacked_reduces_to_plain_when_cross_derivative_zero():
     spec = DgmSpec(kind="proximal_j2", n=60, horizon=8, beta0=-0.2, beta1=0.5, seed=8)
     ds = gen_panel(spec)
     res = fit(ds, EstimatorConfig(method="a2wcls"))
-    sp = res.stacked_parts
-    from mrtx.variance import StackedParts
-    zeroed = StackedParts(u_theta_scores=sp.u_theta_scores,
-                          cross_derivative=np.zeros_like(sp.cross_derivative),
-                          theta_bread=sp.theta_bread)
-    np.testing.assert_allclose(stacked_sandwich(res.parts, zeroed),
+    shift = res.parts.centering_shift
+    assert np.abs(shift).max() > 0
+    zeroed = replace(res.parts, centering_shift=np.zeros_like(shift))
+    np.testing.assert_allclose(stacked_sandwich(zeroed),
                                plain_sandwich(res.parts), atol=1e-12)
 
 
@@ -278,12 +275,6 @@ def _duplicated_moderator_emee():
     fit(ds, EstimatorConfig(method="emee"))
 
 
-def _zero_theta_bread():
-    res = fit(build_panel(20, 6, seed=2), EstimatorConfig(method="a2wcls"))
-    sp = res.stacked_parts
-    stacked_sandwich(res.parts, replace(sp, theta_bread=np.zeros_like(sp.theta_bread)))
-
-
 def _saturated_single_subject():
     # three usable rows for three parameters: H = I, so I - H vanishes
     ds = build_panel(1, 3, seed=0, a=[1, 0, 1])
@@ -292,9 +283,8 @@ def _saturated_single_subject():
 
 @pytest.mark.parametrize("exc, trigger", [
     (errors.SingularJacobian, _duplicated_moderator_emee),
-    (errors.SingularThetaBread, _zero_theta_bread),
     (errors.SingularLeverage, _saturated_single_subject),
-], ids=["jacobian", "theta_bread", "leverage"])
+], ids=["jacobian", "leverage"])
 def test_typed_singularity_errors(exc, trigger):
     with pytest.raises(exc):
         trigger()
@@ -347,7 +337,8 @@ def test_with_variance_mode_refuses_what_a_direct_fit_refuses(method, mode):
 ], ids=["proximal_j2", "timevarying_j3", "lagged_eq12"])
 def test_finite_difference_cross_derivative(spec, method):
     # d/dtheta of the score X' W (y - X beta) / n at the fitted beta, with X
-    # rebuilt around each perturbed centering
+    # rebuilt around each perturbed centering, applied to each subject's
+    # influence on theta, is that subject's centering shift
     ds = gen_panel(spec)
     res = fit(ds, EstimatorConfig(method=method, lag=ds.lag, variance_mode="stacked"))
     cm = fit_centering(ds)
@@ -360,12 +351,13 @@ def test_finite_difference_cross_derivative(spec, method):
         return X.T @ (w * (y - X @ res.estimates)) / ds.n_subjects
 
     h = 1e-6
-    cross = res.stacked_parts.cross_derivative
-    fd = np.empty_like(cross)
+    fd = np.empty((res.parts.dim, cm.theta.size))
     for j in range(cm.theta.size):
         step = (np.arange(cm.theta.size) == j).reshape(cm.theta.shape) * h
         fd[:, j] = (score(cm.theta + step) - score(cm.theta - step)) / (2 * h)
-    assert np.abs(fd - cross).max() <= 1e-6 * np.abs(cross).max()
+    shift = res.parts.centering_shift
+    fd_shift = cm.influence.reshape(ds.n_subjects, -1) @ fd.T
+    assert np.abs(fd_shift - shift).max() <= 1e-6 * np.abs(shift).max()
 
 
 def test_unknown_variance_mode_rejected():
@@ -423,8 +415,8 @@ def test_leverage_scores_match_dense_oracle(name):
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
     scores = expected
-    if res.stacked_parts is not None:
-        scores = corrected_scores(scores, res.stacked_parts)
+    if res.parts.centering_shift is not None:
+        scores = scores + res.parts.centering_shift
     binv = np.linalg.inv(res.parts.bread)
     vcov = binv @ score_meat(scores) @ binv.T
     assert np.abs(res.vcov - vcov).max() <= 1e-10 * np.abs(vcov).max()
