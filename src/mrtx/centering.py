@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, SingularGram
 from .variance import checked_solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenteringModel:
     """Linear centering model ``mu_i(s) = f(s)' theta_i`` for each auxiliary column.
 

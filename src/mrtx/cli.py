@@ -32,7 +32,6 @@ from .estimators import (
     EstimatorConfig,
     METHODS,
     PER_TIME,
-    PROXIMAL,
     VARIANCE_MODES,
     closed_form_gaps,
     fit as run_fit,
@@ -144,11 +143,16 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
     variance = values.get("variance", "plain_sandwich")
     if variance not in VARIANCE_MODES:
         raise errors.ConfigParse(f"unknown variance mode {variance!r}")
-    # proximal methods keep lag 1; only the adjusted fits take a stacked variance
-    arms = [McArm(m, EstimatorConfig(
-        method=m, lag=1 if m in PROXIMAL else lag,
-        variance_mode=variance if m in ADJUSTED else "plain_sandwich"))
-        for m in methods]
+    # every arm takes the design's lag; only the adjusted fits take a stacked variance
+    arms = []
+    for m in methods:
+        try:
+            arms.append(McArm(m, EstimatorConfig(
+                method=m, lag=lag,
+                variance_mode=variance if m in ADJUSTED else "plain_sandwich")))
+        except errors.DimensionMismatch as exc:
+            raise errors.ConfigParse(f"method {m!r} does not fit the {spec.kind} "
+                                     f"design: {exc}") from None
     return spec, arms
 
 

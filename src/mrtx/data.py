@@ -70,7 +70,7 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MrtDataset:
     """Immutable long-format panel, sorted by subject then decision index.
 
@@ -354,9 +354,14 @@ def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
     The header must name ``subject_id, t, a, p, y`` plus every column
     referenced by ``schema``. Every row must have as many fields as the
     header; a blank line is a row with none. Non-finite tokens (NaN, Inf)
-    are rejected.
+    are rejected. A path that cannot be read is a :class:`MissingColumn`,
+    as an empty file is.
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise MissingColumn(f"cannot read CSV {path}: {exc}") from None
+    with fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:

@@ -17,9 +17,10 @@ are assembled:
   damped Newton (``emee``), with an alternating centering loop for the
   auxiliary-adjusted variant (``a2emee``).
 
-Every method is fitted through :func:`fit`, which checks the method rules
-(``PER_TIME``, ``PROXIMAL``, ``ADJUSTED``) once. Robust variance always comes
-from retained per-subject scores; see :mod:`mrtx.variance`.
+Every method is fitted through :func:`fit`, a function of the dataset and
+its :class:`EstimatorConfig` alone: the config states the method and variance
+rules once, and ``fit`` the rules that need the dataset. Robust variance
+always comes from retained per-subject scores; see :mod:`mrtx.variance`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from .variance import (
 )
 
 # the method rules: per-time fits need a decision index, proximal methods
-# address the lag-1 outcome only, adjusted methods take a CenteringModel
+# address the lag-1 outcome only, adjusted methods fit a centering model on
+# the dataset, of the config's centering kind
 PER_TIME = ("unadjusted_per_time", "wcls_per_time", "lin_per_time")
 METHODS = PER_TIME + ("wcls", "a2wcls", "a2wcls_lagged", "emee", "a2emee")
 PROXIMAL = PER_TIME + ("a2wcls", "emee", "a2emee")
@@ -84,9 +86,18 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DimensionMismatch(f"unknown method {self.method!r}")
-        _check_variance_mode(self.method, self.variance_mode)
+        if self.variance_mode not in VARIANCE_MODES:
+            raise DimensionMismatch(f"unknown variance mode {self.variance_mode!r}")
         if self.centering_kind not in CENTERING_KINDS:
             raise DimensionMismatch(f"unknown centering kind {self.centering_kind!r}")
+        # the variance rule: binary fits retain no per-subject model matrices,
+        # and only an orthogonality-fitted centering can be stacked
+        if self.variance_mode != "plain_sandwich":
+            if self.method in _BINARY:
+                raise DimensionMismatch("binary methods support plain_sandwich variance only")
+            if self.method in ADJUSTED and self.centering_kind != "orthogonal":
+                raise DimensionMismatch(
+                    "stacked variance requires an orthogonality-fitted centering model")
         if self.method == "a2wcls_lagged" and self.lag < 2:
             raise DimensionMismatch("a2wcls_lagged requires lag >= 2")
         if self.method in PROXIMAL and self.lag != 1:
@@ -96,9 +107,9 @@ class EstimatorConfig:
         check_ci_level(self.ci_level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    """Point estimates plus retained variance machinery for one fit.
+    """Point estimates plus retained variance machinery for one fit of ``config``.
 
     Coefficient blocks, SEs, intervals and p-values are properties derived
     from ``estimates``, ``vcov`` and the index sets, never stored copies; the
@@ -106,16 +117,13 @@ class FitResult:
     read-only arrays.
     """
 
-    method: str
+    config: EstimatorConfig
     param_names: tuple[str, ...]
     estimates: np.ndarray
     vcov: np.ndarray
     beta0_idx: np.ndarray = field(repr=False)
     beta1_idx: np.ndarray = field(repr=False)
     parts: SandwichParts = field(repr=False)
-    variance_mode: str
-    ci_level: float
-    converged: bool
     n_iter: int
     ee_norm_trace: tuple[float, ...] = ()
 
@@ -159,8 +167,9 @@ class FitResult:
     def _intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ci_lo, ci_hi, p_value)`` for every parameter."""
         return tuple(_as_readonly(v) for v in confidence_intervals(
-            self.estimates, self.se_all, self.ci_level,
-            self.variance_mode == "stacked_small_sample", self.n_subjects, self.parts.dim))
+            self.estimates, self.se_all, self.config.ci_level,
+            self.config.variance_mode == "stacked_small_sample", self.n_subjects,
+            self.parts.dim))
 
     @property
     def ci_lo_all(self) -> np.ndarray:
@@ -187,11 +196,10 @@ class FitResult:
         return self.p_value_all[self.beta0_idx]
 
     def report_text(self) -> str:
-        lines = [f"method: {self.method}",
+        lines = [f"method: {self.config.method}",
                  f"n_subjects: {self.n_subjects}",
-                 f"variance: {self.variance_mode}",
-                 f"ci_level: {repr(self.ci_level)}",
-                 f"converged: {self.converged}",
+                 f"variance: {self.config.variance_mode}",
+                 f"ci_level: {repr(self.config.ci_level)}",
                  f"n_iter: {self.n_iter}",
                  "",
                  f"{'coefficient':<24}{'estimate':>16}{'se':>14}"
@@ -232,25 +240,8 @@ def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     return checked_solve(gram, rhs, SingularGram, "weighted Gram"), gram
 
 
-def _check_variance_mode(method: str, mode: str, orthogonal: bool = True) -> None:
-    """The variance rule shared by direct fits and :func:`with_variance_mode`.
-
-    Binary fits retain no per-subject model matrices, and an auxiliary-adjusted
-    fit needs an orthogonality-fitted centering (``orthogonal``) to stack.
-    """
-    if mode not in VARIANCE_MODES:
-        raise DimensionMismatch(f"unknown variance mode {mode!r}")
-    if mode == "plain_sandwich":
-        return
-    if method in _BINARY:
-        raise DimensionMismatch("binary methods support plain_sandwich variance only")
-    if not orthogonal:
-        raise DimensionMismatch(
-            "stacked variance requires an orthogonality-fitted centering model")
-
-
 def _vcov(parts, mode):
-    if mode == "plain_sandwich" or (mode == "stacked" and parts.centering_shift is None):
+    if mode == "plain_sandwich":
         return plain_sandwich(parts)
     if mode == "stacked":
         return stacked_sandwich(parts)
@@ -260,16 +251,13 @@ def _vcov(parts, mode):
 def _assemble(names, estimates, beta0_idx, beta1_idx, parts, config,
               n_iter=0, trace=()):
     return FitResult(
-        method=config.method,
+        config=config,
         param_names=tuple(names),
         estimates=estimates,
         vcov=_vcov(parts, config.variance_mode),
         beta0_idx=np.asarray(beta0_idx, dtype=int),
         beta1_idx=np.asarray(beta1_idx, dtype=int),
         parts=parts,
-        variance_mode=config.variance_mode,
-        ci_level=config.ci_level,
-        converged=True,
         n_iter=n_iter,
         ee_norm_trace=tuple(trace),
     )
@@ -278,16 +266,12 @@ def _assemble(names, estimates, beta0_idx, beta1_idx, parts, config,
 def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None) -> FitResult:
     """Recompute vcov/SE/CI from retained per-subject pieces, without refitting.
 
-    A mode the direct fit would refuse is refused here too; an
-    auxiliary-adjusted fit keeps a centering shift only when its centering is
-    orthogonal.
+    The new config is checked as a direct fit's is, so a mode the direct fit
+    would refuse is refused here too.
     """
-    _check_variance_mode(fit.method, mode, fit.parts.centering_shift is not None
-                         or fit.method not in ADJUSTED)
-    level = fit.ci_level if ci_level is None else ci_level
-    check_ci_level(level)
-    return replace(fit, vcov=_vcov(fit.parts, mode),
-                   variance_mode=mode, ci_level=level)
+    config = replace(fit.config, variance_mode=mode,
+                     ci_level=fit.config.ci_level if ci_level is None else ci_level)
+    return replace(fit, config=config, vcov=_vcov(fit.parts, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +340,6 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
 
     beta1_idx = np.arange(0)
     if cm is not None:
-        if ds.p_z < 1:
-            raise DimensionMismatch("auxiliary adjustment requires auxiliary columns")
         zc = ds.usable(ds.z - cm.mu_rows(ds))
         _check_auxiliary(ds, zc)
         beta1_start = len(names)
@@ -374,7 +356,6 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
     X, names, b0_idx, b1_idx = _pooled_design(ds, cm, lagged)
     y, w = ds.usable(ds.y), ds.usable(ds.weight_w)
     beta, gram = wls_solve(X, y, w, ds.n_subjects)
-    _check_variance_mode(config.method, config.variance_mode, cm is None or cm.orthogonal)
     shift = None
     if cm is not None and cm.orthogonal:
         # the score's derivative in centering coefficient (k, i) is
@@ -572,10 +553,9 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     auxiliary slope) binary orthogonality condition, linear given the effect
     coefficients, then re-solves the EMEE with the centered auxiliary included.
     Passes stop once no entry of ``(params, theta)`` moves by ``_TOL``; only that
-    pass builds the sandwich. No centering model or kind is taken.
+    pass builds the sandwich. The first pass starts from the continuous
+    orthogonal centering, the projection under ``p_tilde (1 - p_tilde)`` weights.
     """
-    if config.method == "a2emee" and ds.p_z < 1:
-        raise DimensionMismatch("a2emee requires auxiliary columns")
     _check_binary(ds)
     init = np.zeros(ds.d + ds.q)
     init[0] = np.log(max(ds.usable(ds.y).mean(), 1e-8))
@@ -587,11 +567,13 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     w_az = ds.usable(ds.weight_w * ds.a.astype(float) * ds.centered_a * ds.y)
     f_use, z_use = ds.usable(ds.f), ds.usable(ds.z)
     params = np.concatenate([solved[0], np.zeros(ds.p_z)])
-    theta = fit_centering(ds).theta
+    weights = ds.usable(ds.p_tilde * (1.0 - ds.p_tilde))
     names += [f"beta1:{n}" for n in ds.z_names]
     trace: list[float] = []
     state = None
     for outer in range(1, _MAX_ITER + 1):
+        theta, _ = weighted_projection(f_use, z_use, weights, ds.n_subjects,
+                                       SingularGram, "binary centering system")
         zc = ds.z - _dot(ds.f, theta)
         _check_auxiliary(ds, zc)
         evaluate = Xt = solved = None          # free the last system before the next
@@ -603,8 +585,6 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
         if prev is not None and float(np.abs(state - prev).max()) < _TOL:
             return _binary_result(ds, config, Xt, solved, names, outer, trace)
         weights = w_az * np.exp(-_dot(f_use, params[ds.d:ds.d + ds.q]))
-        theta, _ = weighted_projection(f_use, z_use, weights, ds.n_subjects,
-                                       SingularGram, "binary centering system")
     raise NonConvergence(
         f"alternating centering loop failed to converge in {_MAX_ITER} passes",
         n_iter=_MAX_ITER)
@@ -614,20 +594,20 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
 # dispatcher
 
 
-def fit(ds: MrtDataset, config: EstimatorConfig,
-        cm: CenteringModel | None = None, t: int | None = None) -> FitResult:
-    """Run the configured estimator on ``ds``, the one entry for every method:
-    an ``ADJUSTED`` method takes an optional centering model ``cm`` (else one of
-    ``config.centering_kind`` is fitted), and only a ``PER_TIME`` method takes ``t``."""
+def fit(ds: MrtDataset, config: EstimatorConfig, *, t: int | None = None) -> FitResult:
+    """Run the configured estimator on ``ds``, the one entry for every method.
+
+    An ``ADJUSTED`` method fits its centering model on ``ds``, of kind
+    ``config.centering_kind``; only a ``PER_TIME`` method takes ``t``.
+    """
     method = config.method
     if config.lag != ds.lag:
         raise DimensionMismatch(
             f"config lag {config.lag} does not match dataset lag {ds.lag}")
     if ds.horizon < ds.lag:
         raise LagHorizonExceeded(f"lag {ds.lag} exceeds panel horizon {ds.horizon}")
-    if cm is not None and method not in ADJUSTED:
-        raise DimensionMismatch("a2emee solves its own centering: no cm" if method == "a2emee"
-                                else f"{method} takes no centering model")
+    if (method in ADJUSTED or method == "a2emee") and ds.p_z < 1:
+        raise DimensionMismatch(f"{method} requires auxiliary columns")
     if method in PER_TIME:
         if t is None:
             raise DimensionMismatch("per-time methods need a decision index t")
@@ -636,9 +616,8 @@ def fit(ds: MrtDataset, config: EstimatorConfig,
         raise DimensionMismatch(f"{method} takes no decision index t")
     if method in ADJUSTED:
         kind = config.centering_kind
-        if cm is None:
-            cm = fit_centering(ds) if kind == "orthogonal" else \
-                centering_from_rows(ds, naive_centerings(ds, kind), kind)
+        cm = fit_centering(ds) if kind == "orthogonal" else \
+            centering_from_rows(ds, naive_centerings(ds, kind), kind)
         return _fit_pooled(ds, config, cm, lagged=method == "a2wcls_lagged")
     if method == "wcls":
         return _fit_pooled(ds, config, None, lagged=False)

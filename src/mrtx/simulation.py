@@ -284,7 +284,7 @@ class McArm:
     schema: Schema | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class McReport:
     """Aggregated Monte Carlo comparison, with replicate-level detail retained."""
 

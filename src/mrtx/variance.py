@@ -31,7 +31,7 @@ from .errors import (
 COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SandwichParts:
     """Everything needed to rebuild a sandwich without refitting.
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mrtx
-from mrtx import errors
+from mrtx import cli, errors
 from mrtx.cli import main
 from mrtx.data import Schema, from_columns, to_csv
 from mrtx.simulation import DgmSpec, gen_panel
@@ -66,6 +66,20 @@ def test_fit_header_only_csv_exit_code(tmp_path, capsys):
     code = main(["fit", "--data", str(path), "--method", "wcls"])
     assert code == 15               # MissingValue
     assert "error[MissingValue]: no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing", "directory", "empty"])
+def test_fit_unreadable_data_path_exit_code(tmp_path, capsys, target):
+    path = {"missing": tmp_path / "absent.csv", "directory": tmp_path,
+            "empty": tmp_path / "empty.csv"}[target]
+    if target == "empty":
+        path.write_text("")
+    code = main(["fit", "--data", str(path), "--method", "wcls"])
+    assert code == 12               # MissingColumn
+    err = capsys.readouterr().err
+    expected = "empty CSV file" if target == "empty" else f"cannot read CSV {path}: "
+    assert err.startswith(f"error[MissingColumn]: {expected}")
+    assert len(err.splitlines()) == 1
 
 
 def write_config(path, **kv):
@@ -140,6 +154,35 @@ def test_simulate_bad_arm_settings_are_config_parse(tmp_path, capsys, key, value
     assert f"error[ConfigParse]: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, methods, message", [
+    ("lagged_eq12", "wcls,a2wcls", "a2wcls is a proximal method (lag = 1)"),
+    ("proximal_j2", "wcls,a2wcls_lagged", "a2wcls_lagged requires lag >= 2"),
+], ids=["lagged_eq12", "proximal_j2"])
+def test_simulate_arm_off_the_design_lag_is_config_parse(tmp_path, capsys, monkeypatch,
+                                                         kind, methods, message):
+    # each arm takes the design's lag, so an arm that cannot is refused
+    # before any replicate runs
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("replicates ran")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_replicates)
+    cfg = tmp_path / "dgm.cfg"
+    write_config(cfg, kind=kind, n=10, horizon=6, methods=methods)
+    code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
+    assert code == 28               # ConfigParse
+    method = methods.split(",")[1]
+    assert (f"error[ConfigParse]: method {method!r} does not fit the {kind} design: "
+            f"{message}") in capsys.readouterr().err
+
+
+def test_simulate_config_without_n_is_config_parse(tmp_path, capsys):
+    cfg = tmp_path / "dgm.cfg"
+    write_config(cfg, kind="proximal_j2", horizon=6)
+    code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
+    assert code == 28               # ConfigParse
+    assert "error[ConfigParse]: config is missing required key 'n'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, message", [
     ("bata1 = 0.8", "unknown key 'bata1'"), ("n = 20", "duplicate key 'n'")])
 def test_simulate_unknown_or_repeated_key_is_config_parse(tmp_path, capsys, line, message):
@@ -202,6 +245,19 @@ def test_gaps_examples(capsys):
     out = capsys.readouterr().out
     assert "+0.126000" in out
     assert "adjustment hurts" in out
+
+
+def test_gaps_sigma_matrix(capsys):
+    # d = 2 takes d * d row-major values: alpha1' sigma alpha1 = 2, so the
+    # meat gap at p = 0.5 is -0.25 * 2
+    assert main(["gaps", "--p", "0.5", "--alpha1", "1,0", "--beta1", "0,0",
+                 "--sigma", "2,0,0,1"]) == 0
+    assert "meat gap: -0.500000" in capsys.readouterr().out
+    code = main(["gaps", "--p", "0.5", "--alpha1", "1,0", "--beta1", "0,0",
+                 "--sigma", "2,0,1"])
+    assert code == 2
+    assert ("error[domain]: --sigma needs 1 or 4 comma-separated values"
+            in capsys.readouterr().err)
 
 
 def test_gaps_domain_error(capsys):

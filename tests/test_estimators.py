@@ -17,7 +17,7 @@ from mrtx.estimators import (
     fit,
     with_variance_mode,
 )
-from mrtx.simulation import DgmSpec, gen_panel
+from mrtx.simulation import DgmSpec, McArm, gen_panel, run_monte_carlo
 
 from conftest import build_panel, panel_from_arrays
 
@@ -233,20 +233,25 @@ def test_config_validation():
 @pytest.mark.parametrize("rule, method", [
     *[("proximal", m) for m in PROXIMAL],
     ("orthogonal kind", "a2emee"),
-    *[("no centering model", m) for m in METHODS if m not in ADJUSTED],
+    *[("auxiliary columns", f"{m}:{kind}") for m in ADJUSTED
+      for kind in ("orthogonal", "global_mean")],
+    ("auxiliary columns", "a2emee:orthogonal"),
     *[("no decision index", m) for m in METHODS if m not in PER_TIME]])
-def test_method_rules(rule, method, small_panel):
+def test_method_rules(rule, method):
     if rule == "proximal":
         with pytest.raises(errors.DimensionMismatch, match="proximal method"):
             EstimatorConfig(method=method, lag=2)
     elif rule == "orthogonal kind":
         with pytest.raises(errors.DimensionMismatch, match="a2emee solves its own centering"):
             EstimatorConfig(method=method, centering_kind="global_mean")
-    elif rule == "no centering model":
-        cm = fit_centering(small_panel)
-        config = EstimatorConfig(method=method)
-        with pytest.raises(errors.DimensionMismatch, match="centering"):
-            fit(small_panel, config, cm, t=1 if method in PER_TIME else None)
+    elif rule == "auxiliary columns":
+        method, _, kind = method.partition(":")
+        lag = 2 if method == "a2wcls_lagged" else 1
+        ds = build_panel(8, 6, lag=lag, seed=3, y=np.tile([0.0, 1.0], 24),
+                         schema=Schema())
+        with pytest.raises(errors.DimensionMismatch,
+                           match=f"{method} requires auxiliary columns"):
+            fit(ds, EstimatorConfig(method=method, lag=lag, centering_kind=kind))
     else:
         lag = 2 if method == "a2wcls_lagged" else 1
         ds = build_panel(8, 6, lag=lag, seed=3)
@@ -267,11 +272,11 @@ def test_lag_horizon_exceeded():
         fit(ds, EstimatorConfig(method="a2wcls_lagged", lag=3))
 
 
-def test_naive_centering_refuses_stacked(small_panel):
-    cfg = EstimatorConfig(method="a2wcls", variance_mode="stacked",
-                          centering_kind="global_mean")
-    with pytest.raises(errors.DimensionMismatch):
-        fit(small_panel, cfg)
+def test_naive_centering_refuses_stacked():
+    # the refusal comes when the config is built, before any dataset is seen
+    with pytest.raises(errors.DimensionMismatch, match="orthogonality-fitted centering"):
+        EstimatorConfig(method="a2wcls", variance_mode="stacked",
+                        centering_kind="global_mean")
 
 
 def test_stacked_equals_plain_without_moderation_signal():
@@ -349,3 +354,40 @@ def test_per_time_without_controls_equals_unadjusted(method):
     assert res.param_names == unadjusted.param_names
     np.testing.assert_array_equal(res.estimates, unadjusted.estimates)
     np.testing.assert_array_equal(res.vcov, unadjusted.vcov)
+
+
+def test_per_time_fit_without_t_is_dimension_mismatch():
+    with pytest.raises(errors.DimensionMismatch, match="per-time methods need a decision index t"):
+        fit(build_panel(10, 5, seed=2), EstimatorConfig(method="wcls_per_time"))
+
+
+def test_unknown_centering_kind_rejected():
+    with pytest.raises(errors.DimensionMismatch, match="unknown centering kind 'nope'"):
+        EstimatorConfig(centering_kind="nope")
+
+
+def test_fit_is_a_function_of_dataset_and_config(small_panel):
+    config = EstimatorConfig(method="a2wcls", variance_mode="stacked")
+    res = fit(small_panel, config)
+    assert res.config is config
+    assert "converged" not in res.report_text()
+    # t is keyword-only: a centering model passed positionally is refused
+    with pytest.raises(TypeError):
+        fit(small_panel, config, fit_centering(small_panel))
+
+
+def test_array_holders_compare_by_identity():
+    spec = DgmSpec(kind="nonmoderator_robust", n=25, horizon=6, beta0=-0.2, seed=3)
+    ds = gen_panel(spec)
+    config = EstimatorConfig(method="a2wcls", variance_mode="stacked")
+    res, res2 = fit(ds, config), fit(ds, config)
+    arms = [McArm("wcls", EstimatorConfig(method="wcls"))]
+    pairs = {"MrtDataset": (ds, gen_panel(spec)),
+             "CenteringModel": (fit_centering(ds), fit_centering(ds)),
+             "FitResult": (res, res2),
+             "SandwichParts": (res.parts, res2.parts),
+             "McReport": (run_monte_carlo(spec, arms, 1), run_monte_carlo(spec, arms, 1))}
+    for name, (one, two) in pairs.items():
+        assert type(one).__name__ == name
+        assert one == one, name
+        assert one != two, name

@@ -269,3 +269,10 @@ def test_fit_failures_counted_not_dropped():
     assert row["n_failed"] == 1
     assert row["n_used"] == 3
     assert rep.row("wcls")["n_failed"] == 0
+
+
+def test_report_row_for_unknown_label_is_key_error():
+    spec = DgmSpec(kind="nonmoderator_robust", n=25, horizon=6, beta0=-0.2, seed=3)
+    rep = run_monte_carlo(spec, [McArm("wcls", EstimatorConfig(method="wcls"))], 1)
+    with pytest.raises(KeyError, match="no row for 'a2wcls'/None"):
+        rep.row("a2wcls")

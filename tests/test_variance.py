@@ -295,7 +295,7 @@ def test_same_variance_mode_reproduces_every_derived_field():
                            beta1=0.5, seed=4))
     for mode in ("plain_sandwich", "stacked", "stacked_small_sample"):
         res = fit(ds, EstimatorConfig(method="a2wcls", variance_mode=mode))
-        again = with_variance_mode(res, res.variance_mode)
+        again = with_variance_mode(res, res.config.variance_mode)
         for name in ("alpha", "beta0", "beta1", "beta0_names", "beta1_names", "vcov",
                      "vcov_beta0", "se", "se_all", "ci_lo", "ci_lo_all", "ci_hi",
                      "ci_hi_all", "p_value", "p_value_all"):

@@ -203,3 +203,8 @@ def test_gap_domain_errors():
         closed_form_gaps(0.5, [1.0], [0.0], [[-1.0]])
     with pytest.raises(ValueError):
         closed_form_gaps(0.5, [1.0, 2.0], [0.0], np.eye(2))
+
+
+def test_gap_asymmetric_sigma_rejected():
+    with pytest.raises(ValueError, match="sigma_g must be symmetric"):
+        closed_form_gaps(0.5, [1.0, 0.0], [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
