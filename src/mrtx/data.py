@@ -9,8 +9,9 @@ same panel can be re-viewed under another schema without copying data.
 
 Outcome alignment: the ``y`` column supplied at load time is the proximal
 series (row ``t`` holds the outcome observed right after decision ``t``).
-For a lag-``delta`` analysis the column is shifted once at construction so
-row ``t`` carries the outcome ``delta`` steps ahead. Rows with
+``columns["y"]`` keeps it as supplied; for a lag-``delta`` analysis
+:attr:`MrtDataset.y` is that column shifted once, at construction, so row
+``t`` carries the outcome ``delta`` steps ahead. Rows with
 ``t > T - delta + 1`` stay in the panel for bookkeeping; pooled fits read
 only the usable rows, through :meth:`MrtDataset.usable`, which is the
 column itself at lag 1.
@@ -70,21 +71,26 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+def _column(name: str) -> property:
+    """A read-only attribute that is the supplied column ``name``, not a copy of it."""
+    return property(lambda self: self.columns[name])
+
+
 @dataclass(frozen=True, eq=False)
 class MrtDataset:
     """Immutable long-format panel, sorted by subject then decision index.
 
     All subjects share the same horizon ``T``; rows are stored subject-major
-    so any per-row column reshapes to ``(n_subjects, horizon)``. The design
-    blocks ``centered_a`` and ``weight_w`` are cached on first read.
+    so any per-row column reshapes to ``(n_subjects, horizon)``. ``columns``
+    holds exactly the validated columns supplied, with ``y`` the proximal
+    series, so ``from_columns(ds.columns, ds.schema, lag=ds.lag)`` rebuilds
+    the panel; ``subject_ids``, ``t``, ``a``, ``p`` and ``y_raw`` are read-only
+    views of them, ``t`` and ``a`` as float. The design blocks ``centered_a``
+    and ``weight_w`` are cached on first read.
     """
 
-    subject_ids: np.ndarray
-    t: np.ndarray
-    a: np.ndarray
-    p: np.ndarray
+    columns: Mapping[str, np.ndarray] = field(repr=False)   # as supplied, validated
     y: np.ndarray          # aligned: row t holds the lag-delta outcome
-    y_raw: np.ndarray      # proximal series as supplied (round-trip fidelity)
     f: np.ndarray          # (rows, q) moderator features, intercept included
     z: np.ndarray          # (rows, p_z) auxiliary variables
     g: np.ndarray          # (rows, d) control features
@@ -93,10 +99,15 @@ class MrtDataset:
     horizon: int
     lag: int
     schema: Schema
-    columns: Mapping[str, np.ndarray] = field(repr=False)
     f_names: tuple[str, ...] = ()
     z_names: tuple[str, ...] = ()
     g_names: tuple[str, ...] = ()
+
+    subject_ids = _column("subject_id")
+    t = _column("t")
+    a = _column("a")
+    p = _column("p")
+    y_raw = _column("y")   # the proximal outcome as supplied, before lag alignment
 
     @property
     def n_rows(self) -> int:
@@ -125,14 +136,13 @@ class MrtDataset:
     @cached_property
     def centered_a(self) -> np.ndarray:
         """Treatment centered at the weight numerator, ``a - p_tilde``."""
-        return _as_readonly(self.a.astype(float) - self.p_tilde)
+        return _as_readonly(self.a - self.p_tilde)
 
     @cached_property
     def weight_w(self) -> np.ndarray:
         """Likelihood-ratio weight ``p_tilde(a|s) / p(a|h)`` at the observed arm."""
-        a = self.a.astype(float)
-        num = np.where(a == 1.0, self.p_tilde, 1.0 - self.p_tilde)
-        den = np.where(a == 1.0, self.p, 1.0 - self.p)
+        num = np.where(self.a == 1.0, self.p_tilde, 1.0 - self.p_tilde)
+        den = np.where(self.a == 1.0, self.p, 1.0 - self.p)
         return _as_readonly(num / den)
 
     def per_subject(self, arr: np.ndarray) -> np.ndarray:
@@ -159,7 +169,7 @@ class MrtDataset:
 
     def with_schema(self, schema: Schema) -> "MrtDataset":
         """Re-view the same panel under a different role mapping."""
-        return _build_dataset({**self.columns, "y": self.columns["y_raw"]}, schema, self.lag)
+        return from_columns(self.columns, schema, self.lag)
 
 
 def _column_matrix(columns: Mapping[str, np.ndarray], names: tuple[str, ...],
@@ -210,8 +220,13 @@ def _first_bad(mask: np.ndarray, subject: np.ndarray, t: np.ndarray):
     return subject[i], int(t[i])
 
 
-def _build_dataset(columns: Mapping[str, np.ndarray], schema: Schema,
-                   lag: int) -> MrtDataset:
+def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
+                 lag: int = 1) -> MrtDataset:
+    """Build and validate a dataset from in-memory columns.
+
+    ``y`` is the proximal series. It is kept as supplied and aligned to
+    ``lag`` once, as :attr:`MrtDataset.y`, here as in :func:`load_csv`.
+    """
     if lag < 1:
         raise DimensionMismatch(f"lag must be >= 1, got {lag}")
     columns = _numeric(columns)
@@ -255,14 +270,6 @@ def _build_dataset(columns: Mapping[str, np.ndarray], schema: Schema,
     if lag > horizon:
         raise LagHorizonExceeded(f"lag {lag} exceeds panel horizon {horizon}")
 
-    y_raw = y
-    if lag > 1:
-        # shift within subject: aligned row t <- raw row t + (lag - 1)
-        y_mat = y.reshape(n_subjects, horizon)
-        aligned = np.zeros_like(y_mat)
-        aligned[:, : horizon - (lag - 1)] = y_mat[:, lag - 1:]
-        y = aligned.reshape(-1)
-
     f, f_names = _column_matrix(columns, schema.moderators, True)
     z, z_names = _column_matrix(columns, schema.aux, False)
     g, g_names = _column_matrix(columns, schema.controls, True)
@@ -279,23 +286,24 @@ def _build_dataset(columns: Mapping[str, np.ndarray], schema: Schema,
     # the supplied outcome rows that usable aligned rows read are t >= lag;
     # a bad one is named at its own t
     feeds = t >= lag
-    for label, arr in (("y", y_raw[feeds]), ("z", z), ("f", f), ("g", g)):
+    for label, arr in (("y", y[feeds]), ("z", z), ("f", f), ("g", g)):
         if arr.size and not np.isfinite(arr).all():
             flat = np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
             idx = np.flatnonzero(feeds) if label == "y" else np.arange(arr.shape[0])
             i = int(idx[np.argmax(~flat)])
             raise MissingValue(f"non-finite value in {label}", subject[i], int(t[i]))
 
-    keep = dict(columns)
-    keep["y_raw"] = y_raw
-    keep["y"] = y
+    columns = {k: _as_readonly(v) for k, v in columns.items()}
+    aligned = columns["y"]
+    if lag > 1:
+        # shift within subject: aligned row t <- supplied row t + (lag - 1)
+        y_mat = y.reshape(n_subjects, horizon)
+        shifted = np.zeros_like(y_mat)
+        shifted[:, : horizon - (lag - 1)] = y_mat[:, lag - 1:]
+        aligned = _as_readonly(shifted.reshape(-1))
     return MrtDataset(
-        subject_ids=_as_readonly(subject),
-        t=_as_readonly(t.astype(int)),
-        a=_as_readonly(a.astype(int)),
-        p=_as_readonly(p),
-        y=_as_readonly(y),
-        y_raw=_as_readonly(y_raw),
+        columns=columns,
+        y=aligned,
         f=_as_readonly(f),
         z=_as_readonly(z),
         g=_as_readonly(g),
@@ -304,21 +312,10 @@ def _build_dataset(columns: Mapping[str, np.ndarray], schema: Schema,
         horizon=horizon,
         lag=lag,
         schema=schema,
-        columns={k: _as_readonly(v) for k, v in keep.items()},
         f_names=f_names,
         z_names=z_names,
         g_names=g_names,
     )
-
-
-def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
-                 lag: int = 1) -> MrtDataset:
-    """Build and validate a dataset from in-memory columns.
-
-    ``y`` is the raw proximal series, aligned to ``lag`` here as in
-    :func:`load_csv`.
-    """
-    return _build_dataset(columns, schema, lag)
 
 
 def _row_t(raw: Mapping[str, np.ndarray], i: int):
@@ -402,7 +399,7 @@ def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
             raise MissingValue(f"non-finite value in column {name!r} at row {i + 2}",
                                raw["subject_id"][i], _row_t(raw, i))
         columns[name] = vals
-    return _build_dataset(columns, schema, lag)
+    return from_columns(columns, schema, lag)
 
 
 def to_csv(ds: MrtDataset, path) -> None:
@@ -411,9 +408,8 @@ def to_csv(ds: MrtDataset, path) -> None:
     The ``y`` column written is the raw proximal series (what ``load_csv``
     consumes), so a load/serialize round trip is bit-faithful.
     """
-    names = ["subject_id", "t", "a", "p", "y"]
-    extra = [n for n in ds.columns
-             if n not in names and n not in ("y_raw", "y")]
+    names = list(BASE_COLUMNS)
+    extra = [n for n in ds.columns if n not in names]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names + extra)

@@ -25,6 +25,7 @@ always comes from retained per-subject scores; see :mod:`mrtx.variance`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -41,7 +42,6 @@ from .data import MrtDataset, _as_readonly
 from .errors import (
     DegenerateAuxiliary,
     DimensionMismatch,
-    LagHorizonExceeded,
     NonConvergence,
     SingularGram,
     SingularJacobian,
@@ -84,6 +84,11 @@ class EstimatorConfig:
     centering_kind: str = "orthogonal"
 
     def __post_init__(self):
+        # bool is an int subclass, and a stray string would reach the range checks
+        if isinstance(self.lag, bool) or not isinstance(self.lag, numbers.Integral):
+            raise DimensionMismatch(f"lag must be an integer, got {self.lag!r}")
+        if isinstance(self.ci_level, bool) or not isinstance(self.ci_level, numbers.Real):
+            raise DimensionMismatch(f"ci_level must be a real number, got {self.ci_level!r}")
         if self.method not in METHODS:
             raise DimensionMismatch(f"unknown method {self.method!r}")
         if self.variance_mode not in VARIANCE_MODES:
@@ -112,20 +117,27 @@ class FitResult:
     """Point estimates plus retained variance machinery for one fit of ``config``.
 
     Coefficient blocks, SEs, intervals and p-values are properties derived
-    from ``estimates``, ``vcov`` and the index sets, never stored copies; the
-    SEs and the interval triple are computed once, on first read, as
-    read-only arrays.
+    from ``estimates``, ``vcov`` and ``param_names``, never stored copies: a
+    parameter named ``beta0:...`` or ``beta1:...`` is in that block, any other
+    in ``alpha``. The block indices, the SEs and the interval triple are
+    computed once, on first read, as read-only arrays.
     """
 
     config: EstimatorConfig
     param_names: tuple[str, ...]
     estimates: np.ndarray
     vcov: np.ndarray
-    beta0_idx: np.ndarray = field(repr=False)
-    beta1_idx: np.ndarray = field(repr=False)
     parts: SandwichParts = field(repr=False)
     n_iter: int
     ee_norm_trace: tuple[float, ...] = ()
+
+    @cached_property
+    def beta0_idx(self) -> np.ndarray:
+        return _as_readonly(np.flatnonzero([_block(n) == "beta0" for n in self.param_names]))
+
+    @cached_property
+    def beta1_idx(self) -> np.ndarray:
+        return _as_readonly(np.flatnonzero([_block(n) == "beta1" for n in self.param_names]))
 
     @property
     def n_subjects(self) -> int:
@@ -213,17 +225,21 @@ class FitResult:
     def coefficient_rows(self) -> list[dict]:
         se = self.se_all
         lo, hi, p = self._intervals
-        b0, b1 = set(self.beta0_idx.tolist()), set(self.beta1_idx.tolist())
         rows = []
         for i, name in enumerate(self.param_names):
-            block = "beta0" if i in b0 else ("beta1" if i in b1 else "alpha")
-            rows.append({"name": name, "block": block,
+            rows.append({"name": name, "block": _block(name),
                          "estimate": float(self.estimates[i]),
                          "se": float(se[i]),
                          "ci_lo": float(lo[i]),
                          "ci_hi": float(hi[i]),
                          "p_value": float(p[i])})
         return rows
+
+
+def _block(name: str) -> str:
+    """The coefficient block a parameter name's prefix states."""
+    head = name.partition(":")[0]
+    return head if head in ("beta0", "beta1") else "alpha"
 
 
 def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -248,15 +264,12 @@ def _vcov(parts, mode):
     return stacked_small_sample(parts)
 
 
-def _assemble(names, estimates, beta0_idx, beta1_idx, parts, config,
-              n_iter=0, trace=()):
+def _assemble(names, estimates, parts, config, n_iter=0, trace=()):
     return FitResult(
         config=config,
         param_names=tuple(names),
         estimates=estimates,
         vcov=_vcov(parts, config.variance_mode),
-        beta0_idx=np.asarray(beta0_idx, dtype=int),
-        beta1_idx=np.asarray(beta1_idx, dtype=int),
         parts=parts,
         n_iter=n_iter,
         ee_norm_trace=tuple(trace),
@@ -309,7 +322,8 @@ def _check_auxiliary(ds: MrtDataset, zc: np.ndarray) -> None:
 
 
 def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
-    """Design matrix on the usable rows, names and index slices for the pooled criteria."""
+    """Design matrix on the usable rows and its parameter names, for the pooled
+    criteria; the ``beta0`` then the ``beta1`` columns come last."""
     ca = ds.usable(ds.centered_a)
     f = ds.usable(ds.f)
     cols, names = [], []
@@ -333,27 +347,19 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
         cols.append(ds.usable(ds.g))
         names.extend(f"alpha:{n}" for n in ds.g_names)
 
-    beta0_start = len(names)
     cols.append(ca[:, None] * f)
     names.extend(f"beta0:{n}" for n in ds.f_names)
-    beta0_idx = np.arange(beta0_start, len(names))
-
-    beta1_idx = np.arange(0)
     if cm is not None:
         zc = ds.usable(ds.z - cm.mu_rows(ds))
         _check_auxiliary(ds, zc)
-        beta1_start = len(names)
         cols.append(ca[:, None] * zc)
         names.extend(f"beta1:{n}" for n in ds.z_names)
-        beta1_idx = np.arange(beta1_start, len(names))
-
-    X = np.column_stack([c if c.ndim == 2 else c[:, None] for c in cols])
-    return X, names, beta0_idx, beta1_idx
+    return np.column_stack(cols), names
 
 
 def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
                 cm: CenteringModel | None, lagged: bool) -> FitResult:
-    X, names, b0_idx, b1_idx = _pooled_design(ds, cm, lagged)
+    X, names = _pooled_design(ds, cm, lagged)
     y, w = ds.usable(ds.y), ds.usable(ds.weight_w)
     beta, gram = wls_solve(X, y, w, ds.n_subjects)
     shift = None
@@ -363,9 +369,10 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
         # so it is beta1_i times the Gram's beta0 row k (the residual's own
         # derivative term vanishes by the beta0 normal equations); applied to
         # each subject's influence on theta, it is that subject's score shift
-        shift = (cm.influence @ beta[b1_idx]) @ gram[b0_idx]
+        b1 = len(names) - ds.p_z                  # the design ends [beta0, beta1]
+        shift = (cm.influence @ beta[b1:]) @ gram[b1 - ds.q:b1]
     parts = _ls_parts(X, y, w, beta, gram, ds.n_subjects, ds.n_usable, shift)
-    return _assemble(names, beta, b0_idx, b1_idx, parts, config)
+    return _assemble(names, beta, parts, config)
 
 
 def _centered_controls(g: np.ndarray):
@@ -385,11 +392,10 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig) -> FitResult:
     if not sel.any():
         raise DimensionMismatch(f"decision index t={t} not present")
     y = ds.y[sel]
-    ca = (ds.a.astype(float) - ds.p)[sel]          # centered at the true p_t
+    ca = (ds.a - ds.p)[sel]                        # centered at the true p_t
     n = y.shape[0]
     cols = [np.ones((n, 1))]
     names = ["alpha:1"]
-    b1_idx = np.arange(0)
     kept_names: tuple[str, ...] = ()
     if config.method != "unadjusted_per_time":
         # a column-indexed copy is column-major, so each mean is a pairwise sum
@@ -397,19 +403,16 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig) -> FitResult:
         kept_names = tuple(ds.g_names[1:][i] for i in keep)
         cols.append(gt)
         names.extend(f"alpha:{nm}~t{t}" for nm in kept_names)
-    b0_pos = sum(c.shape[1] for c in cols)
     cols.append(ca[:, None])
     names.append("beta0:1")
     if config.method == "lin_per_time":
-        start = sum(c.shape[1] for c in cols)
         cols.append(ca[:, None] * cols[1])
         names.extend(f"beta1:{nm}~t{t}" for nm in kept_names)
-        b1_idx = np.arange(start, start + cols[-1].shape[1])
     X = np.column_stack(cols)
     w = np.ones(n)
     beta, gram = wls_solve(X, y, w, n)
     parts = _ls_parts(X, y, w, beta, gram, n, 1)
-    return _assemble(names, beta, np.array([b0_pos]), b1_idx, parts, config)
+    return _assemble(names, beta, parts, config)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +469,7 @@ def _emee_system(ds: MrtDataset, feat: np.ndarray):
     ``X`` and the row derivatives are held transposed, a contiguous row per column.
     """
     g, f_x = ds.usable(ds.g), ds.usable(feat)
-    a, w = ds.usable(ds.a.astype(float)), ds.usable(ds.weight_w)
+    a, w = ds.usable(ds.a), ds.usable(ds.weight_w)
     wy = w * ds.usable(ds.y)
     awy = a * wy
     k_g, n = g.shape[1], ds.n_subjects
@@ -538,10 +541,7 @@ def _binary_result(ds: MrtDataset, config: EstimatorConfig, Xt: np.ndarray, solv
     scores = (Xt * r).reshape(len(Xt), ds.n_subjects, ds.n_usable).sum(axis=2).T
     parts = SandwichParts(bread=-jac, subject_scores=scores)   # positive orientation
     names = [f"alpha:{n}" for n in ds.g_names] + feat_names
-    b0_idx = np.arange(ds.d, ds.d + ds.q)
-    b1_idx = np.arange(ds.d + ds.q, ds.d + len(feat_names))
-    return _assemble(names, params, b0_idx, b1_idx, parts, config,
-                     n_iter=n_iter, trace=trace)
+    return _assemble(names, params, parts, config, n_iter=n_iter, trace=trace)
 
 
 def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
@@ -564,7 +564,7 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     names = [f"beta0:{n}" for n in ds.f_names]
     if config.method == "emee":
         return _binary_result(ds, config, Xt, solved, names, solved[1], solved[2])
-    w_az = ds.usable(ds.weight_w * ds.a.astype(float) * ds.centered_a * ds.y)
+    w_az = ds.usable(ds.weight_w * ds.a * ds.centered_a * ds.y)
     f_use, z_use = ds.usable(ds.f), ds.usable(ds.z)
     params = np.concatenate([solved[0], np.zeros(ds.p_z)])
     weights = ds.usable(ds.p_tilde * (1.0 - ds.p_tilde))
@@ -604,8 +604,6 @@ def fit(ds: MrtDataset, config: EstimatorConfig, *, t: int | None = None) -> Fit
     if config.lag != ds.lag:
         raise DimensionMismatch(
             f"config lag {config.lag} does not match dataset lag {ds.lag}")
-    if ds.horizon < ds.lag:
-        raise LagHorizonExceeded(f"lag {ds.lag} exceeds panel horizon {ds.horizon}")
     if (method in ADJUSTED or method == "a2emee") and ds.p_z < 1:
         raise DimensionMismatch(f"{method} requires auxiliary columns")
     if method in PER_TIME:

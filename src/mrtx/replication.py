@@ -178,7 +178,8 @@ def run_table(name: str, replicates: int = 1000, seed: int = 20240901,
     reports: list[McReport] = []
     cells: list[CellResult] = []
     for run in TABLES[name]:
-        spec = replace(run.dgm, n=n or run.dgm.n, horizon=horizon or run.dgm.horizon,
+        spec = replace(run.dgm, n=run.dgm.n if n is None else n,
+                       horizon=run.dgm.horizon if horizon is None else horizon,
                        seed=seed + run.dgm.seed)
         report = run_monte_carlo(spec, list(run.arms), replicates, workers=workers)
         reports.append(report)

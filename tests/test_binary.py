@@ -42,7 +42,7 @@ def bisection_oracle(ds, lo=-2.0, hi=2.0, tol=1e-12):
     For intercept-only nuisance, alpha is profiled in closed form at each
     candidate beta0, leaving one equation in one unknown.
     """
-    w, ca, a, y = ds.weight_w, ds.centered_a, ds.a.astype(float), ds.y
+    w, ca, a, y = ds.weight_w, ds.centered_a, ds.a, ds.y
 
     def equation(b0):
         blip = np.exp(-a * b0)

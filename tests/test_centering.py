@@ -170,3 +170,18 @@ def test_influence_matches_per_subject_loop():
     assert cm.orthogonal and cm.influence.shape == (n, 2, 2)
     np.testing.assert_allclose(cm.influence, expected, rtol=1e-10, atol=1e-12)
     assert not centering_from_rows(ds, naive_centerings(ds, "global_mean"), "g").orthogonal
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fit_centering(build_panel(4, 3, schema=Schema())), "no auxiliary columns"),
+    (lambda: naive_centerings(build_panel(4, 3, schema=Schema()), "global_mean"),
+     "no auxiliary columns"),
+    (lambda: naive_centerings(build_panel(4, 3), "bogus"),
+     "unknown naive centering kind 'bogus'"),
+    (lambda: fit_centering(build_panel(4, 3)).mu_rows(
+        build_panel(4, 3, schema=Schema(moderators=("g1",), aux=("z",)))),
+     "moderator dimension does not match"),
+], ids=["fit_without_aux", "naive_without_aux", "naive_unknown_kind", "mu_rows_other_q"])
+def test_centering_dimension_mismatch(call, message):
+    with pytest.raises(errors.DimensionMismatch, match=message):
+        call()

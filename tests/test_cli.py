@@ -132,6 +132,13 @@ def test_simulate_bad_config(tmp_path, capsys):
     assert "error[ConfigParse]" in capsys.readouterr().err
 
 
+def test_simulate_missing_config_is_config_parse(tmp_path, capsys):
+    cfg = tmp_path / "absent.cfg"
+    code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
+    assert code == 28               # ConfigParse
+    assert f"error[ConfigParse]: cannot read config {cfg}: " in capsys.readouterr().err
+
+
 def test_simulate_bad_lag_is_config_parse(tmp_path, capsys):
     cfg = tmp_path / "dgm.cfg"
     write_config(cfg, kind="lagged_eq12", n=10, horizon=6, lag="two")
@@ -144,7 +151,9 @@ def test_simulate_bad_lag_is_config_parse(tmp_path, capsys):
     ("methods", "bogus", "unknown method 'bogus'"),
     ("variance", "bogus", "unknown variance mode 'bogus'"),
     ("lag", "2", "lag 2 does not match the proximal_j2 design's lag 1"),
-], ids=["methods", "variance", "lag"])
+    ("methods", "wcls,wcls_per_time",
+     "per-time methods need a decision index; use the fit verb"),
+], ids=["methods", "variance", "lag", "per_time_method"])
 def test_simulate_bad_arm_settings_are_config_parse(tmp_path, capsys, key, value,
                                                     message):
     cfg = tmp_path / "dgm.cfg"
@@ -227,7 +236,7 @@ def test_readme_library_sketch_runs(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     ds = gen_panel(DgmSpec(kind="nonmoderator_robust", n=60, horizon=8, beta0=0.2, seed=4))
-    cols = {("mood" if k == "z" else k): v for k, v in ds.columns.items() if k != "y_raw"}
+    cols = {("mood" if k == "z" else k): v for k, v in ds.columns.items()}
     to_csv(from_columns(cols, Schema(aux=("mood",))), tmp_path / "panel.csv")
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})

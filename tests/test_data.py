@@ -145,7 +145,7 @@ def test_design_blocks_cached_per_view():
     assert ds.centered_a is ds.centered_a
     # a re-view with another numerator gets its own blocks, not the cached ones
     view = ds.with_schema(Schema(aux=("z",), ptilde="pt"))
-    a, p = view.a.astype(float), view.p
+    a, p = view.a, view.p
     np.testing.assert_array_equal(
         view.weight_w, np.where(a == 1.0, pt, 1.0 - pt) / np.where(a == 1.0, p, 1.0 - p))
     np.testing.assert_array_equal(view.centered_a, a - pt)
@@ -222,6 +222,36 @@ def test_from_columns_leaves_caller_arrays_writeable():
         ds.subject_ids[0] = 9.0
 
 
+@pytest.mark.parametrize("kind, lag", [("lagged_eq12", 2), ("nonmoderator_robust", 3)])
+def test_columns_rebuild_the_panel_at_its_lag(kind, lag):
+    # columns hold the outcome as supplied, so a rebuild aligns it once, not twice
+    ds = gen_panel(DgmSpec(kind=kind, n=12, horizon=6, beta0=-0.2, seed=4))
+    if ds.lag != lag:
+        ds = from_columns(ds.columns, ds.schema, lag=lag)
+    again = from_columns(ds.columns, ds.schema, lag=ds.lag)
+    np.testing.assert_array_equal(again.y, ds.y)
+    np.testing.assert_array_equal(again.y_raw, ds.y_raw)
+    assert again.fingerprint() == ds.fingerprint()
+
+
+def test_columns_are_the_columns_supplied():
+    cols = panel_from_arrays(3, 4)
+    ds = from_columns(cols, Schema(aux=("z",)), lag=2)
+    assert set(ds.columns) == set(cols)
+    np.testing.assert_array_equal(ds.columns["y"], cols["y"])
+    assert ds.y_raw is ds.columns["y"]
+    for name in ("a", "t"):
+        assert getattr(ds, name).dtype == np.float64
+        assert np.shares_memory(getattr(ds, name), ds.columns[name]), name
+
+
+def test_from_columns_without_p_is_missing_column():
+    cols = panel_from_arrays(2, 3)
+    del cols["p"]
+    with pytest.raises(errors.MissingColumn, match="required column 'p' not found"):
+        from_columns(cols, Schema())
+
+
 def test_unequal_panel_lengths_name_shortest_subject():
     # after sorting: "a" has 3 rows, "b" 2 and "c" 3; 8 rows do not split evenly
     ids = np.array(["c"] * 3 + ["b"] * 2 + ["a"] * 3)
@@ -290,8 +320,10 @@ def _set(lines, i, text):
     (lambda ls: _set(ls, 5, ls[5].rsplit(",", 1)[0]), "row 6 has 5 fields, expected 6"),
     (lambda ls: _set(ls, 1, ls[1].rsplit(",", 1)[0]), "row 2 has 5 fields, expected 6"),
     (lambda ls: _set(ls, 1, ls[1] + ",9"), "row 2 has 7 fields, expected 6"),
+    (lambda ls: ls[:1] + [line.rsplit(",", 1)[0] for line in ls[1:]],
+     "row 2 has 5 fields, expected 6"),
 ], ids=["blank", "blank_trailing", "whitespace_only", "too_many", "too_few",
-        "first_too_few", "first_too_many"])
+        "first_too_few", "first_too_many", "every_row_too_few"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_field_count_errors_name_file_row(tmp_path, edit, message, newline):
     path = tmp_path / "panel.csv"
@@ -338,7 +370,7 @@ def test_every_float_is_python_float(tmp_path):
     order = np.lexsort((np.array([float(r[1]) for r in rows]), np.array([r[0] for r in rows])))
     for j, name in enumerate(header[1:], 1):
         expected = np.array([float(rows[i][j]) for i in order])
-        got = loaded.columns["y_raw" if name == "y" else name]
+        got = loaded.columns[name]
         assert got.tobytes() == expected.tobytes(), name
 
 

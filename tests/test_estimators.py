@@ -211,12 +211,28 @@ def test_lag3_lagged_fit_matches_recorded(mode):
     ref = json.loads((Path(__file__).parent / "reference" / "lag3_a2wcls_lagged.json")
                      .read_text())[mode]
     ds = gen_panel(DgmSpec(kind="nonmoderator_robust", n=40, horizon=7, beta0=-0.2, seed=5))
-    cols = {k: v for k, v in ds.columns.items() if k != "y_raw"}
-    ds3 = from_columns(cols, ds.schema, lag=3)
+    ds3 = from_columns(ds.columns, ds.schema, lag=3)
     res = fit(ds3, EstimatorConfig(method="a2wcls_lagged", lag=3, variance_mode=mode))
     assert list(res.param_names) == ref["param_names"]
     np.testing.assert_allclose(res.estimates, ref["estimates"], rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(res.vcov, ref["vcov"], rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"ci_level": "0.9"}, "ci_level must be a real number"),
+    ({"ci_level": True}, "ci_level must be a real number"),
+    ({"method": "a2wcls_lagged", "lag": "2"}, "lag must be an integer"),
+    ({"lag": 2.0}, "lag must be an integer"),
+    ({"lag": True}, "lag must be an integer"),
+], ids=["ci_level_str", "ci_level_bool", "lag_str", "lag_float", "lag_bool"])
+def test_config_field_types(kwargs, message):
+    with pytest.raises(errors.DimensionMismatch, match=message):
+        EstimatorConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integer_lag():
+    config = EstimatorConfig(method="a2wcls_lagged", lag=np.int64(2))
+    assert fit(build_panel(8, 6, lag=2, seed=3), config).config.lag == 2
 
 
 def test_config_validation():
@@ -263,13 +279,6 @@ def test_dispatcher_lag_mismatch():
     ds = build_panel(5, 4)
     with pytest.raises(errors.DimensionMismatch):
         fit(ds, EstimatorConfig(method="wcls", lag=2))
-
-
-def test_lag_horizon_exceeded():
-    ds = build_panel(5, 1, lag=1)
-    object.__setattr__(ds, "lag", 3)
-    with pytest.raises(errors.LagHorizonExceeded):
-        fit(ds, EstimatorConfig(method="a2wcls_lagged", lag=3))
 
 
 def test_naive_centering_refuses_stacked():

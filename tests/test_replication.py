@@ -34,6 +34,11 @@ def test_every_table_runs_at_small_size(name):
         assert f"{res.cell.row} {res.cell.metric}" in text
 
 
+def test_zero_size_is_refused_not_replaced_by_the_published_size():
+    with pytest.raises(errors.ConfigParse, match="n and horizon must be >= 1"):
+        run_table("robust", replicates=1, n=0, horizon=0)
+
+
 def test_unknown_table_rejected():
     with pytest.raises(errors.UnknownTable, match="choose from tab2, tabfour"):
         run_table("nope", replicates=4)

@@ -55,9 +55,12 @@ def test_generator_stream_pinned(kind):
     beta0 = (-0.1, 0.02) if kind == "timevarying_j3" else -0.2
     ds = gen_panel(DgmSpec(kind=kind, n=7, horizon=5, beta0=beta0, beta1=0.3, seed=11))
     h = hashlib.sha256()
-    for name in sorted(ds.columns):
+    # the digests were recorded when the aligned outcome was stored as "y" and
+    # the supplied one as "y_raw"
+    cols = {**ds.columns, "y": ds.y, "y_raw": ds.y_raw}
+    for name in sorted(cols):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(ds.columns[name]).tobytes())
+        h.update(np.ascontiguousarray(cols[name]).tobytes())
     assert h.hexdigest() == _STREAM_DIGESTS[kind]
 
 
@@ -66,7 +69,7 @@ def test_two_decision_structure_noise_off():
     spec = DgmSpec(kind="lagged_eq12", n=50, horizon=6, beta0=-0.1, beta1=0.5, seed=3)
     ds = gen_panel(spec, noise_scale=0.0)
     z = ds.per_subject(ds.z[:, 0])
-    a = ds.per_subject(ds.a.astype(float))
+    a = ds.per_subject(ds.a)
     p = ds.per_subject(ds.p)
     y = ds.per_subject(ds.y)
     T = spec.horizon
@@ -79,7 +82,7 @@ def test_two_decision_structure_noise_off():
 def test_randomization_rule_matches_columns():
     spec = DgmSpec(kind="lagged_eq12", n=30, horizon=5, beta0=-0.1, beta1=0.2, seed=9)
     ds = gen_panel(spec)
-    a = ds.per_subject(ds.a.astype(float))
+    a = ds.per_subject(ds.a)
     z = ds.per_subject(ds.z[:, 0])
     p = ds.per_subject(ds.p)
     prev_a = np.zeros_like(a)
@@ -217,6 +220,26 @@ def test_metrics_zero_variance():
     with pytest.raises(errors.ZeroVariance):
         compute_metrics([0.1, 0.2], [0.1, 0.1], [0.0, 1.0], [1, 1],
                         [0.1, 0.2], [1.0, 1.0], truth=0.1)
+
+
+@pytest.mark.parametrize("est_m, est_b, message", [
+    ([0.1, 0.2], [0.1], "replicate counts differ"),
+    ([0.1, 0.1], [0.1, 0.2], "degenerate Monte Carlo spread"),
+], ids=["unequal_lengths", "constant_method"])
+def test_metrics_degenerate_rows(est_m, est_b, message):
+    n_m, n_b = len(est_m), len(est_b)
+    with pytest.raises(errors.ZeroVariance, match=message):
+        compute_metrics(est_m, [0.1] * n_m, [1.0] * n_m, [1] * n_m, est_b, [1.0] * n_b,
+                        truth=0.1)
+
+
+def test_arm_failing_every_replicate_is_zero_variance():
+    spec = DgmSpec(kind="nonmoderator_robust", n=25, horizon=6, beta0=-0.2, seed=3)
+    # the re-viewed panel has no auxiliary columns, so every a2wcls fit raises
+    arms = [McArm("wcls", EstimatorConfig(method="wcls")),
+            McArm("a2", EstimatorConfig(method="a2wcls"), schema=Schema())]
+    with pytest.raises(errors.ZeroVariance, match="no successful replicates for a2"):
+        run_monte_carlo(spec, arms, 2)
 
 
 def test_true_beta0_shapes():

@@ -22,6 +22,7 @@ from mrtx.variance import (
     plain_sandwich,
     score_meat,
     stacked_sandwich,
+    stacked_small_sample,
 )
 
 from conftest import build_panel, panel_from_arrays
@@ -449,3 +450,11 @@ def test_bad_ci_level_is_dimension_mismatch(level):
         confidence_intervals(res.estimates, res.se_all, level, False, 10, 3)
     with pytest.raises(errors.DimensionMismatch, match="ci_level must lie in"):
         EstimatorConfig(ci_level=level)
+
+
+def test_small_sample_needs_retained_model_matrices():
+    ds = gen_panel(DgmSpec(kind="binary_demo", n=60, horizon=6, beta0=0.2, seed=3))
+    parts = fit(ds, EstimatorConfig(method="emee")).parts
+    with pytest.raises(errors.SingularLeverage,
+                       match="per-subject model matrices were not retained"):
+        stacked_small_sample(parts)
