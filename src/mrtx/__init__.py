@@ -2,9 +2,7 @@
 
 from .centering import (
     CenteringModel,
-    centering_from_rows,
     fit_centering,
-    naive_centerings,
     orthogonality_residual,
 )
 from .data import (

@@ -8,8 +8,8 @@ model satisfying that condition empirically: each auxiliary column is
 projected onto span{f} by weighted least squares, so the normal-equation
 residual is exactly the orthogonality residual.
 
-``naive_centerings`` exposes the deliberately simpler alternatives (per-time
-mean, single pooled mean) used to demonstrate when centering goes wrong.
+The same constructor builds the plain-mean foils that show when centering
+goes wrong; every kind reads the usable rows only, ``t <= T - lag + 1``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .data import MrtDataset
 from .errors import DimensionMismatch, SingularGram
 from .variance import checked_solve
 
+CENTERING_KINDS = ("orthogonal", "global_mean", "time_specific_mean")
+
 
 @dataclass(frozen=True, eq=False)
 class CenteringModel:
@@ -29,9 +31,8 @@ class CenteringModel:
 
     ``influence`` holds each subject's influence on ``theta``, ``G^{-1} U_j``
     with ``U_j`` the subject's weighted normal-equation residual, so variance
-    stacking never needs a refit. Models built by :func:`centering_from_rows`
-    carry none: they are not orthogonality-fitted and cannot back a stacked
-    variance.
+    stacking never needs a refit. The plain-mean kinds carry none: they are
+    not orthogonality-fitted and cannot back a stacked variance.
     """
 
     theta: np.ndarray                       # (q, p_z)
@@ -49,12 +50,11 @@ class CenteringModel:
         """Per-row centering values (rows, p_z)."""
         if ds.f.shape[1] != self.q:
             raise DimensionMismatch("moderator dimension does not match centering model")
-        return ds.f @ self.theta
+        return _dot(ds.f, self.theta)
 
 
-def _weights(ds: MrtDataset) -> np.ndarray:
-    w = ds.p_tilde * (1.0 - ds.p_tilde)
-    return np.where(ds.usable_mask, w, 0.0)
+def _usable_weights(ds: MrtDataset) -> np.ndarray:
+    return ds.usable(ds.p_tilde * (1.0 - ds.p_tilde))
 
 
 def _cross(f: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -67,6 +67,13 @@ def _cross(f: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("ri,r,rk->ik", f, w, z)
 
 
+def _dot(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``M @ b``; a one-column ``@`` is several times slower than the product."""
+    if M.shape[1] > 1:
+        return M @ b
+    return M[:, 0] * b[0] if b.ndim == 1 else M * b[0]
+
+
 def weighted_projection(f: np.ndarray, z: np.ndarray, w: np.ndarray, n: int,
                         exc, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients ``theta`` of ``(F'WF/n) theta = F'WZ/n`` and the Gram ``F'WF/n``.
@@ -77,75 +84,53 @@ def weighted_projection(f: np.ndarray, z: np.ndarray, w: np.ndarray, n: int,
     return checked_solve(gram, _cross(f, w, z) / n, exc, what), gram
 
 
-def fit_centering(ds: MrtDataset) -> CenteringModel:
-    """Weighted projection of every auxiliary column onto the moderator span.
+def fit_centering(ds: MrtDataset, kind: str = "orthogonal") -> CenteringModel:
+    """The centering model of ``kind``, one of ``CENTERING_KINDS``, on the usable rows.
 
-    Solves, for each auxiliary column i, the pooled normal equations
-    ``G theta_i = P_N[sum_t w_t f_t z_it]`` with ``w_t = p_tilde(1-p_tilde)``
-    and ``G = P_N[sum_t w_t f_t f_t']``. The residual of these equations is
-    the empirical orthogonality condition, so a successful fit drives it to
-    numerical zero.
+    ``orthogonal`` solves, for each auxiliary column i, the pooled normal
+    equations ``G theta_i = P_N[sum_t w_t f_t z_it]`` with ``w_t = p_tilde(1-p_tilde)``
+    and ``G = P_N[sum_t w_t f_t f_t']``, whose residual is the empirical
+    orthogonality condition. The foils, ``time_specific_mean`` (the cross-subject
+    mean at each decision point) and ``global_mean`` (the pooled mean), must lie
+    in the moderator span; their theta is the unweighted projection onto it.
     """
     if ds.p_z < 1:
         raise DimensionMismatch("dataset declares no auxiliary columns")
-    w = _weights(ds)
-    theta, gram = weighted_projection(ds.f, ds.z, w, ds.n_subjects,
-                                      SingularGram, "centering fit")
-    resid = ds.z - ds.f @ theta                          # (rows, p_z)
-    # each subject's normal-equation residual U_j, laid out (q, N, p_z) so that
-    # one solve takes every subject's right-hand side; weighted_projection
-    # has already checked the Gram
-    u = np.einsum("ntk,nt,nti->kni", ds.per_subject(ds.f), ds.per_subject(w),
-                  ds.per_subject(resid))
-    influence = np.linalg.solve(gram, u.reshape(ds.q, -1)).reshape(u.shape)
-    return CenteringModel(theta, influence.transpose(1, 0, 2))
+    f, z = ds.usable(ds.f), ds.usable(ds.z)
+    if kind == "orthogonal":
+        w = _usable_weights(ds)
+        theta, gram = weighted_projection(f, z, w, ds.n_subjects,
+                                          SingularGram, "centering fit")
+        # each subject's normal-equation residual U_j, laid out (q, N, p_z) so that
+        # one solve takes every subject's right-hand side; weighted_projection
+        # has already checked the Gram
+        u = np.einsum("ntk,nt,nti->kni", ds.per_subject(f), ds.per_subject(w),
+                      ds.per_subject(z - _dot(f, theta)))
+        influence = np.linalg.solve(gram, u.reshape(ds.q, -1)).reshape(u.shape)
+        return CenteringModel(theta, influence.transpose(1, 0, 2))
+    if kind == "global_mean":
+        mu = np.tile(z.mean(axis=0), (len(z), 1))
+    elif kind == "time_specific_mean":
+        mu = np.tile(ds.per_subject(z).mean(axis=0), (ds.n_subjects, 1))
+    else:
+        raise DimensionMismatch(f"unknown centering kind {kind!r}")
+    theta, _ = weighted_projection(f, mu, np.ones(len(mu)), 1,
+                                   SingularGram, "centering representation")
+    if not np.allclose(_dot(f, theta), mu, atol=1e-8):
+        raise DimensionMismatch(
+            f"{kind}: requested centering is not representable in the moderator span")
+    return CenteringModel(theta)
 
 
 def orthogonality_residual(ds: MrtDataset, mu_rows: np.ndarray) -> float:
-    """Max-abs entry of the empirical orthogonality matrix for given per-row mu."""
+    """Max-abs entry of the empirical orthogonality matrix, over the usable
+    rows, for given per-row mu."""
     mu_rows = np.asarray(mu_rows, dtype=float)
     if mu_rows.ndim == 1:
         mu_rows = mu_rows[:, None]
     if mu_rows.shape != ds.z.shape:
         raise DimensionMismatch(
             f"mu has shape {mu_rows.shape}, auxiliary block has {ds.z.shape}")
-    mat = _cross(ds.f, _weights(ds), ds.z - mu_rows) / ds.n_subjects
+    mat = _cross(ds.usable(ds.f), _usable_weights(ds),
+                 ds.usable(ds.z - mu_rows)) / ds.n_subjects
     return float(np.abs(mat).max()) if mat.size else 0.0
-
-
-def naive_centerings(ds: MrtDataset, kind: str) -> np.ndarray:
-    """Per-row mu values for the simple centerings used as foils.
-
-    ``time_specific_mean`` is the cross-subject mean of each auxiliary column
-    at every decision point; ``global_mean`` is the single pooled mean.
-    """
-    if ds.p_z < 1:
-        raise DimensionMismatch("dataset declares no auxiliary columns")
-    if kind == "global_mean":
-        mu = ds.z.mean(axis=0)
-        return np.broadcast_to(mu, ds.z.shape).copy()
-    if kind == "time_specific_mean":
-        by_subj = ds.per_subject(ds.z)                   # (N, T, p_z)
-        per_t = by_subj.mean(axis=0)                     # (T, p_z)
-        return np.tile(per_t, (ds.n_subjects, 1))
-    raise DimensionMismatch(f"unknown naive centering kind {kind!r}")
-
-
-def centering_from_rows(ds: MrtDataset, mu_rows: np.ndarray, label: str) -> CenteringModel:
-    """Wrap externally chosen per-row centerings as a (non-orthogonal) model.
-
-    The mu values must lie in the moderator span (constant when f is an
-    intercept-only design, per-time via f columns otherwise); we recover the
-    representing theta by unweighted projection. Intended for bias
-    demonstrations; stacked variance refuses such models.
-    """
-    mu_rows = np.asarray(mu_rows, dtype=float)
-    if mu_rows.ndim == 1:
-        mu_rows = mu_rows[:, None]
-    theta, _ = weighted_projection(ds.f, mu_rows, np.ones(ds.n_rows), 1,
-                                   SingularGram, "centering representation")
-    rep = ds.f @ theta
-    if not np.allclose(rep, mu_rows, atol=1e-8):
-        raise DimensionMismatch(
-            f"{label}: requested centering is not representable in the moderator span")
-    return CenteringModel(theta)

@@ -25,10 +25,10 @@ import sys
 import numpy as np
 
 from . import errors
+from .centering import CENTERING_KINDS
 from .data import Schema, load_csv
 from .estimators import (
     ADJUSTED,
-    CENTERING_KINDS,
     EstimatorConfig,
     METHODS,
     PER_TIME,

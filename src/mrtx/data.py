@@ -22,9 +22,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -71,6 +71,22 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+class _Columns(Mapping):
+    """A read-only view of the validated columns; ``MappingProxyType`` does not pickle."""
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        self._columns = columns
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._columns[name]
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+
 def _column(name: str) -> property:
     """A read-only attribute that is the supplied column ``name``, not a copy of it."""
     return property(lambda self: self.columns[name])
@@ -82,11 +98,11 @@ class MrtDataset:
 
     All subjects share the same horizon ``T``; rows are stored subject-major
     so any per-row column reshapes to ``(n_subjects, horizon)``. ``columns``
-    holds exactly the validated columns supplied, with ``y`` the proximal
-    series, so ``from_columns(ds.columns, ds.schema, lag=ds.lag)`` rebuilds
-    the panel; ``subject_ids``, ``t``, ``a``, ``p`` and ``y_raw`` are read-only
-    views of them, ``t`` and ``a`` as float. The design blocks ``centered_a``
-    and ``weight_w`` are cached on first read.
+    is a read-only mapping of exactly the validated columns supplied, with
+    ``y`` the proximal series, so ``from_columns(ds.columns, ds.schema,
+    lag=ds.lag)`` rebuilds the panel; ``subject_ids``, ``t``, ``a``, ``p``
+    and ``y_raw`` are read-only views of them, ``t`` and ``a`` as float. The
+    design blocks ``centered_a`` and ``weight_w`` are cached on first read.
     """
 
     columns: Mapping[str, np.ndarray] = field(repr=False)   # as supplied, validated
@@ -126,10 +142,6 @@ class MrtDataset:
         return self.g.shape[1]
 
     @property
-    def usable_mask(self) -> np.ndarray:
-        return self.t <= self.horizon - self.lag + 1
-
-    @property
     def n_usable(self) -> int:
         return self.horizon - self.lag + 1
 
@@ -146,8 +158,9 @@ class MrtDataset:
         return _as_readonly(num / den)
 
     def per_subject(self, arr: np.ndarray) -> np.ndarray:
-        """Reshape a row-aligned array to (n_subjects, horizon, ...)."""
-        return arr.reshape((self.n_subjects, self.horizon) + arr.shape[1:])
+        """Reshape an array over every row, or over the usable rows, to
+        (n_subjects, times, ...)."""
+        return arr.reshape((self.n_subjects, -1) + arr.shape[1:])
 
     def usable(self, arr: np.ndarray, steps: int = 0) -> np.ndarray:
         """Usable rows (``t <= n_usable``) of ``arr``, each read ``steps`` ahead.
@@ -302,7 +315,7 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
         shifted[:, : horizon - (lag - 1)] = y_mat[:, lag - 1:]
         aligned = _as_readonly(shifted.reshape(-1))
     return MrtDataset(
-        columns=columns,
+        columns=_Columns(columns),
         y=aligned,
         f=_as_readonly(f),
         z=_as_readonly(z),

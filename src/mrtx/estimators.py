@@ -32,10 +32,11 @@ from functools import cached_property
 import numpy as np
 
 from .centering import (
+    CENTERING_KINDS,
     CenteringModel,
-    centering_from_rows,
+    _dot,
+    _usable_weights,
     fit_centering,
-    naive_centerings,
     weighted_projection,
 )
 from .data import MrtDataset, _as_readonly
@@ -64,7 +65,6 @@ METHODS = PER_TIME + ("wcls", "a2wcls", "a2wcls_lagged", "emee", "a2emee")
 PROXIMAL = PER_TIME + ("a2wcls", "emee", "a2emee")
 ADJUSTED = ("a2wcls", "a2wcls_lagged")
 VARIANCE_MODES = ("plain_sandwich", "stacked", "stacked_small_sample")
-CENTERING_KINDS = ("orthogonal", "global_mean", "time_specific_mean")
 _BINARY = ("emee", "a2emee")
 
 # iteration cap for each binary Newton solve and for the A2-EMEE passes; both
@@ -311,9 +311,8 @@ def _rms(block: np.ndarray) -> np.ndarray:
 
 def _check_auxiliary(ds: MrtDataset, zc: np.ndarray) -> None:
     """``zc`` is the centered auxiliary on the usable rows."""
-    by_subj = (ds.n_subjects, ds.n_usable, ds.p_z)
-    wnorm = _rms((np.sqrt(ds.usable(ds.weight_w))[:, None] * zc).reshape(by_subj))
-    scale = 1.0 + _rms(ds.usable(ds.z).reshape(by_subj))
+    wnorm = _rms(ds.per_subject(np.sqrt(ds.usable(ds.weight_w))[:, None] * zc))
+    scale = 1.0 + _rms(ds.per_subject(ds.usable(ds.z)))
     bad = wnorm < 1e-9 * scale
     if bad.any():
         i = int(np.argmax(bad))
@@ -350,7 +349,7 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     cols.append(ca[:, None] * f)
     names.extend(f"beta0:{n}" for n in ds.f_names)
     if cm is not None:
-        zc = ds.usable(ds.z - cm.mu_rows(ds))
+        zc = ds.usable(ds.z) - _dot(f, cm.theta)
         _check_auxiliary(ds, zc)
         cols.append(ca[:, None] * zc)
         names.extend(f"beta1:{n}" for n in ds.z_names)
@@ -451,13 +450,6 @@ def closed_form_gaps(p: float, alpha1, beta1, sigma_g) -> dict[str, float]:
 
 # ---------------------------------------------------------------------------
 # binary outcomes: log-relative-risk estimating equations
-
-
-def _dot(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``M @ b``; a one-column ``@`` is several times slower than the product."""
-    if M.shape[1] > 1:
-        return M @ b
-    return M[:, 0] * b[0] if b.ndim == 1 else M * b[0]
 
 
 def _emee_system(ds: MrtDataset, feat: np.ndarray):
@@ -567,7 +559,7 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     w_az = ds.usable(ds.weight_w * ds.a * ds.centered_a * ds.y)
     f_use, z_use = ds.usable(ds.f), ds.usable(ds.z)
     params = np.concatenate([solved[0], np.zeros(ds.p_z)])
-    weights = ds.usable(ds.p_tilde * (1.0 - ds.p_tilde))
+    weights = _usable_weights(ds)
     names += [f"beta1:{n}" for n in ds.z_names]
     trace: list[float] = []
     state = None
@@ -612,11 +604,7 @@ def fit(ds: MrtDataset, config: EstimatorConfig, *, t: int | None = None) -> Fit
         return _fit_per_time(ds, t, config)
     if t is not None:
         raise DimensionMismatch(f"{method} takes no decision index t")
-    if method in ADJUSTED:
-        kind = config.centering_kind
-        cm = fit_centering(ds) if kind == "orthogonal" else \
-            centering_from_rows(ds, naive_centerings(ds, kind), kind)
+    if method == "wcls" or method in ADJUSTED:
+        cm = fit_centering(ds, config.centering_kind) if method in ADJUSTED else None
         return _fit_pooled(ds, config, cm, lagged=method == "a2wcls_lagged")
-    if method == "wcls":
-        return _fit_pooled(ds, config, None, lagged=False)
     return _fit_binary(ds, config)

@@ -16,6 +16,7 @@ depend on scheduling.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -65,8 +66,15 @@ class DgmSpec:
             raise ConfigParse(f"unknown DGM kind {self.kind!r}")
         if self.n < 1 or self.horizon < 1:
             raise ConfigParse("n and horizon must be >= 1")
-        if isinstance(self.beta0, (list, tuple)):
+        if not (isinstance(self.eta, (list, tuple)) and len(self.eta) == 2):
+            raise ConfigParse(f"eta must be a pair, got {self.eta!r}")
+        # only the time-varying kind's effect is linear in t
+        pair = self.kind == "timevarying_j3"
+        if pair and isinstance(self.beta0, (list, tuple)) and len(self.beta0) == 2:
             object.__setattr__(self, "beta0", tuple(float(b) for b in self.beta0))
+        elif not isinstance(self.beta0, numbers.Real):
+            raise ConfigParse(f"beta0 for {self.kind} must be a scalar"
+                              f"{' or a pair' if pair else ''}, got {self.beta0!r}")
 
 
 def _rng_for(spec: DgmSpec, replicate: int | None = None) -> np.random.Generator:

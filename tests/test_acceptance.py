@@ -211,7 +211,7 @@ def test_criterion_10_numerical_invariants():
     parts = res.parts
     X = parts.model_matrix.reshape(-1, parts.dim)
     w = parts.weights.reshape(-1)
-    y_vec = ds.y[ds.usable_mask]
+    y_vec = ds.usable(ds.y)
     r = y_vec - X @ res.estimates
     checks["residual orthogonality"] = \
         np.abs(X.T @ (w * r)).max() / ds.n_subjects <= 1e-8

@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrtx import errors
-from mrtx.centering import (
-    centering_from_rows,
-    fit_centering,
-    naive_centerings,
-    orthogonality_residual,
-)
+from mrtx.centering import fit_centering, orthogonality_residual
 from mrtx.data import Schema
+from mrtx.estimators import EstimatorConfig, fit
 
 from conftest import build_panel
 
@@ -82,18 +78,48 @@ def test_unweighted_mean_fails_when_weights_vary():
     assert resid > 1e-3
 
 
+def time_indicator_panel(n, T, **overrides):
+    """A panel whose moderators are the indicators of t = 2..T, so that f
+    spans every per-time mean."""
+    t = np.tile(np.arange(1, T + 1), n)
+    dummies = {f"d{s}": (t == s).astype(float) for s in range(2, T + 1)}
+    return build_panel(n, T, **dummies, **overrides,
+                       schema=Schema(moderators=tuple(dummies), aux=("z",)))
+
+
 def test_naive_centerings_constant():
     ds = build_panel(3, 2, z=np.full(6, 4.2))
     for kind in ("time_specific_mean", "global_mean"):
-        np.testing.assert_allclose(naive_centerings(ds, kind), 4.2)
+        cm = fit_centering(ds, kind)
+        assert not cm.orthogonal
+        np.testing.assert_allclose(cm.mu_rows(ds), 4.2)
 
 
 def test_naive_centerings_two_by_two():
     # subjects x time: Z = [(1,3),(3,5)] -> time means (2,4); global mean 3
-    ds = build_panel(2, 2, z=[1.0, 3.0, 3.0, 5.0])
-    by_time = naive_centerings(ds, "time_specific_mean")
+    ds = time_indicator_panel(2, 2, z=[1.0, 3.0, 3.0, 5.0])
+    by_time = fit_centering(ds, "time_specific_mean").mu_rows(ds)
     np.testing.assert_allclose(by_time[:, 0], [2.0, 4.0, 2.0, 4.0])
-    np.testing.assert_allclose(naive_centerings(ds, "global_mean"), 3.0)
+    np.testing.assert_allclose(fit_centering(ds, "global_mean").mu_rows(ds), 3.0)
+
+
+def test_time_specific_mean_fit_on_time_indicators():
+    n, T = 30, 4
+    ds = time_indicator_panel(n, T, seed=6)
+    res = fit(ds, EstimatorConfig(method="a2wcls", centering_kind="time_specific_mean"))
+    assert res.beta0_names == ("beta0:1", "beta0:d2", "beta0:d3", "beta0:d4")
+    assert np.isfinite(res.estimates).all() and np.isfinite(res.vcov).all()
+    per_time = ds.z[:, 0].reshape(n, T).mean(axis=0)
+    cm = fit_centering(ds, "time_specific_mean")
+    np.testing.assert_allclose(cm.mu_rows(ds)[:, 0], np.tile(per_time, n), atol=1e-12)
+
+
+def test_global_mean_averages_usable_rows_at_lag_2():
+    ds = build_panel(5, 4, lag=2, seed=2)
+    usable_mean = ds.usable(ds.z).mean()
+    assert abs(usable_mean - ds.z.mean()) > 1e-3       # the tail rows would move it
+    cm = fit_centering(ds, "global_mean")
+    assert cm.theta[0, 0] == pytest.approx(usable_mean, rel=1e-12)
 
 
 def test_affine_equivariance():
@@ -128,10 +154,13 @@ def test_degenerate_moderators_raise():
         fit_centering(ds)
 
 
-def test_centering_from_rows_not_representable(small_panel):
-    mu = np.asarray(small_panel.z) * 0 + np.linspace(0, 1, small_panel.n_rows)[:, None]
-    with pytest.raises(errors.DimensionMismatch):
-        centering_from_rows(small_panel, mu, "bad")
+def test_time_specific_mean_not_representable_without_indicators(small_panel):
+    # f is the intercept alone, and the per-time means of z differ
+    message = "time_specific_mean: requested centering is not representable"
+    with pytest.raises(errors.DimensionMismatch, match=message):
+        fit_centering(small_panel, "time_specific_mean")
+    with pytest.raises(errors.DimensionMismatch, match=message):
+        fit(small_panel, EstimatorConfig(method="a2wcls", centering_kind="time_specific_mean"))
 
 
 def test_verify_orthogonality_dimension_mismatch(small_panel):
@@ -145,7 +174,7 @@ def test_global_mean_fails_orthogonality_on_drifting_design():
     from mrtx.simulation import DgmSpec, gen_panel
     ds = gen_panel(DgmSpec(kind="centerbias_j1", n=400, horizon=30,
                            beta0=-0.2, beta1=0.8, seed=31))
-    mu = naive_centerings(ds, "global_mean")
+    mu = fit_centering(ds, "global_mean").mu_rows(ds)
     assert orthogonality_residual(ds, mu) > 1e-3
     cm = fit_centering(ds)
     assert orthogonality_residual(ds, cm.mu_rows(ds)) <= 1e-8
@@ -153,31 +182,35 @@ def test_global_mean_fails_orthogonality_on_drifting_design():
 
 def test_influence_matches_per_subject_loop():
     # influence_j = G^{-1} U_j, with G and each subject's normal-equation
-    # residual U_j summed row by row
+    # residual U_j summed row by row over the usable rows, t <= T - lag + 1
     rng = np.random.default_rng(9)
     n, T = 7, 5
-    ds = build_panel(n, T, seed=9, m1=rng.standard_normal(n * T), z2=rng.standard_normal(n * T),
-                     ptilde=rng.uniform(0.2, 0.8, n * T),
-                     schema=Schema(moderators=("m1",), aux=("z", "z2"), ptilde="ptilde"))
-    cm = fit_centering(ds)
-    gram = np.zeros((2, 2))
-    u = np.zeros((n, 2, 2))
-    for r in range(ds.n_rows):
-        w = ds.p_tilde[r] * (1 - ds.p_tilde[r])
-        gram += w * np.outer(ds.f[r], ds.f[r]) / n
-        u[r // T] += w * np.outer(ds.f[r], ds.z[r] - ds.f[r] @ cm.theta)
-    expected = np.stack([np.linalg.inv(gram) @ u_j for u_j in u])
-    assert cm.orthogonal and cm.influence.shape == (n, 2, 2)
-    np.testing.assert_allclose(cm.influence, expected, rtol=1e-10, atol=1e-12)
-    assert not centering_from_rows(ds, naive_centerings(ds, "global_mean"), "g").orthogonal
+    extra = dict(m1=rng.standard_normal(n * T), z2=rng.standard_normal(n * T),
+                 ptilde=rng.uniform(0.2, 0.8, n * T))
+    schema = Schema(moderators=("m1",), aux=("z", "z2"), ptilde="ptilde")
+    for lag in (1, 2):
+        ds = build_panel(n, T, lag=lag, seed=9, schema=schema, **extra)
+        cm = fit_centering(ds)
+        gram = np.zeros((2, 2))
+        u = np.zeros((n, 2, 2))
+        for r in range(ds.n_rows):
+            if ds.t[r] > T - lag + 1:
+                continue
+            w = ds.p_tilde[r] * (1 - ds.p_tilde[r])
+            gram += w * np.outer(ds.f[r], ds.f[r]) / n
+            u[r // T] += w * np.outer(ds.f[r], ds.z[r] - ds.f[r] @ cm.theta)
+        expected = np.stack([np.linalg.inv(gram) @ u_j for u_j in u])
+        assert cm.orthogonal and cm.influence.shape == (n, 2, 2)
+        np.testing.assert_allclose(cm.influence, expected, rtol=1e-10, atol=1e-12)
+        assert not fit_centering(ds, "global_mean").orthogonal
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: fit_centering(build_panel(4, 3, schema=Schema())), "no auxiliary columns"),
-    (lambda: naive_centerings(build_panel(4, 3, schema=Schema()), "global_mean"),
+    (lambda: fit_centering(build_panel(4, 3, schema=Schema()), "global_mean"),
      "no auxiliary columns"),
-    (lambda: naive_centerings(build_panel(4, 3), "bogus"),
-     "unknown naive centering kind 'bogus'"),
+    (lambda: fit_centering(build_panel(4, 3), "bogus"),
+     "unknown centering kind 'bogus'"),
     (lambda: fit_centering(build_panel(4, 3)).mu_rows(
         build_panel(4, 3, schema=Schema(moderators=("g1",), aux=("z",)))),
      "moderator dimension does not match"),

@@ -163,8 +163,23 @@ def test_simulate_bad_arm_settings_are_config_parse(tmp_path, capsys, key, value
     assert f"error[ConfigParse]: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("lagged_eq12", "beta0", "-0.1,0.2", "beta0 for lagged_eq12 must be a scalar, got"),
+    ("timevarying_j3", "beta0", "-0.2,0.02,0.1",
+     "beta0 for timevarying_j3 must be a scalar or a pair, got"),
+    ("proximal_j2", "eta", "0.1", "eta must be a pair, got (0.1,)"),
+], ids=["lagged_beta0_pair", "timevarying_beta0_triple", "eta_scalar"])
+def test_simulate_bad_parameter_shape_is_config_parse(tmp_path, capsys, kind, key, value,
+                                                      message):
+    cfg = tmp_path / "dgm.cfg"
+    write_config(cfg, kind=kind, n=10, horizon=6, **{key: value})
+    code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
+    assert code == 28               # ConfigParse
+    assert f"error[ConfigParse]: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, methods, message", [
-    ("lagged_eq12", "wcls,a2wcls", "a2wcls is a proximal method (lag = 1)"),
+    ("lagged_eq12", "wcls,a2wcls","a2wcls is a proximal method (lag = 1)"),
     ("proximal_j2", "wcls,a2wcls_lagged", "a2wcls_lagged requires lag >= 2"),
 ], ids=["lagged_eq12", "proximal_j2"])
 def test_simulate_arm_off_the_design_lag_is_config_parse(tmp_path, capsys, monkeypatch,

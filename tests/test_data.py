@@ -1,4 +1,5 @@
 import csv
+import pickle
 import warnings
 
 import numpy as np
@@ -183,7 +184,7 @@ def test_lag_alignment_shifts_within_subject():
     np.testing.assert_array_equal(ds.y[:3], [2.0, 3.0, 4.0])
     np.testing.assert_array_equal(ds.y[4:7], [6.0, 7.0, 8.0])
     np.testing.assert_array_equal(ds.y_raw, y)
-    assert ds.usable_mask.sum() == 2 * 3
+    np.testing.assert_array_equal(ds.usable(ds.t), [1, 2, 3, 1, 2, 3])
 
 
 def test_row_order_is_canonicalized():
@@ -243,6 +244,21 @@ def test_columns_are_the_columns_supplied():
     for name in ("a", "t"):
         assert getattr(ds, name).dtype == np.float64
         assert np.shares_memory(getattr(ds, name), ds.columns[name]), name
+
+
+def test_columns_mapping_is_read_only_and_pickles():
+    # a write through columns would change the panel under its cached blocks
+    ds = gen_panel(DgmSpec(kind="proximal_j2", n=12, horizon=6, beta0=-0.2, seed=4))
+    fingerprint, weight_w = ds.fingerprint(), ds.weight_w
+    with pytest.raises(TypeError):
+        ds.columns["a"] = 1 - ds.columns["a"]
+    with pytest.raises(TypeError):
+        del ds.columns["a"]
+    assert ds.fingerprint() == fingerprint and ds.weight_w is weight_w
+    again = pickle.loads(pickle.dumps(ds))
+    assert again.fingerprint() == fingerprint
+    copy = {**ds.columns}
+    assert copy.keys() == ds.columns.keys() and copy["a"] is ds.columns["a"]
 
 
 def test_from_columns_without_p_is_missing_column():

@@ -170,7 +170,7 @@ def test_residual_orthogonality_all_linear_fits():
         parts = res.parts
         w = parts.weights.reshape(-1)
         X = parts.model_matrix.reshape(-1, parts.dim)
-        resid = d.y[d.usable_mask] - X @ res.estimates
+        resid = d.usable(d.y) - X @ res.estimates
         gram = np.abs(X.T @ (w * resid)) / d.n_subjects
         assert gram.max() <= 1e-8
 

@@ -8,8 +8,7 @@ PUBLIC = {
     # data
     "MrtDataset", "Schema", "from_columns", "load_csv", "to_csv",
     # centering
-    "CenteringModel", "centering_from_rows", "fit_centering", "naive_centerings",
-    "orthogonality_residual",
+    "CenteringModel", "fit_centering", "orthogonality_residual",
     # estimators
     "EstimatorConfig", "FitResult", "closed_form_gaps", "fit", "wls_solve",
     "with_variance_mode",

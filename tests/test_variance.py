@@ -79,7 +79,7 @@ def _ls_score(ds, res):
     parts = res.parts
     X = parts.model_matrix.reshape(-1, parts.dim)
     w = parts.weights.reshape(-1)
-    y = ds.y[ds.usable_mask]
+    y = ds.usable(ds.y)
 
     def score(params):
         r = y - X @ params
@@ -371,7 +371,7 @@ def dense_leverage_oracle(ds, parts, estimates):
     """Mancl–DeRouen scores from the explicit (N, T, T) hat matrices."""
     binv = np.linalg.inv(parts.bread) / parts.n_subjects
     d = parts.model_matrix
-    resid = (ds.y[ds.usable_mask] - d.reshape(-1, parts.dim) @ estimates).reshape(d.shape[:2])
+    resid = (ds.usable(ds.y) - d.reshape(-1, parts.dim) @ estimates).reshape(d.shape[:2])
     dw = d * parts.weights[:, :, None]
     h = np.einsum("ntk,kl,nsl->nts", d, binv, dw)        # H_j = D_j B^-1 D_j' W_j
     i_minus_h = np.eye(h.shape[1]) - h
