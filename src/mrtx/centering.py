@@ -68,10 +68,11 @@ def _cross(f: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _dot(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``M @ b``; a one-column ``@`` is several times slower than the product."""
-    if M.shape[1] > 1:
+    """``M @ b`` over ``M``'s last axis; a one-column ``@`` is several times
+    slower than the product."""
+    if M.shape[-1] > 1:
         return M @ b
-    return M[:, 0] * b[0] if b.ndim == 1 else M * b[0]
+    return M[..., 0] * b[0] if b.ndim == 1 else M * b[0]
 
 
 def weighted_projection(f: np.ndarray, z: np.ndarray, w: np.ndarray, n: int,

@@ -72,6 +72,12 @@ _BINARY = ("emee", "a2emee")
 _MAX_ITER = 100
 _TOL = 1e-10
 
+# rows per block of wls_solve's weighted sums: at k = 5 columns a block is
+# 320 KB. On the 49 500-row lagged_eq12 design (2 vCPUs, one BLAS thread)
+# 4096- to 16384-row blocks ran fastest, and one full-size weighted copy of
+# the design about 2.7x slower
+_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -247,12 +253,20 @@ def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     """Minimize ``sum w (y - X b)^2``; returns coefficients and the averaged Gram.
 
     The bread is ``(1/n_units) X' W X``, the per-unit averaged derivative of
-    the estimating function.
+    the estimating function. ``X`` may be row- or column-major; column-major
+    makes the weighting run along contiguous columns. The sums run over blocks
+    of ``_BLOCK_ROWS`` rows, so the weighted block is a cache-sized buffer
+    rather than a fresh copy of the design.
     """
-    Xw = X * w[:, None]
+    gram, rhs = np.zeros((X.shape[1], X.shape[1])), np.zeros(X.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):   # checked_solve rejects an overflow
-        gram = (Xw.T @ X) / n_units
-        rhs = (Xw.T @ y) / n_units
+        for lo in range(0, len(w), _BLOCK_ROWS):
+            block = X[lo: lo + _BLOCK_ROWS]
+            Xw = block * w[lo: lo + _BLOCK_ROWS, None]
+            gram += Xw.T @ block
+            rhs += Xw.T @ y[lo: lo + _BLOCK_ROWS]
+        gram /= n_units
+        rhs /= n_units
     return checked_solve(gram, rhs, SingularGram, "weighted Gram"), gram
 
 
@@ -292,68 +306,90 @@ def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None)
 
 
 def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use, shift=None):
-    """Per-subject pieces of a least-squares fit; its Gram is the bread."""
-    D = X_use.reshape(n, t_use, X_use.shape[1])
+    """Per-subject pieces of a least-squares fit; its Gram is the bread.
+
+    The per-subject model matrix is ``X_use.T`` reshaped to ``(k, n, t_use)``,
+    a view when ``X_use`` is column-major, and retained transposed.
+    """
+    D = X_use.T.reshape(X_use.shape[1], n, t_use)
     W = w_use.reshape(n, t_use)
-    R = (y_use - X_use @ beta).reshape(n, t_use)
-    scores = np.einsum("ntk,nt->nk", D, W * R)
-    return SandwichParts(bread=gram, subject_scores=scores, model_matrix=D, weights=W,
+    wr = X_use @ beta                                  # the weighted residual, in place
+    np.multiply(np.subtract(y_use, wr, out=wr), w_use, out=wr)
+    scores = np.einsum("knt,nt->nk", D, wr.reshape(n, t_use))
+    return SandwichParts(bread=gram, subject_scores=scores,
+                         model_matrix=D.transpose(1, 2, 0), weights=W,
                          centering_shift=shift)
 
 
-def _rms(block: np.ndarray) -> np.ndarray:
-    """Per-column root-mean-square of a (subjects, times, columns) block, scaled
-    by each column's peak so that no square overflows."""
-    peak = np.abs(block).max(axis=(0, 1))
+def _rms(block: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Per-column root-mean-square of a (subjects, times, columns) block, weighted
+    by ``w`` (subjects, times) when given; each column is scaled by its peak so
+    that no square overflows."""
+    peak = np.maximum(block.max(axis=(0, 1)), -block.min(axis=(0, 1)))
     unit = block / np.where(peak > 0, peak, 1.0)
-    return peak * np.sqrt(np.mean(unit ** 2, axis=(0, 1)))
+    sq = (np.einsum("nti,nti->i", unit, unit) if w is None
+          else np.einsum("nti,nt,nti->i", unit, w, unit))
+    return peak * np.sqrt(sq / (block.shape[0] * block.shape[1]))
 
 
-def _check_auxiliary(ds: MrtDataset, zc: np.ndarray) -> None:
-    """``zc`` is the centered auxiliary on the usable rows."""
-    wnorm = _rms(ds.per_subject(np.sqrt(ds.usable(ds.weight_w))[:, None] * zc))
-    scale = 1.0 + _rms(ds.per_subject(ds.usable(ds.z)))
-    bad = wnorm < 1e-9 * scale
+def _check_auxiliary(names, zc: np.ndarray, w: np.ndarray, z: np.ndarray) -> None:
+    """``zc`` is the centered auxiliary ``z`` and ``w`` the weights, per-subject
+    blocks on the same rows."""
+    bad = _rms(zc, w) < 1e-9 * (1.0 + _rms(z))
     if bad.any():
         i = int(np.argmax(bad))
-        raise DegenerateAuxiliary(f"centered auxiliary column {ds.z_names[i]!r} "
+        raise DegenerateAuxiliary(f"centered auxiliary column {names[i]!r} "
                                   "has numerically zero weighted norm")
 
 
 def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     """Design matrix on the usable rows and its parameter names, for the pooled
-    criteria; the ``beta0`` then the ``beta1`` columns come last."""
-    ca = ds.usable(ds.centered_a)
-    f = ds.usable(ds.f)
-    cols, names = [], []
+    criteria; the ``beta0`` then the ``beta1`` columns come last.
 
+    The design is column-major. Each column is written in place, as a
+    ``(subjects, times)`` block, from per-subject views of the usable rows.
+    """
+    def use(arr, steps=0):
+        # the usable rows of arr, read steps ahead, as a per-subject view
+        return ds.per_subject(arr)[:, steps: steps + ds.n_usable]
+
+    names = []
     if lagged:
         # lagged-outcome working models: each intermediate decision point t+u
         # contributes a centered-treatment block (A_{t+u} - p_{t+u}) with
         # intercept and auxiliary-slope columns; the time-t centering term is
         # spanned by the moderator features
         for u in range(1, ds.lag):
-            ca_u = ds.usable(ds.a, u) - ds.usable(ds.p, u)
-            z_u = ds.usable(ds.z, u)
-            cols.append(ca_u[:, None])
             names.append(f"alpha_l{u}:1")
-            for i, zn in enumerate(ds.z_names):
-                cols.append((ca_u * z_u[:, i])[:, None])
-                names.append(f"alpha_l{u}:{zn}")
-        cols.append(f)
+            names.extend(f"alpha_l{u}:{zn}" for zn in ds.z_names)
         names.extend(f"alpha_0:{n}" for n in ds.f_names)
     else:
-        cols.append(ds.usable(ds.g))
         names.extend(f"alpha:{n}" for n in ds.g_names)
-
-    cols.append(ca[:, None] * f)
+    b0 = len(names)
     names.extend(f"beta0:{n}" for n in ds.f_names)
     if cm is not None:
-        zc = ds.usable(ds.z) - _dot(f, cm.theta)
-        _check_auxiliary(ds, zc)
-        cols.append(ca[:, None] * zc)
         names.extend(f"beta1:{n}" for n in ds.z_names)
-    return np.column_stack(cols), names
+
+    X = np.empty((ds.n_subjects * ds.n_usable, len(names)), order="F")
+    cols = X.T.reshape(len(names), ds.n_subjects, ds.n_usable)   # views of X's columns
+    ca, f = use(ds.centered_a), use(ds.f)
+    if lagged:
+        for u in range(1, ds.lag):
+            j = (u - 1) * (1 + ds.p_z)
+            ca_u = np.subtract(use(ds.a, u), use(ds.p, u), out=cols[j])
+            np.multiply(ca_u, use(ds.z, u).transpose(2, 0, 1),
+                        out=cols[j + 1: j + 1 + ds.p_z])
+        cols[b0 - ds.q: b0] = f.transpose(2, 0, 1)
+    else:
+        cols[:b0] = use(ds.g).transpose(2, 0, 1)
+    np.multiply(ca, f.transpose(2, 0, 1), out=cols[b0: b0 + ds.q])
+    if cm is not None:
+        zc = cols[b0 + ds.q:].transpose(1, 2, 0)         # (subjects, times, p_z)
+        z = use(ds.z)
+        np.subtract(z, _dot(f, cm.theta), out=zc)
+        _check_auxiliary(ds.z_names, zc, use(ds.weight_w), z)
+        np.multiply(zc, ca[..., None], out=zc)
+    return X, names
 
 
 def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
@@ -567,7 +603,7 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
         theta, _ = weighted_projection(f_use, z_use, weights, ds.n_subjects,
                                        SingularGram, "binary centering system")
         zc = ds.z - _dot(ds.f, theta)
-        _check_auxiliary(ds, zc)
+        _check_auxiliary(ds.z_names, *map(ds.per_subject, (zc, ds.weight_w, ds.z)))
         evaluate = Xt = solved = None          # free the last system before the next
         evaluate, Xt = _emee_system(ds, np.column_stack([ds.f, zc]))
         solved = _newton(evaluate, params)

@@ -64,8 +64,14 @@ class DgmSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigParse(f"unknown DGM kind {self.kind!r}")
-        if self.n < 1 or self.horizon < 1:
-            raise ConfigParse("n and horizon must be >= 1")
+        # bool is an int subclass, and a float or string would reach the draws
+        for name, low in (("n", 1), ("horizon", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < low:
+                raise ConfigParse(
+                    ("n and horizon must be >= 1" if low else "seed must be >= 0")
+                    + f" and integral, got {name}={value!r}")
         if not (isinstance(self.eta, (list, tuple)) and len(self.eta) == 2):
             raise ConfigParse(f"eta must be a pair, got {self.eta!r}")
         # only the time-varying kind's effect is linear in t

@@ -44,7 +44,7 @@ class SandwichParts:
 
     bread: np.ndarray              # (dim, dim)
     subject_scores: np.ndarray     # (N, dim)
-    model_matrix: np.ndarray | None = None     # (N, T_use, dim)
+    model_matrix: np.ndarray | None = None     # (N, T_use, dim), may view the fit's design
     weights: np.ndarray | None = None          # (N, T_use)
     centering_shift: np.ndarray | None = None  # (N, dim)
 

@@ -207,6 +207,15 @@ def test_simulate_config_without_n_is_config_parse(tmp_path, capsys):
     assert "error[ConfigParse]: config is missing required key 'n'" in capsys.readouterr().err
 
 
+def test_simulate_negative_seed_is_config_parse(tmp_path, capsys):
+    cfg = tmp_path / "dgm.cfg"
+    write_config(cfg, kind="proximal_j2", n=10, horizon=6, seed=-1)
+    code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
+    assert code == 28               # ConfigParse
+    assert ("error[ConfigParse]: seed must be >= 0 and integral, got seed=-1"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("line, message", [
     ("bata1 = 0.8", "unknown key 'bata1'"), ("n = 20", "duplicate key 'n'")])
 def test_simulate_unknown_or_repeated_key_is_config_parse(tmp_path, capsys, line, message):

@@ -18,6 +18,7 @@ from mrtx.estimators import (
     with_variance_mode,
 )
 from mrtx.simulation import DgmSpec, McArm, gen_panel, run_monte_carlo
+from mrtx.variance import SandwichParts
 
 from conftest import build_panel, panel_from_arrays
 
@@ -400,3 +401,81 @@ def test_array_holders_compare_by_identity():
         assert type(one).__name__ == name
         assert one == one, name
         assert one != two, name
+
+
+def _two_aux_panel(lag):
+    # two moderators (intercept, g1) and two auxiliaries, with non-unit weights
+    rng = np.random.default_rng(23)
+    n, T = 60, 9
+    cols = panel_from_arrays(n, T, seed=23, p=rng.uniform(0.2, 0.8, n * T),
+                             z2=rng.standard_normal(n * T), pt=np.full(n * T, 0.4))
+    schema = Schema(moderators=("g1",), aux=("z", "z2"), controls=("z", "g1"), ptilde="pt")
+    return from_columns(cols, schema, lag=lag)
+
+
+def _column_stack_oracle(ds, cm, lagged):
+    """The pooled design stacked row-major from usable-row copies."""
+    ca, f = ds.usable(ds.centered_a)[:, None], ds.usable(ds.f)
+    cols = []
+    if lagged:
+        for u in range(1, ds.lag):
+            ca_u = (ds.usable(ds.a, u) - ds.usable(ds.p, u))[:, None]
+            cols += [ca_u, ca_u * ds.usable(ds.z, u)]
+        cols.append(f)
+    else:
+        cols.append(ds.usable(ds.g))
+    cols.append(ca * f)
+    if cm is not None:
+        cols.append(ca * (ds.usable(ds.z) - f @ cm.theta))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("mode", ["plain_sandwich", "stacked", "stacked_small_sample"])
+@pytest.mark.parametrize("method, lag", [
+    ("wcls", 1), ("wcls", 2), ("wcls", 3), ("a2wcls", 1),
+    ("a2wcls_lagged", 2), ("a2wcls_lagged", 3)])
+def test_pooled_fit_matches_column_stack_oracle(method, lag, mode):
+    # the in-place column-major design and its per-subject views give the fit
+    # that a row-major design stacked from usable-row copies gives
+    ds = _two_aux_panel(lag)
+    res = fit(ds, EstimatorConfig(method=method, lag=lag, variance_mode=mode))
+    cm = fit_centering(ds) if method != "wcls" else None
+    X = _column_stack_oracle(ds, cm, method == "a2wcls_lagged")
+    assert X.flags.c_contiguous and X.shape[1] == len(res.param_names)
+    y, w = ds.usable(ds.y), ds.usable(ds.weight_w)
+    beta, gram = estimators.wls_solve(X, y, w, ds.n_subjects)
+    shift = None
+    if cm is not None:
+        b1 = X.shape[1] - ds.p_z
+        shift = (cm.influence @ beta[b1:]) @ gram[b1 - ds.q:b1]
+    D = X.reshape(ds.n_subjects, ds.n_usable, -1)
+    W = w.reshape(ds.n_subjects, ds.n_usable)
+    scores = np.einsum("ntk,nt->nk", D, W * (y - X @ beta).reshape(W.shape))
+    parts = SandwichParts(bread=gram, subject_scores=scores, model_matrix=D, weights=W,
+                          centering_shift=shift)
+    np.testing.assert_allclose(res.estimates, beta, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(res.vcov, estimators._vcov(parts, mode), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("method, lag", [("wcls", 2), ("a2wcls", 1), ("a2wcls_lagged", 3)])
+def test_pooled_design_is_column_major_and_retained_as_a_view(method, lag, monkeypatch):
+    # the per-subject model matrix a fit retains is a view of the design it
+    # solved on, so no usable-row copy of the design comes back
+    ds = _two_aux_panel(lag)
+    lagged = method == "a2wcls_lagged"
+    cm = fit_centering(ds) if method != "wcls" else None
+    assert estimators._pooled_design(ds, cm, lagged)[0].flags.f_contiguous
+    real, built = estimators._pooled_design, []
+
+    def keep(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(estimators, "_pooled_design", keep)
+    res = fit(ds, EstimatorConfig(method=method, lag=lag))
+    [(X, names)] = built
+    D = res.parts.model_matrix
+    assert X.flags.f_contiguous
+    assert D.shape == (ds.n_subjects, ds.n_usable, len(names))
+    assert np.shares_memory(D, X)
+    np.testing.assert_array_equal(D.reshape(-1, len(names)), X)

@@ -122,6 +122,23 @@ def test_spec_validation():
         DgmSpec(kind="lagged_eq12", n=-1, horizon=5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.5), ("n", True), ("n", "5"), ("horizon", 0), ("horizon", 4.0),
+    ("horizon", False), ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", None),
+])
+def test_spec_size_and_seed_must_be_integral(field, value):
+    # each refused value names its field, as a typed error rather than a bare
+    # TypeError or a numpy seed error
+    kwargs = {"kind": "lagged_eq12", "n": 5, "horizon": 5, "seed": 0, field: value}
+    with pytest.raises(errors.ConfigParse, match=f"integral, got {field}={value!r}"):
+        DgmSpec(**kwargs)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = DgmSpec(kind="lagged_eq12", n=np.int64(5), horizon=np.int32(4), seed=np.uint8(0))
+    assert gen_panel(spec).n_subjects == 5
+
+
 def test_empty_spec_rejected():
     # an empty panel has no data rows, so it is refused at the spec
     with pytest.raises(errors.ConfigParse, match="n and horizon must be >= 1"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrtx import errors
+from mrtx import errors, estimators
 from mrtx.data import Schema
 from mrtx.estimators import EstimatorConfig, closed_form_gaps, fit, wls_solve
 
@@ -208,3 +208,22 @@ def test_gap_domain_errors():
 def test_gap_asymmetric_sigma_rejected():
     with pytest.raises(ValueError, match="sigma_g must be symmetric"):
         closed_form_gaps(0.5, [1.0, 0.0], [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+
+
+def test_row_and_column_major_designs_agree():
+    # wls_solve reads X in either memory order, and its blocked sums, over two
+    # full blocks and a ragged one, match the one-pass normal equations
+    rng = np.random.default_rng(4)
+    n = 2 * estimators._BLOCK_ROWS + 123
+    X = rng.standard_normal((n, 5))
+    y = rng.standard_normal(n)
+    w = rng.uniform(0.5, 2.0, n)
+    beta_c, gram_c = wls_solve(X, y, w, 50)
+    beta_f, gram_f = wls_solve(np.asfortranarray(X), y, w, 50)
+    assert X.flags.c_contiguous and not X.flags.f_contiguous
+    np.testing.assert_allclose(beta_f, beta_c, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gram_f, gram_c, rtol=1e-12, atol=0)
+    Xw = X * w[:, None]
+    np.testing.assert_allclose(gram_c, Xw.T @ X / 50, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(beta_c, np.linalg.solve(Xw.T @ X, Xw.T @ y),
+                               rtol=1e-12, atol=0)
