@@ -67,12 +67,12 @@ def _cross(f: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("ri,r,rk->ik", f, w, z)
 
 
-def _dot(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``M @ b`` over ``M``'s last axis; a one-column ``@`` is several times
-    slower than the product."""
+def _dot(M: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``M @ b`` over ``M``'s last axis, into ``out`` if given; a one-column ``@``
+    (``out`` or not) is slower than the broadcast product."""
     if M.shape[-1] > 1:
-        return M @ b
-    return M[..., 0] * b[0] if b.ndim == 1 else M * b[0]
+        return np.matmul(M, b, out=out)
+    return np.multiply(M[..., 0] if b.ndim == 1 else M, b[0], out=out)
 
 
 def weighted_projection(f: np.ndarray, z: np.ndarray, w: np.ndarray, n: int,

@@ -2,7 +2,8 @@
 
 Every continuous-outcome criterion reduces to one weighted normal-equations
 engine (:func:`wls_solve`); the methods differ only in how the design blocks
-are assembled:
+are assembled. Every pooled criterion, binary included, reads its design from
+one builder, :func:`_pooled_design`:
 
 * per-decision-point fits (``unadjusted_per_time``, ``wcls_per_time``,
   ``lin_per_time``) regress the proximal outcome on the treatment centered at
@@ -332,16 +333,6 @@ def _rms(block: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     return peak * np.sqrt(sq / (block.shape[0] * block.shape[1]))
 
 
-def _check_auxiliary(names, zc: np.ndarray, w: np.ndarray, z: np.ndarray) -> None:
-    """``zc`` is the centered auxiliary ``z`` and ``w`` the weights, per-subject
-    blocks on the same rows."""
-    bad = _rms(zc, w) < 1e-9 * (1.0 + _rms(z))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DegenerateAuxiliary(f"centered auxiliary column {names[i]!r} "
-                                  "has numerically zero weighted norm")
-
-
 def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     """Design matrix on the usable rows and its parameter names, for the pooled
     criteria; the ``beta0`` then the ``beta1`` columns come last.
@@ -387,7 +378,10 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
         zc = cols[b0 + ds.q:].transpose(1, 2, 0)         # (subjects, times, p_z)
         z = use(ds.z)
         np.subtract(z, _dot(f, cm.theta), out=zc)
-        _check_auxiliary(ds.z_names, zc, use(ds.weight_w), z)
+        bad = _rms(zc, use(ds.weight_w)) < 1e-9 * (1.0 + _rms(z))
+        if bad.any():
+            raise DegenerateAuxiliary(f"centered auxiliary column {ds.z_names[np.argmax(bad)]!r}"
+                                      " has numerically zero weighted norm")
         np.multiply(zc, ca[..., None], out=zc)
     return X, names
 
@@ -488,31 +482,34 @@ def closed_form_gaps(p: float, alpha1, beta1, sigma_g) -> dict[str, float]:
 # binary outcomes: log-relative-risk estimating equations
 
 
-def _emee_system(ds: MrtDataset, feat: np.ndarray):
-    """EMEE equations over the usable rows with design ``X = [g, ca * feat]``.
+def _emee_system(ds: MrtDataset, cm: CenteringModel | None):
+    """EMEE equations over the usable rows, on the pooled design ``X`` that
+    :func:`_pooled_design` builds with centering ``cm``; returns
+    ``(evaluate, X.T, names)``, the transpose a contiguous row per column.
 
     ``evaluate(params)`` returns the per-row weighted residual ``r``, the
     averaged equations ``X' r / n`` and their Jacobian. As ``blip * mean`` is
     ``exp(g alpha)``, ``r = w blip (y - mean)`` is ``wy blip - w exp(g alpha)``.
-    ``X`` and the row derivatives are held transposed, a contiguous row per column.
+    The blip and the Jacobian read the features ``[f, z - f theta]`` unmultiplied,
+    as ``a * feat`` is not bit-exact from ``X``'s ``(a - p_tilde) * feat``.
     """
+    X, names = _pooled_design(ds, cm, False)
+    feat = ds.f if cm is None else np.column_stack([ds.f, ds.z - cm.mu_rows(ds)])
     g, f_x = ds.usable(ds.g), ds.usable(feat)
     a, w = ds.usable(ds.a), ds.usable(ds.weight_w)
     wy = w * ds.usable(ds.y)
     awy = a * wy
     k_g, n = g.shape[1], ds.n_subjects
-    Xt = np.empty((k_g + f_x.shape[1], len(w)))
-    Xt[:k_g] = g.T
-    np.multiply(f_x.T, ds.usable(ds.centered_a), out=Xt[k_g:])
-    Dt = np.empty_like(Xt)                                   # -d r / d params
+    Xt, Dt = X.T, np.empty_like(X.T)                         # Dt: -d r / d params
+    blip, wbm = np.empty(len(w)), np.empty(len(w))           # scratch rows, reused
 
     def evaluate(params):
         # an overflow gives a non-finite norm, which the line search halves away
         # from; checked_solve rejects a non-finite Jacobian or equation vector
         with np.errstate(over="ignore", invalid="ignore"):
-            blip = _dot(f_x, -params[k_g:])
+            _dot(f_x, -params[k_g:], out=blip)
             np.exp(np.multiply(blip, a, out=blip), out=blip)     # exp(-a feat beta)
-            wbm = _dot(g, params[:k_g])
+            _dot(g, params[:k_g], out=wbm)
             np.multiply(np.exp(wbm, out=wbm), w, out=wbm)        # w blip mean
             r = wy * blip
             r -= wbm
@@ -520,7 +517,7 @@ def _emee_system(ds: MrtDataset, feat: np.ndarray):
             np.multiply(f_x.T, np.multiply(blip, awy, out=blip), out=Dt[k_g:])
             return r, Xt @ r / n, Xt @ Dt.T / -n
 
-    return evaluate, Xt
+    return evaluate, Xt, names
 
 
 def _newton(evaluate, init: np.ndarray):
@@ -562,13 +559,13 @@ def _check_binary(ds: MrtDataset):
         raise DimensionMismatch("binary outcome is identically one")
 
 
-def _binary_result(ds: MrtDataset, config: EstimatorConfig, Xt: np.ndarray, solved,
-                   feat_names: list[str], n_iter: int, trace) -> FitResult:
-    """The fit at the root of ``solved``, whose ``r`` and ``jac`` give the sandwich."""
+def _binary_result(ds: MrtDataset, config: EstimatorConfig, system, solved,
+                   n_iter: int, trace) -> FitResult:
+    """The fit at the root of ``solved`` on ``system``; ``r`` and ``jac`` give the sandwich."""
+    _, Xt, names = system
     params, _, _, r, jac = solved
     scores = (Xt * r).reshape(len(Xt), ds.n_subjects, ds.n_usable).sum(axis=2).T
     parts = SandwichParts(bread=-jac, subject_scores=scores)   # positive orientation
-    names = [f"alpha:{n}" for n in ds.g_names] + feat_names
     return _assemble(names, params, parts, config, n_iter=n_iter, trace=trace)
 
 
@@ -587,31 +584,27 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     _check_binary(ds)
     init = np.zeros(ds.d + ds.q)
     init[0] = np.log(max(ds.usable(ds.y).mean(), 1e-8))
-    evaluate, Xt = _emee_system(ds, ds.f)
-    solved = _newton(evaluate, init)
-    names = [f"beta0:{n}" for n in ds.f_names]
+    system = _emee_system(ds, None)
+    solved = _newton(system[0], init)
     if config.method == "emee":
-        return _binary_result(ds, config, Xt, solved, names, solved[1], solved[2])
+        return _binary_result(ds, config, system, solved, solved[1], solved[2])
     w_az = ds.usable(ds.weight_w * ds.a * ds.centered_a * ds.y)
     f_use, z_use = ds.usable(ds.f), ds.usable(ds.z)
     params = np.concatenate([solved[0], np.zeros(ds.p_z)])
     weights = _usable_weights(ds)
-    names += [f"beta1:{n}" for n in ds.z_names]
     trace: list[float] = []
     state = None
     for outer in range(1, _MAX_ITER + 1):
         theta, _ = weighted_projection(f_use, z_use, weights, ds.n_subjects,
                                        SingularGram, "binary centering system")
-        zc = ds.z - _dot(ds.f, theta)
-        _check_auxiliary(ds.z_names, *map(ds.per_subject, (zc, ds.weight_w, ds.z)))
-        evaluate = Xt = solved = None          # free the last system before the next
-        evaluate, Xt = _emee_system(ds, np.column_stack([ds.f, zc]))
-        solved = _newton(evaluate, params)
+        system = solved = None                 # free the last system before the next
+        system = _emee_system(ds, CenteringModel(theta))
+        solved = _newton(system[0], params)
         params = solved[0]
         trace.append(solved[2][-1])
         prev, state = state, np.concatenate([params, theta.reshape(-1)])
         if prev is not None and float(np.abs(state - prev).max()) < _TOL:
-            return _binary_result(ds, config, Xt, solved, names, outer, trace)
+            return _binary_result(ds, config, system, solved, outer, trace)
         weights = w_az * np.exp(-_dot(f_use, params[ds.d:ds.d + ds.q]))
     raise NonConvergence(
         f"alternating centering loop failed to converge in {_MAX_ITER} passes",

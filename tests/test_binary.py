@@ -82,7 +82,7 @@ def test_emee_root_residual():
     ds = binary_panel(2_000, 8, rr=0.2, seed=3)
     res = fit(ds, EstimatorConfig(method="emee"))
     from mrtx.estimators import _emee_system
-    evaluate, _ = _emee_system(ds, ds.f)
+    evaluate, _, _ = _emee_system(ds, None)
     _, u, _ = evaluate(res.estimates)
     assert np.abs(u).max() <= 1e-8
 
@@ -219,23 +219,68 @@ def test_binary_fits_leave_blas_threads_idle():
     assert float(other_cpu_s) < 0.020
 
 
-# (method, n, horizon, seed) of the binary_demo panels whose EMEE and A2-EMEE
-# fits were recorded before the evaluator and Newton loop were rewritten
-RECORDED_BINARY = [(m, n, T, seed) for m in ("emee", "a2emee")
-                   for n, T, seed in [(500, 8, 0), (500, 8, 1), (500, 8, 2), (500, 8, 3),
-                                      (2000, 10, 20240901)]]
+# (method, n, horizon, seed, moderators) of the binary_demo panels whose EMEE
+# and A2-EMEE fits were recorded before the evaluator and Newton loop were
+# rewritten; a panel with moderators is re-viewed with those moderators, the
+# auxiliary z and the controls z and t, before the design was shared with the
+# continuous pooled fits
+RECORDED_BINARY = [(m, n, T, seed, mods) for m in ("emee", "a2emee")
+                   for n, T, seed, mods in [(500, 8, 0, ()), (500, 8, 1, ()), (500, 8, 2, ()),
+                                            (500, 8, 3, ()), (2000, 10, 20240901, ()),
+                                            (500, 8, 0, ("t",))]]
 
 
-@pytest.mark.parametrize("method, n, horizon, seed", RECORDED_BINARY)
-def test_binary_fit_matches_recorded(method, n, horizon, seed):
-    ref = json.loads((Path(__file__).parent / "reference" / "binary_emee_a2emee.json")
-                     .read_text())[f"{method}:n{n}:T{horizon}:seed{seed}"]
+@pytest.mark.parametrize("method, n, horizon, seed, moderators", RECORDED_BINARY,
+                         ids=["-".join(map(str, (*case[:4], *case[4])))
+                              for case in RECORDED_BINARY])
+def test_binary_fit_matches_recorded(method, n, horizon, seed, moderators):
+    key = f"{method}:n{n}:T{horizon}:seed{seed}"
     ds = gen_panel(DgmSpec(kind="binary_demo", n=n, horizon=horizon, beta0=0.2, seed=seed))
+    if moderators:
+        key += f":moderators={','.join(moderators)}"
+        ds = ds.with_schema(Schema(moderators=moderators, aux=("z",),
+                                   controls=("z", *moderators)))
+    ref = json.loads((Path(__file__).parent / "reference" / "binary_emee_a2emee.json")
+                     .read_text())[key]
     res = fit(ds, EstimatorConfig(method=method))
+    assert list(res.param_names) == ref["param_names"]
     np.testing.assert_allclose(res.estimates, ref["estimates"], rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(res.vcov, ref["vcov"], rtol=1e-10, atol=1e-12)
     assert res.n_iter == ref["n_iter"]
     assert len(res.ee_norm_trace) == ref["trace_len"]
+
+
+@pytest.mark.parametrize("moderators", [(), ("t",)], ids=["q1", "q2"])
+@pytest.mark.parametrize("method", ["emee", "a2emee"])
+def test_binary_fits_read_the_pooled_design(method, moderators, monkeypatch):
+    # the EMEE system solves on the design the continuous pooled fits build:
+    # one _pooled_design call per Newton solve, and the sandwich reads a view of
+    # the last one, under its names
+    real_design, built = estimators._pooled_design, []
+    real_result, read = estimators._binary_result, []
+
+    def keep(*args):
+        built.append(real_design(*args))
+        return built[-1]
+
+    def spy(ds, config, system, *rest):
+        read.append(system[1])
+        return real_result(ds, config, system, *rest)
+
+    monkeypatch.setattr(estimators, "_pooled_design", keep)
+    monkeypatch.setattr(estimators, "_binary_result", spy)
+    ds = gen_panel(DgmSpec(kind="binary_demo", n=500, horizon=8, beta0=0.2, seed=0))
+    if moderators:
+        ds = ds.with_schema(Schema(moderators=moderators, aux=("z",),
+                                   controls=("z", *moderators)))
+    res = fit(ds, EstimatorConfig(method=method))
+    assert len(built) == (1 if method == "emee" else 1 + res.n_iter)
+    X, names = built[-1]
+    [Xt] = read
+    assert X.flags.f_contiguous and Xt.flags.c_contiguous
+    assert np.shares_memory(Xt, X)
+    np.testing.assert_array_equal(Xt, X.T)
+    assert res.param_names == tuple(names)
 
 
 def _count_evaluations(monkeypatch):
@@ -245,14 +290,14 @@ def _count_evaluations(monkeypatch):
     system, newton = estimators._emee_system, estimators._newton
 
     def counted_system(*args, **kwargs):
-        evaluate, X = system(*args, **kwargs)
+        evaluate, Xt, names = system(*args, **kwargs)
 
         def counted(params, *rest):
             out = evaluate(params, *rest)
             calls.append((current[0], params.copy(), float(np.abs(out[1]).max())))
             return out
 
-        return counted, X
+        return counted, Xt, names
 
     def counted_newton(*args, **kwargs):
         current[0] = len(solves)

@@ -111,7 +111,7 @@ def test_finite_difference_bread_binary():
     ds = gen_panel(spec)
     res = fit(ds, EstimatorConfig(method="emee"))
     from mrtx.estimators import _emee_system
-    evaluate, _ = _emee_system(ds, ds.f)
+    evaluate, _, _ = _emee_system(ds, None)
 
     def score(params):
         return evaluate(params)[1]
