@@ -190,18 +190,18 @@ def _column_matrix(columns: Mapping[str, np.ndarray], names: tuple[str, ...],
     for name in names:
         if name not in columns:
             raise MissingColumn(f"column {name!r} not found")
-    n_rows = columns["t"].shape[0]
-    cols = [columns[name] for name in names]
-    if intercept:
-        cols, names = [np.ones(n_rows), *cols], ("1", *names)
-    if not cols:
-        return np.empty((n_rows, 0)), ()
-    return np.column_stack(cols), names
+    if len(names) == 1 and not intercept:
+        return columns[names[0]][:, None], names      # a view, not a copy
+    out = np.empty((columns["t"].shape[0], intercept + len(names)))
+    out[:, :intercept] = 1.0
+    for j, name in enumerate(names, intercept):
+        out[:, j] = columns[name]
+    return out, ("1",) * intercept + names
 
 
 def _numeric(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Every column but ``subject_id`` as float; the first non-number is a
-    :class:`MissingValue` at its subject and ``t``."""
+    """Every column read-only and contiguous, all but ``subject_id`` as float;
+    the first non-number is a :class:`MissingValue` at its subject and ``t``."""
     for name in BASE_COLUMNS:
         if name not in columns:
             raise MissingColumn(f"required column {name!r} not found")
@@ -214,8 +214,8 @@ def _numeric(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
             except (TypeError, ValueError):
                 i = _first_non_number(col)
                 raise MissingValue(f"non-numeric value {str(col[i])!r} in column {name!r}",
-                                   columns["subject_id"][i], _row_t(columns, i)) from None
-        out[name] = col
+                                   columns["subject_id"][i], _row_t(columns["t"][i])) from None
+        out[name] = _as_readonly(col)
     return out
 
 
@@ -252,17 +252,16 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
     same = subject[1:] == subject[:-1]
     if not ((subject[1:] > subject[:-1]) | (same & (t[1:] >= t[:-1]))).all():
         order = np.lexsort((t, subject))
-        columns = {k: v[order] for k, v in columns.items()}
+        columns = {k: _as_readonly(v[order]) for k, v in columns.items()}
         subject, t, a, p, y = (columns[name] for name in BASE_COLUMNS)
 
     bad = ~np.isin(a, (0.0, 1.0))
     if bad.any():
-        sid, tt = _first_bad(bad, subject, t)
-        raise NonBinaryTreatment("treatment a must be 0 or 1", sid, tt)
+        raise NonBinaryTreatment("treatment a must be 0 or 1", *_first_bad(bad, subject, t))
     bad = ~((p > 0.0) & (p < 1.0))
     if bad.any():
-        sid, tt = _first_bad(bad, subject, t)
-        raise ProbabilityOutOfRange("randomization probability p must lie in (0,1)", sid, tt)
+        raise ProbabilityOutOfRange("randomization probability p must lie in (0,1)",
+                                    *_first_bad(bad, subject, t))
 
     # rows are sorted, so each subject's run starts where the id changes
     starts = np.flatnonzero(np.concatenate(([True], subject[1:] != subject[:-1])))
@@ -293,26 +292,25 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
         p_tilde = _column_matrix(columns, (schema.ptilde,), False)[0][:, 0]
     bad = ~((p_tilde > 0.0) & (p_tilde < 1.0))
     if bad.any():
-        sid, tt = _first_bad(bad, subject, t)
-        raise ProbabilityOutOfRange("weight numerator p_tilde must lie in (0,1)", sid, tt)
+        raise ProbabilityOutOfRange("weight numerator p_tilde must lie in (0,1)",
+                                    *_first_bad(bad, subject, t))
 
     # the supplied outcome rows that usable aligned rows read are t >= lag;
     # a bad one is named at its own t
-    feeds = t >= lag
-    for label, arr in (("y", y[feeds]), ("z", z), ("f", f), ("g", g)):
-        if arr.size and not np.isfinite(arr).all():
-            flat = np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
-            idx = np.flatnonzero(feeds) if label == "y" else np.arange(arr.shape[0])
-            i = int(idx[np.argmax(~flat)])
+    fed = y.reshape(n_subjects, horizon)[:, lag - 1:]
+    if not np.isfinite(fed).all():
+        j, k = divmod(int(np.argmax(~np.isfinite(fed))), fed.shape[1])
+        raise MissingValue("non-finite value in y", subject[starts[j]], k + lag)
+    for label, arr in (("z", z), ("f", f), ("g", g)):
+        if not np.isfinite(arr).all():
+            i = int(np.argmax(~np.isfinite(arr).all(axis=1)))
             raise MissingValue(f"non-finite value in {label}", subject[i], int(t[i]))
 
-    columns = {k: _as_readonly(v) for k, v in columns.items()}
     aligned = columns["y"]
     if lag > 1:
         # shift within subject: aligned row t <- supplied row t + (lag - 1)
-        y_mat = y.reshape(n_subjects, horizon)
-        shifted = np.zeros_like(y_mat)
-        shifted[:, : horizon - (lag - 1)] = y_mat[:, lag - 1:]
+        shifted = np.zeros((n_subjects, horizon))
+        shifted[:, : horizon - (lag - 1)] = fed
         aligned = _as_readonly(shifted.reshape(-1))
     return MrtDataset(
         columns=_Columns(columns),
@@ -331,31 +329,47 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
     )
 
 
-def _row_t(raw: Mapping[str, np.ndarray], i: int):
-    """``t`` of CSV data row ``i``, or its raw token when ``t`` itself is bad."""
+def _csv_float(token: str) -> float | None:
+    """``token`` as loadtxt's float parser reads it (Python's ``float`` on the
+    stripped token, without underscores or non-ASCII characters), else None."""
+    token = token.strip()
     try:
-        return int(float(raw["t"][i]))
-    except (TypeError, ValueError, OverflowError):
-        return raw["t"][i]
+        return float(token) if token.isascii() and "_" not in token else None
+    except ValueError:
+        return None
 
 
-def _field_count_error(path, width: int) -> MissingValue | None:
-    """Re-scan ``path`` with ``csv`` for the first row without ``width`` fields."""
+def _row_t(t):
+    """A row's ``t`` for an error: the integer, or its text when not a finite number."""
+    value = _csv_float(str(t))
+    return int(value) if value is not None and np.isfinite(value) else str(t)
+
+
+def _row_error(path, header: list[str], needed: set[str]) -> MissingValue | None:
+    """Re-scan ``path`` with ``csv`` for the first data row without a field per
+    header column, with a numeric token that ``_csv_float`` refuses, or with a
+    non-finite value in a ``needed`` column."""
     with open(path, newline="") as fh:
-        for row, fields in enumerate(csv.reader(fh), 1):
-            if row > 1 and len(fields) != width:
-                return MissingValue(f"row {row} has {len(fields)} fields, expected {width}")
+        rows = csv.reader(fh)
+        next(rows)
+        for row, fields in enumerate(rows, 2):
+            if len(fields) != len(header):
+                return MissingValue(f"row {row} has {len(fields)} fields, expected {len(header)}")
+            raw = dict(zip(header, fields))
+            for name, token in zip(header, fields):
+                value = 0.0 if name == "subject_id" else _csv_float(token)
+                if value is None or (name in needed and not np.isfinite(value)):
+                    what = f"unparsable value {token!r}" if value is None else "non-finite value"
+                    return MissingValue(f"{what} in column {name!r} at row {row}",
+                                        raw["subject_id"], _row_t(raw["t"]))
     return None
 
 
-def _data_lines(fh, path, width: int):
-    """``fh``'s remaining lines; a blank one, which loadtxt skips, is re-checked by ``csv``."""
-    for line in fh:
-        if line[0] in "\r\n":         # only a blank line starts with its terminator
-            error = _field_count_error(path, width)
-            if error is not None:
-                raise error
-        yield line
+def _has_blank_line(path) -> bool:
+    """Whether a line of ``path`` starts with its terminator; loadtxt skips such a line."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    return b"\n\n" in text or b"\r" in text and (b"\n\r" in text or b"\r\r" in text)
 
 
 def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
@@ -363,9 +377,12 @@ def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
 
     The header must name ``subject_id, t, a, p, y`` plus every column
     referenced by ``schema``. Every row must have as many fields as the
-    header; a blank line is a row with none. Non-finite tokens (NaN, Inf)
-    are rejected. A path that cannot be read is a :class:`MissingColumn`,
-    as an empty file is.
+    header; a blank line is a row with none. ``subject_id`` is read as text
+    (and sorts as text); every other field is parsed straight to float64 by
+    numpy's decimal grammar: Python's ``float`` without underscores or
+    non-ASCII characters (so ``1_000`` and ``１`` are refused). Non-finite
+    tokens (NaN, Inf) are rejected. A path that cannot be read is a
+    :class:`MissingColumn`, as an empty file is.
     """
     try:
         fh = open(path, newline="")
@@ -373,45 +390,32 @@ def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
         raise MissingColumn(f"cannot read CSV {path}: {exc}") from None
     with fh:
         try:
-            header = next(csv.reader(fh))
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise MissingColumn("empty CSV file") from None
-        header = [h.strip() for h in header]
         needed = {*BASE_COLUMNS, *schema.moderators, *schema.aux, *schema.controls,
                   schema.ptilde} - {None}
         for name in sorted(needed):
             if name not in header:
                 raise MissingColumn(f"required column {name!r} not in CSV header")
-        lines = _data_lines(fh, path, len(header))
-        first = next(lines, None)
+        error = _has_blank_line(path) and _row_error(path, header, needed)
+        if error:                       # a blank line inside quotes is data
+            raise error
+        first = next(fh, None)
         if first is None:
             raise MissingValue("no data rows")
+        dtype = [(f"c{j}", object if h == "subject_id" else float) for j, h in enumerate(header)]
         try:
-            # dtype=object keeps each field as csv reads it (quotes; '#' is data)
-            cells = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                               dtype=object, comments=None, quotechar='"', ndmin=2)
-        except ValueError as exc:   # a row's field count differs from the first's
-            raise _field_count_error(path, len(header)) or exc from None
-    if cells.shape[1] != len(header):
-        raise _field_count_error(path, len(header))
-    raw = {name: cells[:, j] for j, name in enumerate(header)}
+            # comments=None: '#' is data; the object field keeps subject_id as read
+            cells = np.loadtxt(itertools.chain([first], fh), delimiter=",", dtype=dtype,
+                               comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:   # a row's field count, or a token, is bad
+            raise _row_error(path, header, needed) or exc from None
 
-    columns: dict[str, np.ndarray] = {}
-    for name in header:
-        if name == "subject_id":
-            columns[name] = raw[name].astype(str)
-            continue
-        try:
-            vals = raw[name].astype(float)
-        except ValueError:
-            i = _first_non_number(raw[name])
-            raise MissingValue(f"unparsable value {raw[name][i]!r} in column {name!r} "
-                               f"at row {i + 2}", raw["subject_id"][i], _row_t(raw, i)) from None
-        if name in needed and not np.all(np.isfinite(vals)):
-            i = int(np.argmax(~np.isfinite(vals)))
-            raise MissingValue(f"non-finite value in column {name!r} at row {i + 2}",
-                               raw["subject_id"][i], _row_t(raw, i))
-        columns[name] = vals
+    columns = {name: cells[f"c{j}"] for j, name in enumerate(header)}
+    if not all(np.isfinite(columns[name]).all() for name in needed - {"subject_id"}):
+        raise _row_error(path, header, needed)
+    columns["subject_id"] = columns["subject_id"].astype(str)
     return from_columns(columns, schema, lag)
 
 

@@ -120,13 +120,9 @@ def _draw_sequential(n, T, eta, rng, draw_z):
 
 
 def _panel_columns(n, T, **arrays):
-    cols = {
-        "subject_id": np.repeat(np.arange(1, n + 1), T),
-        "t": np.tile(np.arange(1, T + 1), n),
-    }
-    for name, arr in arrays.items():
-        cols[name] = np.asarray(arr, dtype=float).reshape(-1)
-    return cols
+    return {"subject_id": np.repeat(np.arange(1, n + 1), T),
+            "t": np.tile(np.arange(1.0, T + 1), n),
+            **{name: np.asarray(arr, dtype=float).reshape(-1) for name, arr in arrays.items()}}
 
 
 def _sim_two_decision(spec: DgmSpec, rng, noise_scale: float):

@@ -1,12 +1,14 @@
 import csv
 import pickle
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from mrtx import errors
-from mrtx.data import Schema, from_columns, load_csv, to_csv
+from mrtx.data import Schema, _csv_float, from_columns, load_csv, to_csv
 from mrtx.simulation import DgmSpec, gen_panel
 
 from conftest import build_panel, panel_from_arrays
@@ -93,6 +95,29 @@ def test_unparsable_token_names_row(tmp_path):
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER, rows)
     with pytest.raises(errors.MissingValue, match="'abc' in column 'y' at row 6") as exc:
+        load_csv(path, Schema(aux=("z",)), lag=1)
+    assert exc.value.subject_id == "2" and exc.value.t == 2
+
+
+@pytest.mark.parametrize("token, value", [
+    ("1_000", None), ("\uff11", None), ("\u0663", None), ("0x10", None), ("1d5", None),
+    ("", None), ("1.5.", None),
+    (" 1.5 ", 1.5), ("\xa01.5", 1.5), ("+.5", 0.5), ("1E3", 1000.0), ("-0", 0.0),
+], ids=["underscore", "fullwidth_digit", "arabic_indic_digit", "hex", "fortran_exponent",
+        "empty", "two_points", "spaces", "nbsp", "leading_point", "upper_exponent",
+        "negative_zero"])
+def test_one_number_grammar(tmp_path, token, value):
+    # the typed parse and the error path that names a refused token share one rule
+    assert _csv_float(token) == value
+    rows = [list(r) for r in GOOD_ROWS]
+    rows[4][4] = token
+    path = tmp_path / "panel.csv"
+    write_csv(path, HEADER, rows)
+    if value is not None:
+        assert load_csv(path, Schema(aux=("z",)), lag=1).y_raw[4] == value
+        return
+    with pytest.raises(errors.MissingValue,
+                       match=re.escape(f"{token!r} in column 'y' at row 6")) as exc:
         load_csv(path, Schema(aux=("z",)), lag=1)
     assert exc.value.subject_id == "2" and exc.value.t == 2
 
@@ -369,16 +394,20 @@ def test_loader_matches_csv_oracle(tmp_path, ids, newline, order):
     assert_same_dataset(ds, csv_oracle(path, schema))
 
 
-def test_every_float_is_python_float(tmp_path):
-    # the fit_csv benchmark's tiny panel, written the way the benchmark writes it
-    ds = gen_panel(DgmSpec(kind="nonmoderator_robust", n=60, horizon=10,
+def write_benchmark_panel(path, n, horizon):
+    """A nonmoderator_robust panel, written the way the fit_csv benchmark writes it."""
+    ds = gen_panel(DgmSpec(kind="nonmoderator_robust", n=n, horizon=horizon,
                            beta0=-0.2, seed=20240901))
-    path = tmp_path / "panel.csv"
     data = np.column_stack([ds.subject_ids, ds.t, ds.a, ds.p, ds.y_raw, ds.columns["z"]])
     with open(path, "w") as fh:
         fh.write("subject_id,t,a,p,y,z\n")
         np.savetxt(fh, data, fmt=["%d", "%d", "%d", "%.17g", "%.17g", "%.17g"],
                    delimiter=",")
+
+
+def test_every_float_is_python_float(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_benchmark_panel(path, 60, 10)
     schema = Schema(aux=("z",), controls=("z",))
     loaded = load_csv(path, schema, lag=1)
     with open(path, newline="") as fh:
@@ -388,6 +417,23 @@ def test_every_float_is_python_float(tmp_path):
         expected = np.array([float(rows[i][j]) for i in order])
         got = loaded.columns[name]
         assert got.tobytes() == expected.tobytes(), name
+
+
+def test_load_csv_peak_bytes_per_field(tmp_path):
+    # a parse that holds a Python string per field peaks near 80 B per field;
+    # the typed parse, which makes one only per subject_id, near 35 B
+    n, horizon = 200, 100
+    path = tmp_path / "panel.csv"
+    write_benchmark_panel(path, n, horizon)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        load_csv(path, Schema(aux=("z",), controls=("z",)), lag=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * horizon * 6) < 60
 
 
 def test_header_only_csv_is_missing_value(tmp_path):
