@@ -9,12 +9,12 @@ same panel can be re-viewed under another schema without copying data.
 
 Outcome alignment: the ``y`` column supplied at load time is the proximal
 series (row ``t`` holds the outcome observed right after decision ``t``).
-``columns["y"]`` keeps it as supplied; for a lag-``delta`` analysis
-:attr:`MrtDataset.y` is that column shifted once, at construction, so row
-``t`` carries the outcome ``delta`` steps ahead. Rows with
-``t > T - delta + 1`` stay in the panel for bookkeeping; pooled fits read
-only the usable rows, through :meth:`MrtDataset.usable`, which is the
-column itself at lag 1.
+``columns["y"]`` keeps it as supplied. For a lag-``delta`` analysis only the
+usable rows ``t <= T - delta + 1`` have an outcome ``delta`` steps ahead;
+every fit reads the usable rows of a column through :meth:`MrtDataset.usable`,
+and :attr:`MrtDataset.y` is the supplied column read that way, ``delta - 1``
+steps ahead, on the usable rows only. At lag 1 every row is usable and
+``usable`` returns the column itself, not a copy.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ class MrtDataset:
     ``y`` the proximal series, so ``from_columns(ds.columns, ds.schema,
     lag=ds.lag)`` rebuilds the panel; ``subject_ids``, ``t``, ``a``, ``p``
     and ``y_raw`` are read-only views of them, ``t`` and ``a`` as float. The
-    design blocks ``centered_a`` and ``weight_w`` are cached on first read.
+    aligned outcome ``y`` and the design blocks ``centered_a`` and
+    ``weight_w`` are cached on first read.
     """
 
     columns: Mapping[str, np.ndarray] = field(repr=False)   # as supplied, validated
-    y: np.ndarray          # aligned: row t holds the lag-delta outcome
     f: np.ndarray          # (rows, q) moderator features, intercept included
     z: np.ndarray          # (rows, p_z) auxiliary variables
     g: np.ndarray          # (rows, d) control features
@@ -146,6 +146,12 @@ class MrtDataset:
         return self.horizon - self.lag + 1
 
     @cached_property
+    def y(self) -> np.ndarray:
+        """The outcome ``lag`` steps after each usable row's decision, on the
+        usable rows only: the supplied ``y`` read ``lag - 1`` steps ahead."""
+        return _as_readonly(self.usable(self.y_raw, self.lag - 1))
+
+    @cached_property
     def centered_a(self) -> np.ndarray:
         """Treatment centered at the weight numerator, ``a - p_tilde``."""
         return _as_readonly(self.a - self.p_tilde)
@@ -162,16 +168,17 @@ class MrtDataset:
         (n_subjects, times, ...)."""
         return arr.reshape((self.n_subjects, -1) + arr.shape[1:])
 
-    def usable(self, arr: np.ndarray, steps: int = 0) -> np.ndarray:
-        """Usable rows (``t <= n_usable``) of ``arr``, each read ``steps`` ahead.
+    def usable_block(self, arr: np.ndarray, steps: int = 0) -> np.ndarray:
+        """Usable rows (``t <= n_usable``) of ``arr``, each read ``steps`` ahead,
+        as a (n_subjects, n_usable, ...) view: row t holds the subject's value
+        at ``t + steps`` (``steps < lag``)."""
+        return self.per_subject(arr)[:, steps: steps + self.n_usable]
 
-        Row t of the result holds the subject's value at ``t + steps``
-        (``steps < lag``). At lag 1 this is ``arr`` itself, not a copy.
-        """
+    def usable(self, arr: np.ndarray, steps: int = 0) -> np.ndarray:
+        """:meth:`usable_block` flattened to rows; at lag 1 ``arr`` itself, not a copy."""
         if self.n_usable == self.horizon:
             return arr
-        block = self.per_subject(arr)[:, steps: steps + self.n_usable]
-        return block.reshape((-1,) + arr.shape[1:])
+        return self.usable_block(arr, steps).reshape((-1,) + arr.shape[1:])
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -200,32 +207,26 @@ def _column_matrix(columns: Mapping[str, np.ndarray], names: tuple[str, ...],
 
 
 def _numeric(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Every column read-only and contiguous, all but ``subject_id`` as float;
-    the first non-number is a :class:`MissingValue` at its subject and ``t``."""
+    """Every column read-only and contiguous, all but ``subject_id`` as float,
+    text by :func:`load_csv`'s grammar (:func:`_csv_float`); the first
+    non-number is a :class:`MissingValue` at its subject and ``t``."""
     for name in BASE_COLUMNS:
         if name not in columns:
             raise MissingColumn(f"required column {name!r} not found")
     out = {}
     for name, col in columns.items():
         col = np.asarray(col)
-        if name != "subject_id":
-            try:
-                col = col.astype(float, copy=False)
-            except (TypeError, ValueError):
-                i = _first_non_number(col)
+        if name != "subject_id" and col.dtype.kind in "biuf":
+            col = col.astype(float, copy=False)
+        elif name != "subject_id":
+            values = [_csv_float(token) for token in col]
+            if None in values:
+                i = values.index(None)
                 raise MissingValue(f"non-numeric value {str(col[i])!r} in column {name!r}",
-                                   columns["subject_id"][i], _row_t(columns["t"][i])) from None
+                                   columns["subject_id"][i], _row_t(columns["t"][i]))
+            col = np.array(values, dtype=float)
         out[name] = _as_readonly(col)
     return out
-
-
-def _first_non_number(col) -> int:
-    """Index of the first token ``float`` refuses (called once a cast has failed)."""
-    for i, token in enumerate(col):
-        try:
-            float(token)
-        except (TypeError, ValueError):
-            return i
 
 
 def _first_bad(mask: np.ndarray, subject: np.ndarray, t: np.ndarray):
@@ -237,13 +238,13 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
                  lag: int = 1) -> MrtDataset:
     """Build and validate a dataset from in-memory columns.
 
-    ``y`` is the proximal series. It is kept as supplied and aligned to
-    ``lag`` once, as :attr:`MrtDataset.y`, here as in :func:`load_csv`.
+    ``y`` is the proximal series. It is kept as supplied, and
+    :attr:`MrtDataset.y` reads it at ``lag``, here as in :func:`load_csv`.
     """
     if lag < 1:
         raise DimensionMismatch(f"lag must be >= 1, got {lag}")
     columns = _numeric(columns)
-    subject, t, a, p, y = (columns[name] for name in BASE_COLUMNS)
+    subject, t, a, p = (columns[name] for name in BASE_COLUMNS[:4])
     n_rows = subject.shape[0]
     if n_rows == 0:
         raise MissingValue("no data rows")
@@ -253,7 +254,7 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
     if not ((subject[1:] > subject[:-1]) | (same & (t[1:] >= t[:-1]))).all():
         order = np.lexsort((t, subject))
         columns = {k: _as_readonly(v[order]) for k, v in columns.items()}
-        subject, t, a, p, y = (columns[name] for name in BASE_COLUMNS)
+        subject, t, a, p = (columns[name] for name in BASE_COLUMNS[:4])
 
     bad = ~np.isin(a, (0.0, 1.0))
     if bad.any():
@@ -295,26 +296,8 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
         raise ProbabilityOutOfRange("weight numerator p_tilde must lie in (0,1)",
                                     *_first_bad(bad, subject, t))
 
-    # the supplied outcome rows that usable aligned rows read are t >= lag;
-    # a bad one is named at its own t
-    fed = y.reshape(n_subjects, horizon)[:, lag - 1:]
-    if not np.isfinite(fed).all():
-        j, k = divmod(int(np.argmax(~np.isfinite(fed))), fed.shape[1])
-        raise MissingValue("non-finite value in y", subject[starts[j]], k + lag)
-    for label, arr in (("z", z), ("f", f), ("g", g)):
-        if not np.isfinite(arr).all():
-            i = int(np.argmax(~np.isfinite(arr).all(axis=1)))
-            raise MissingValue(f"non-finite value in {label}", subject[i], int(t[i]))
-
-    aligned = columns["y"]
-    if lag > 1:
-        # shift within subject: aligned row t <- supplied row t + (lag - 1)
-        shifted = np.zeros((n_subjects, horizon))
-        shifted[:, : horizon - (lag - 1)] = fed
-        aligned = _as_readonly(shifted.reshape(-1))
-    return MrtDataset(
+    ds = MrtDataset(
         columns=_Columns(columns),
-        y=aligned,
         f=_as_readonly(f),
         z=_as_readonly(z),
         g=_as_readonly(g),
@@ -327,21 +310,36 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
         z_names=z_names,
         g_names=g_names,
     )
+    # the aligned outcome reads the supplied rows t >= lag; a bad one is named
+    # at its own t
+    if not np.isfinite(ds.y).all():
+        j, k = divmod(int(np.argmax(~np.isfinite(ds.y))), ds.n_usable)
+        raise MissingValue("non-finite value in y", subject[starts[j]], k + lag)
+    for label, arr in (("z", z), ("f", f), ("g", g)):
+        if not np.isfinite(arr).all():
+            i = int(np.argmax(~np.isfinite(arr).all(axis=1)))
+            raise MissingValue(f"non-finite value in {label}", subject[i], int(t[i]))
+    return ds
 
 
-def _csv_float(token: str) -> float | None:
-    """``token`` as loadtxt's float parser reads it (Python's ``float`` on the
-    stripped token, without underscores or non-ASCII characters), else None."""
-    token = token.strip()
+def _csv_float(token) -> float | None:
+    """Text ``token`` as loadtxt's float parser reads it (Python's ``float`` on
+    the stripped token, without underscores or non-ASCII characters), bytes as
+    ASCII text, any other token by ``float``; None where refused."""
+    if isinstance(token, bytes):
+        token = token.decode("ascii", "replace")
     try:
+        if not isinstance(token, str):
+            return float(token)
+        token = token.strip()
         return float(token) if token.isascii() and "_" not in token else None
-    except ValueError:
+    except (TypeError, ValueError):
         return None
 
 
 def _row_t(t):
     """A row's ``t`` for an error: the integer, or its text when not a finite number."""
-    value = _csv_float(str(t))
+    value = _csv_float(t)
     return int(value) if value is not None and np.isfinite(value) else str(t)
 
 

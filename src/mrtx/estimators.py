@@ -94,6 +94,8 @@ class EstimatorConfig:
         # bool is an int subclass, and a stray string would reach the range checks
         if isinstance(self.lag, bool) or not isinstance(self.lag, numbers.Integral):
             raise DimensionMismatch(f"lag must be an integer, got {self.lag!r}")
+        if self.lag < 1:
+            raise DimensionMismatch(f"lag must be >= 1, got {self.lag}")
         if isinstance(self.ci_level, bool) or not isinstance(self.ci_level, numbers.Real):
             raise DimensionMismatch(f"ci_level must be a real number, got {self.ci_level!r}")
         if self.method not in METHODS:
@@ -340,10 +342,6 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     The design is column-major. Each column is written in place, as a
     ``(subjects, times)`` block, from per-subject views of the usable rows.
     """
-    def use(arr, steps=0):
-        # the usable rows of arr, read steps ahead, as a per-subject view
-        return ds.per_subject(arr)[:, steps: steps + ds.n_usable]
-
     names = []
     if lagged:
         # lagged-outcome working models: each intermediate decision point t+u
@@ -363,22 +361,22 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
 
     X = np.empty((ds.n_subjects * ds.n_usable, len(names)), order="F")
     cols = X.T.reshape(len(names), ds.n_subjects, ds.n_usable)   # views of X's columns
-    ca, f = use(ds.centered_a), use(ds.f)
+    ca, f = ds.usable_block(ds.centered_a), ds.usable_block(ds.f)
     if lagged:
         for u in range(1, ds.lag):
             j = (u - 1) * (1 + ds.p_z)
-            ca_u = np.subtract(use(ds.a, u), use(ds.p, u), out=cols[j])
-            np.multiply(ca_u, use(ds.z, u).transpose(2, 0, 1),
+            ca_u = np.subtract(ds.usable_block(ds.a, u), ds.usable_block(ds.p, u), out=cols[j])
+            np.multiply(ca_u, ds.usable_block(ds.z, u).transpose(2, 0, 1),
                         out=cols[j + 1: j + 1 + ds.p_z])
         cols[b0 - ds.q: b0] = f.transpose(2, 0, 1)
     else:
-        cols[:b0] = use(ds.g).transpose(2, 0, 1)
+        cols[:b0] = ds.usable_block(ds.g).transpose(2, 0, 1)
     np.multiply(ca, f.transpose(2, 0, 1), out=cols[b0: b0 + ds.q])
     if cm is not None:
         zc = cols[b0 + ds.q:].transpose(1, 2, 0)         # (subjects, times, p_z)
-        z = use(ds.z)
+        z = ds.usable_block(ds.z)
         np.subtract(z, _dot(f, cm.theta), out=zc)
-        bad = _rms(zc, use(ds.weight_w)) < 1e-9 * (1.0 + _rms(z))
+        bad = _rms(zc, ds.usable_block(ds.weight_w)) < 1e-9 * (1.0 + _rms(z))
         if bad.any():
             raise DegenerateAuxiliary(f"centered auxiliary column {ds.z_names[np.argmax(bad)]!r}"
                                       " has numerically zero weighted norm")
@@ -389,7 +387,7 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
 def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
                 cm: CenteringModel | None, lagged: bool) -> FitResult:
     X, names = _pooled_design(ds, cm, lagged)
-    y, w = ds.usable(ds.y), ds.usable(ds.weight_w)
+    y, w = ds.y, ds.usable(ds.weight_w)
     beta, gram = wls_solve(X, y, w, ds.n_subjects)
     shift = None
     if cm is not None and cm.orthogonal:
@@ -497,7 +495,7 @@ def _emee_system(ds: MrtDataset, cm: CenteringModel | None):
     feat = ds.f if cm is None else np.column_stack([ds.f, ds.z - cm.mu_rows(ds)])
     g, f_x = ds.usable(ds.g), ds.usable(feat)
     a, w = ds.usable(ds.a), ds.usable(ds.weight_w)
-    wy = w * ds.usable(ds.y)
+    wy = w * ds.y
     awy = a * wy
     k_g, n = g.shape[1], ds.n_subjects
     Xt, Dt = X.T, np.empty_like(X.T)                         # Dt: -d r / d params
@@ -550,12 +548,11 @@ def _newton(evaluate, init: np.ndarray):
 
 
 def _check_binary(ds: MrtDataset):
-    y = ds.usable(ds.y)
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not np.isin(ds.y, (0.0, 1.0)).all():
         raise DimensionMismatch("binary methods require outcomes in {0,1}")
-    if not y.any():
+    if not ds.y.any():
         raise DimensionMismatch("binary outcome is identically zero")
-    if y.all():
+    if ds.y.all():
         raise DimensionMismatch("binary outcome is identically one")
 
 
@@ -564,7 +561,8 @@ def _binary_result(ds: MrtDataset, config: EstimatorConfig, system, solved,
     """The fit at the root of ``solved`` on ``system``; ``r`` and ``jac`` give the sandwich."""
     _, Xt, names = system
     params, _, _, r, jac = solved
-    scores = (Xt * r).reshape(len(Xt), ds.n_subjects, ds.n_usable).sum(axis=2).T
+    scores = np.einsum("knt,nt->nk", Xt.reshape(len(Xt), ds.n_subjects, ds.n_usable),
+                       r.reshape(ds.n_subjects, ds.n_usable))
     parts = SandwichParts(bread=-jac, subject_scores=scores)   # positive orientation
     return _assemble(names, params, parts, config, n_iter=n_iter, trace=trace)
 
@@ -583,12 +581,12 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     """
     _check_binary(ds)
     init = np.zeros(ds.d + ds.q)
-    init[0] = np.log(max(ds.usable(ds.y).mean(), 1e-8))
+    init[0] = np.log(max(ds.y.mean(), 1e-8))
     system = _emee_system(ds, None)
     solved = _newton(system[0], init)
     if config.method == "emee":
         return _binary_result(ds, config, system, solved, solved[1], solved[2])
-    w_az = ds.usable(ds.weight_w * ds.a * ds.centered_a * ds.y)
+    w_az = ds.usable(ds.weight_w * ds.a * ds.centered_a) * ds.y
     f_use, z_use = ds.usable(ds.f), ds.usable(ds.z)
     params = np.concatenate([solved[0], np.zeros(ds.p_z)])
     weights = _usable_weights(ds)

@@ -107,18 +107,25 @@ def test_unparsable_token_names_row(tmp_path):
         "empty", "two_points", "spaces", "nbsp", "leading_point", "upper_exponent",
         "negative_zero"])
 def test_one_number_grammar(tmp_path, token, value):
-    # the typed parse and the error path that names a refused token share one rule
+    # the typed parse, the error path that names a refused token and the cast of
+    # an in-memory text column share one rule
     assert _csv_float(token) == value
     rows = [list(r) for r in GOOD_ROWS]
     rows[4][4] = token
     path = tmp_path / "panel.csv"
     write_csv(path, HEADER, rows)
+    text = {name: np.array([str(r[j]) for r in rows]) for j, name in enumerate(HEADER)}
     if value is not None:
         assert load_csv(path, Schema(aux=("z",)), lag=1).y_raw[4] == value
+        assert from_columns(text, Schema(aux=("z",))).y_raw[4] == value
         return
     with pytest.raises(errors.MissingValue,
                        match=re.escape(f"{token!r} in column 'y' at row 6")) as exc:
         load_csv(path, Schema(aux=("z",)), lag=1)
+    assert exc.value.subject_id == "2" and exc.value.t == 2
+    with pytest.raises(errors.MissingValue,
+                       match=re.escape(f"non-numeric value {token!r} in column 'y'")) as exc:
+        from_columns(text, Schema(aux=("z",)))
     assert exc.value.subject_id == "2" and exc.value.t == 2
 
 
@@ -205,11 +212,23 @@ def test_round_trip_bit_exact(tmp_path):
 def test_lag_alignment_shifts_within_subject():
     y = np.arange(1.0, 9.0)          # subject 1: 1..4, subject 2: 5..8
     ds = build_panel(2, 4, lag=2, y=y)
-    # aligned row t carries the raw proximal value from row t+1
-    np.testing.assert_array_equal(ds.y[:3], [2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(ds.y[4:7], [6.0, 7.0, 8.0])
+    # aligned usable row t carries the raw proximal value from row t+1
+    np.testing.assert_array_equal(ds.y, [2.0, 3.0, 4.0, 6.0, 7.0, 8.0])
     np.testing.assert_array_equal(ds.y_raw, y)
     np.testing.assert_array_equal(ds.usable(ds.t), [1, 2, 3, 1, 2, 3])
+
+
+def test_aligned_outcome_is_the_supplied_column_read_ahead():
+    cols = panel_from_arrays(3, 6, seed=2)
+    ds = from_columns(cols, Schema(aux=("z",)), lag=3)
+    assert ds.y.shape == (3 * 4,)
+    np.testing.assert_array_equal(ds.y, ds.usable(ds.y_raw, 2))
+    np.testing.assert_array_equal(ds.per_subject(ds.y), ds.per_subject(ds.y_raw)[:, 2:])
+    with pytest.raises(ValueError):
+        ds.y[0] = 99.0
+    proximal = from_columns(cols, Schema(aux=("z",)), lag=1)
+    assert np.shares_memory(proximal.y, proximal.columns["y"])
+    np.testing.assert_array_equal(proximal.y, cols["y"])
 
 
 def test_row_order_is_canonicalized():

@@ -225,7 +225,10 @@ def test_lag3_lagged_fit_matches_recorded(mode):
     ({"method": "a2wcls_lagged", "lag": "2"}, "lag must be an integer"),
     ({"lag": 2.0}, "lag must be an integer"),
     ({"lag": True}, "lag must be an integer"),
-], ids=["ci_level_str", "ci_level_bool", "lag_str", "lag_float", "lag_bool"])
+    ({"method": "wcls", "lag": 0}, "lag must be >= 1, got 0"),
+    ({"method": "wcls", "lag": -2}, "lag must be >= 1, got -2"),
+], ids=["ci_level_str", "ci_level_bool", "lag_str", "lag_float", "lag_bool", "lag_zero",
+        "lag_negative"])
 def test_config_field_types(kwargs, message):
     with pytest.raises(errors.DimensionMismatch, match=message):
         EstimatorConfig(**kwargs)

@@ -55,9 +55,11 @@ def test_generator_stream_pinned(kind):
     beta0 = (-0.1, 0.02) if kind == "timevarying_j3" else -0.2
     ds = gen_panel(DgmSpec(kind=kind, n=7, horizon=5, beta0=beta0, beta1=0.3, seed=11))
     h = hashlib.sha256()
-    # the digests were recorded when the aligned outcome was stored as "y" and
-    # the supplied one as "y_raw"
-    cols = {**ds.columns, "y": ds.y, "y_raw": ds.y_raw}
+    # the digests were recorded when the aligned outcome was stored as "y" over
+    # every row, zero past the usable ones, and the supplied one as "y_raw"
+    padded = np.zeros((ds.n_subjects, ds.horizon))
+    padded[:, :ds.n_usable] = ds.per_subject(ds.y)
+    cols = {**ds.columns, "y": padded.reshape(-1), "y_raw": ds.y_raw}
     for name in sorted(cols):
         h.update(name.encode())
         h.update(np.ascontiguousarray(cols[name]).tobytes())
