@@ -1,8 +1,8 @@
 """Panel data structures for micro-randomized-trial analyses.
 
 The long format is one row per (subject, decision point). A validated
-:class:`MrtDataset` stores every named column once and materializes the
-paper's four design roles from a :class:`Schema`: the moderator features
+:class:`MrtDataset` stores the columns supplied and a :class:`Schema`, and
+reads the paper's four design roles from them: the moderator features
 ``f = [1, *moderators]``, the auxiliary variables ``z``, the control
 features ``g = [1, *controls]`` and the weight numerator ``p_tilde``. The
 same panel can be re-viewed under another schema without copying data.
@@ -92,6 +92,12 @@ def _column(name: str) -> property:
     return property(lambda self: self.columns[name])
 
 
+def _role(role: str, intercept: bool) -> cached_property:
+    """A design block built once from the columns that ``schema.<role>`` names."""
+    return cached_property(lambda ds: _column_matrix(ds.columns, getattr(ds.schema, role),
+                                                     intercept))
+
+
 @dataclass(frozen=True, eq=False)
 class MrtDataset:
     """Immutable long-format panel, sorted by subject then decision index.
@@ -102,22 +108,16 @@ class MrtDataset:
     ``y`` the proximal series, so ``from_columns(ds.columns, ds.schema,
     lag=ds.lag)`` rebuilds the panel; ``subject_ids``, ``t``, ``a``, ``p``
     and ``y_raw`` are read-only views of them, ``t`` and ``a`` as float. The
-    aligned outcome ``y`` and the design blocks ``centered_a`` and
-    ``weight_w`` are cached on first read.
+    design roles ``f``, ``z``, ``g`` and ``p_tilde`` are read from ``columns``
+    through ``schema``; they, the aligned outcome ``y`` and the design blocks
+    ``centered_a`` and ``weight_w`` are cached on first read.
     """
 
     columns: Mapping[str, np.ndarray] = field(repr=False)   # as supplied, validated
-    f: np.ndarray          # (rows, q) moderator features, intercept included
-    z: np.ndarray          # (rows, p_z) auxiliary variables
-    g: np.ndarray          # (rows, d) control features
-    p_tilde: np.ndarray
+    schema: Schema
+    lag: int
     n_subjects: int
     horizon: int
-    lag: int
-    schema: Schema
-    f_names: tuple[str, ...] = ()
-    z_names: tuple[str, ...] = ()
-    g_names: tuple[str, ...] = ()
 
     subject_ids = _column("subject_id")
     t = _column("t")
@@ -125,21 +125,26 @@ class MrtDataset:
     p = _column("p")
     y_raw = _column("y")   # the proximal outcome as supplied, before lag alignment
 
+    f = _role("moderators", True)    # (rows, q) moderator features, intercept included
+    z = _role("aux", False)          # (rows, p_z) auxiliary variables
+    g = _role("controls", True)      # (rows, d) control features, intercept included
+    f_names = property(lambda self: ("1", *self.schema.moderators))
+    z_names = property(lambda self: self.schema.aux)
+    g_names = property(lambda self: ("1", *self.schema.controls))
+    q = property(lambda self: self.f.shape[1])
+    p_z = property(lambda self: self.z.shape[1])
+    d = property(lambda self: self.g.shape[1])
+
     @property
     def n_rows(self) -> int:
         return self.subject_ids.shape[0]
 
-    @property
-    def q(self) -> int:
-        return self.f.shape[1]
-
-    @property
-    def p_z(self) -> int:
-        return self.z.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.g.shape[1]
+    @cached_property
+    def p_tilde(self) -> np.ndarray:
+        """The ``ptilde`` column, or else the pooled treatment frequency, constant in t."""
+        if self.schema.ptilde is None:
+            return _as_readonly(np.full(self.n_rows, float(np.mean(self.a))))
+        return _column_matrix(self.columns, (self.schema.ptilde,), False)[:, 0]
 
     @property
     def n_usable(self) -> int:
@@ -193,17 +198,18 @@ class MrtDataset:
 
 
 def _column_matrix(columns: Mapping[str, np.ndarray], names: tuple[str, ...],
-                   intercept: bool) -> tuple[np.ndarray, tuple[str, ...]]:
+                   intercept: bool) -> np.ndarray:
+    """The named columns side by side, read-only, after a leading 1s column if ``intercept``."""
     for name in names:
         if name not in columns:
             raise MissingColumn(f"column {name!r} not found")
     if len(names) == 1 and not intercept:
-        return columns[names[0]][:, None], names      # a view, not a copy
+        return _as_readonly(columns[names[0]][:, None])      # a view, not a copy
     out = np.empty((columns["t"].shape[0], intercept + len(names)))
     out[:, :intercept] = 1.0
     for j, name in enumerate(names, intercept):
         out[:, j] = columns[name]
-    return out, ("1",) * intercept + names
+    return _as_readonly(out)
 
 
 def _numeric(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -283,33 +289,14 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
     if lag > horizon:
         raise LagHorizonExceeded(f"lag {lag} exceeds panel horizon {horizon}")
 
-    f, f_names = _column_matrix(columns, schema.moderators, True)
-    z, z_names = _column_matrix(columns, schema.aux, False)
-    g, g_names = _column_matrix(columns, schema.controls, True)
-    if schema.ptilde is None:
-        # legal default numerator: pooled treatment frequency, constant in t
-        p_tilde = np.full(n_rows, float(np.mean(a)))
-    else:
-        p_tilde = _column_matrix(columns, (schema.ptilde,), False)[0][:, 0]
+    ds = MrtDataset(_Columns(columns), schema, lag, n_subjects, horizon)
+    # every role is read here, so a returned dataset holds them all and is safe
+    # to share across threads; a missing role column is named before any value
+    f, z, g, p_tilde = ds.f, ds.z, ds.g, ds.p_tilde
     bad = ~((p_tilde > 0.0) & (p_tilde < 1.0))
     if bad.any():
         raise ProbabilityOutOfRange("weight numerator p_tilde must lie in (0,1)",
                                     *_first_bad(bad, subject, t))
-
-    ds = MrtDataset(
-        columns=_Columns(columns),
-        f=_as_readonly(f),
-        z=_as_readonly(z),
-        g=_as_readonly(g),
-        p_tilde=_as_readonly(p_tilde),
-        n_subjects=n_subjects,
-        horizon=horizon,
-        lag=lag,
-        schema=schema,
-        f_names=f_names,
-        z_names=z_names,
-        g_names=g_names,
-    )
     # the aligned outcome reads the supplied rows t >= lag; a bad one is named
     # at its own t
     if not np.isfinite(ds.y).all():
@@ -325,9 +312,12 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
 def _csv_float(token) -> float | None:
     """Text ``token`` as loadtxt's float parser reads it (Python's ``float`` on
     the stripped token, without underscores or non-ASCII characters), bytes as
-    ASCII text, any other token by ``float``; None where refused."""
+    ASCII text, any other token by ``float``; None where refused, as a complex
+    token is (``float`` would keep its real part)."""
     if isinstance(token, bytes):
         token = token.decode("ascii", "replace")
+    if isinstance(token, (complex, np.complexfloating)):
+        return None
     try:
         if not isinstance(token, str):
             return float(token)

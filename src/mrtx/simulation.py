@@ -50,7 +50,8 @@ class DgmSpec:
     """Declarative description of one simulation design.
 
     ``beta0`` is the target effect (a pair for the time-varying kind, where
-    the effect is linear in t); ``beta1`` is the kind's moderation knob.
+    the effect is linear in t); ``beta1`` is the kind's moderation knob. A kind
+    that never reads ``beta1`` or ``eta`` refuses a value other than the default.
     """
 
     kind: str
@@ -74,6 +75,10 @@ class DgmSpec:
                     + f" and integral, got {name}={value!r}")
         if not (isinstance(self.eta, (list, tuple)) and len(self.eta) == 2):
             raise ConfigParse(f"eta must be a pair, got {self.eta!r}")
+        if self.kind in ("nonmoderator_robust", "binary_demo") and self.beta1 != 0.0:
+            raise ConfigParse(f"{self.kind} does not read beta1, got beta1={self.beta1!r}")
+        if self.kind == "centerbias_j1" and tuple(self.eta) != (-0.8, 0.8):
+            raise ConfigParse(f"centerbias_j1 draws with its own eta, got eta={self.eta!r}")
         # only the time-varying kind's effect is linear in t
         pair = self.kind == "timevarying_j3"
         if pair and isinstance(self.beta0, (list, tuple)) and len(self.beta0) == 2:

@@ -168,7 +168,8 @@ def test_simulate_bad_arm_settings_are_config_parse(tmp_path, capsys, key, value
     ("timevarying_j3", "beta0", "-0.2,0.02,0.1",
      "beta0 for timevarying_j3 must be a scalar or a pair, got"),
     ("proximal_j2", "eta", "0.1", "eta must be a pair, got (0.1,)"),
-], ids=["lagged_beta0_pair", "timevarying_beta0_triple", "eta_scalar"])
+    ("binary_demo", "beta1", "0.9", "binary_demo does not read beta1, got beta1=0.9"),
+], ids=["lagged_beta0_pair", "timevarying_beta0_triple", "eta_scalar", "unread_beta1"])
 def test_simulate_bad_parameter_shape_is_config_parse(tmp_path, capsys, kind, key, value,
                                                       message):
     cfg = tmp_path / "dgm.cfg"

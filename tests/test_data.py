@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import pickle
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from mrtx import errors
-from mrtx.data import Schema, _csv_float, from_columns, load_csv, to_csv
+from mrtx.data import MrtDataset, Schema, _csv_float, from_columns, load_csv, to_csv
 from mrtx.simulation import DgmSpec, gen_panel
 
 from conftest import build_panel, panel_from_arrays
@@ -129,12 +130,17 @@ def test_one_number_grammar(tmp_path, token, value):
     assert exc.value.subject_id == "2" and exc.value.t == 2
 
 
-@pytest.mark.parametrize("name", ["note", "a"])
-def test_non_numeric_column_is_missing_value(name):
+@pytest.mark.parametrize("name, bad", [("note", "abc"), ("a", "abc"),
+                                       ("z", np.complex128(-1 + 1j))],
+                         ids=["note", "a", "complex_z"])
+def test_non_numeric_column_is_missing_value(name, bad):
+    # a complex value, as a complex column yields it, is refused, not read as
+    # its real part
     cols = panel_from_arrays(3, 4)
-    cols[name] = np.asarray(cols.get(name, cols["z"])).astype(str)
-    cols[name][5] = "abc"           # subject 2, t = 2
-    with pytest.raises(errors.MissingValue, match=f"'abc' in column '{name}'") as exc:
+    cols[name] = np.asarray(cols.get(name, cols["z"])).astype(str if bad == "abc" else object)
+    cols[name][5] = bad             # subject 2, t = 2
+    with pytest.raises(errors.MissingValue,
+                       match=re.escape(f"non-numeric value '{bad}' in column '{name}'")) as exc:
         from_columns(cols, Schema(aux=("z",)))
     assert exc.value.subject_id == 2 and exc.value.t == 2
 
@@ -303,6 +309,33 @@ def test_columns_mapping_is_read_only_and_pickles():
     assert again.fingerprint() == fingerprint
     copy = {**ds.columns}
     assert copy.keys() == ds.columns.keys() and copy["a"] is ds.columns["a"]
+
+
+def test_roles_are_read_from_columns_and_schema():
+    # a dataset stores what it was given; every role and its names are read from it
+    assert [f.name for f in dataclasses.fields(MrtDataset)] == \
+        ["columns", "schema", "lag", "n_subjects", "horizon"]
+    schema = Schema(moderators=("g1",), aux=("z",), controls=("z", "g1"))
+    ds = from_columns(panel_from_arrays(4, 5), schema, lag=2)
+    ones = np.ones(ds.n_rows)
+    for arr, names in ((ds.f, schema.moderators), (ds.g, schema.controls)):
+        np.testing.assert_array_equal(arr, np.column_stack([ones, *(ds.columns[n] for n in names)]))
+        assert not arr.flags.writeable
+    assert (ds.f_names, ds.z_names, ds.g_names) == (("1", "g1"), ("z",), ("1", "z", "g1"))
+    assert np.shares_memory(ds.z, ds.columns["z"]) and not ds.z.flags.writeable
+    again = pickle.loads(pickle.dumps(ds))
+    for role in ("f", "z", "g", "p_tilde"):
+        old, new = getattr(ds, role), getattr(again, role)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes(), role
+
+    lagged = gen_panel(DgmSpec(kind="lagged_eq12", n=10, horizon=6, beta1=0.5, seed=2))
+    naive = lagged.with_schema(Schema(aux=("z",), controls=("a_next", "z_next")))
+    assert naive.g_names == ("1", "a_next", "z_next") and lagged.g_names == ("1",)
+    np.testing.assert_array_equal(
+        naive.g, np.column_stack([np.ones(naive.n_rows), naive.columns["a_next"],
+                                  naive.columns["z_next"]]))
+    assert naive.lag == lagged.lag       # the same panel, not a copy of it
+    assert np.shares_memory(naive.columns["a_next"], lagged.columns["a_next"])
 
 
 def test_from_columns_without_p_is_missing_column():

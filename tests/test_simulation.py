@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -53,7 +54,10 @@ _STREAM_DIGESTS = {
 @pytest.mark.parametrize("kind", KINDS)
 def test_generator_stream_pinned(kind):
     beta0 = (-0.1, 0.02) if kind == "timevarying_j3" else -0.2
-    ds = gen_panel(DgmSpec(kind=kind, n=7, horizon=5, beta0=beta0, beta1=0.3, seed=11))
+    # the digests were recorded at beta1 = 0.3 for every kind; the two kinds
+    # without a moderation term never read it, and now refuse it
+    beta1 = 0.0 if kind in ("nonmoderator_robust", "binary_demo") else 0.3
+    ds = gen_panel(DgmSpec(kind=kind, n=7, horizon=5, beta0=beta0, beta1=beta1, seed=11))
     h = hashlib.sha256()
     # the digests were recorded when the aligned outcome was stored as "y" over
     # every row, zero past the usable ones, and the supplied one as "y_raw"
@@ -134,6 +138,17 @@ def test_spec_size_and_seed_must_be_integral(field, value):
     kwargs = {"kind": "lagged_eq12", "n": 5, "horizon": 5, "seed": 0, field: value}
     with pytest.raises(errors.ConfigParse, match=f"integral, got {field}={value!r}"):
         DgmSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("nonmoderator_robust", "beta1", 0.9), ("binary_demo", "beta1", -0.3),
+    ("centerbias_j1", "eta", (3.0, -3.0)),
+])
+def test_spec_refuses_a_setting_its_kind_never_reads(kind, field, value):
+    # these draws would not change, so the setting is refused rather than ignored
+    with pytest.raises(errors.ConfigParse, match=re.escape(f"{kind} ") + ".*"
+                       + re.escape(f"{field}, got {field}={value!r}")):
+        DgmSpec(kind=kind, n=5, horizon=5, **{field: value})
 
 
 def test_spec_accepts_numpy_integers():
