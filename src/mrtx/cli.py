@@ -31,7 +31,6 @@ from .estimators import (
     ADJUSTED,
     EstimatorConfig,
     METHODS,
-    PER_TIME,
     VARIANCE_MODES,
     closed_form_gaps,
     fit as run_fit,
@@ -76,16 +75,17 @@ def _write_csv(path, rows: list[dict]) -> None:
 
 _DEFAULT_METHODS = {"lagged_eq12": ("wcls", "a2wcls_lagged"),
                     "binary_demo": ("emee", "a2emee")}
-_CONFIG_KEYS = ("kind", "n", "horizon", "beta0", "beta1", "eta", "seed", "methods",
-                "variance", "lag")
+_CONFIG_KEYS = ("kind", "n", "horizon", "beta0", "beta1", "eta", "seed", "methods", "variance")
 
 
 def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
     """Parse the documented ``key = value`` config format into a design and its arms.
 
     Recognized keys: kind, n, horizon, beta0 (scalar or comma pair), beta1,
-    eta (comma pair), seed, methods (comma list), variance, lag. A ``#`` at
-    the start of a line or after whitespace starts a comment.
+    eta (comma pair), seed, methods (comma list), variance. A ``#`` at the
+    start of a line or after whitespace starts a comment. This checks keys,
+    numbers and the variance mode; ``DgmSpec``, ``EstimatorConfig`` (at
+    ``spec.lag``) and ``run_monte_carlo`` check the design, arms and run.
     """
     values: dict[str, str] = {}
     try:
@@ -105,41 +105,22 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
                 values[key] = val.strip()
     except OSError as exc:
         raise errors.ConfigParse(f"cannot read config {path}: {exc}") from None
-    required = ("kind", "n", "horizon")
-    for key in required:
+    for key in ("kind", "n", "horizon"):
         if key not in values:
             raise errors.ConfigParse(f"config is missing required key {key!r}")
-    design_lag = 2 if values["kind"] == "lagged_eq12" else 1
     try:
-        beta0_raw = values.get("beta0", "-0.1")
-        beta0 = tuple(float(v) for v in beta0_raw.split(",")) \
-            if "," in beta0_raw else float(beta0_raw)
-        eta_raw = values.get("eta", "-0.8,0.8")
-        eta = tuple(float(v) for v in eta_raw.split(","))
+        beta0 = tuple(float(v) for v in values.get("beta0", "-0.1").split(","))
         spec = DgmSpec(
-            kind=values["kind"],
-            n=int(values["n"]),
-            horizon=int(values["horizon"]),
-            beta0=beta0,
+            kind=values["kind"], n=int(values["n"]), horizon=int(values["horizon"]),
+            beta0=beta0[0] if len(beta0) == 1 else beta0,
             beta1=float(values.get("beta1", "0.0")),
-            eta=eta,
-            seed=int(values["seed"]) if seed_override is None and "seed" in values
-            else (seed_override if seed_override is not None else 0),
+            eta=tuple(float(v) for v in values.get("eta", "-0.8,0.8").split(",")),
+            seed=seed_override if seed_override is not None else int(values.get("seed", "0")),
         )
-        lag = int(values.get("lag", str(design_lag)))
     except (ValueError, TypeError) as exc:
         raise errors.ConfigParse(f"bad config value: {exc}") from None
-    if lag != design_lag:
-        raise errors.ConfigParse(f"lag {lag} does not match the {spec.kind} "
-                                 f"design's lag {design_lag}")
     methods = _csv_list(values.get("methods", "")) or _DEFAULT_METHODS.get(
         spec.kind, ("wcls", "a2wcls"))
-    for m in methods:
-        if m not in METHODS:
-            raise errors.ConfigParse(f"unknown method {m!r} in methods")
-        if m in PER_TIME:
-            raise errors.ConfigParse(
-                "per-time methods need a decision index; use the fit verb")
     variance = values.get("variance", "plain_sandwich")
     if variance not in VARIANCE_MODES:
         raise errors.ConfigParse(f"unknown variance mode {variance!r}")
@@ -148,7 +129,7 @@ def _parse_dgm_config(path, seed_override=None) -> tuple[DgmSpec, list[McArm]]:
     for m in methods:
         try:
             arms.append(McArm(m, EstimatorConfig(
-                method=m, lag=lag,
+                method=m, lag=spec.lag,
                 variance_mode=variance if m in ADJUSTED else "plain_sandwich")))
         except errors.DimensionMismatch as exc:
             raise errors.ConfigParse(f"method {m!r} does not fit the {spec.kind} "
@@ -207,15 +188,11 @@ def cmd_replicate(args) -> int:
 def cmd_gaps(args) -> int:
     alpha1 = np.array([float(v) for v in _csv_list(args.alpha1)])
     beta1 = np.array([float(v) for v in _csv_list(args.beta1)])
-    sigma_vals = [float(v) for v in _csv_list(args.sigma)]
+    sigma = np.array([float(v) for v in _csv_list(args.sigma)])
     d = alpha1.shape[0]
-    if len(sigma_vals) == 1 and d == 1:
-        sigma = np.array([[sigma_vals[0]]])
-    elif len(sigma_vals) == d * d:
-        sigma = np.array(sigma_vals).reshape(d, d)
-    else:
+    if sigma.size != d * d:
         raise ValueError(f"--sigma needs 1 or {d * d} comma-separated values")
-    gaps = closed_form_gaps(args.p, alpha1, beta1, sigma)
+    gaps = closed_form_gaps(args.p, alpha1, beta1, sigma.reshape(d, d))
     print(f"controls-vs-unadjusted meat gap: {gaps['gap_wcls_vs_u']:+.6f} "
           f"({'adjustment helps' if gaps['gap_wcls_vs_u'] < 0 else 'adjustment hurts or neutral'})")
     print(f"interacted-vs-unadjusted variance gain: {gaps['gap_lin_vs_u']:+.6f} (gain)")

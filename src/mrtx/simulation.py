@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import MrtDataset, Schema, from_columns
 from .errors import ConfigParse, MrtxError, ZeroVariance
-from .estimators import EstimatorConfig, fit as run_fit
+from .estimators import PER_TIME, EstimatorConfig, fit as run_fit
 
 KINDS = ("lagged_eq12", "proximal_j2", "timevarying_j3",
          "nonmoderator_robust", "centerbias_j1", "binary_demo")
@@ -43,6 +43,11 @@ _J3_RHO = 0.8
 
 def expit(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    # bool is a number subclass, and a string would reach the draws
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,27 +70,34 @@ class DgmSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigParse(f"unknown DGM kind {self.kind!r}")
-        # bool is an int subclass, and a float or string would reach the draws
         for name, low in (("n", 1), ("horizon", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < low:
+            if not _is_number(value, numbers.Integral) or value < low:
                 raise ConfigParse(
                     ("n and horizon must be >= 1" if low else "seed must be >= 0")
                     + f" and integral, got {name}={value!r}")
-        if not (isinstance(self.eta, (list, tuple)) and len(self.eta) == 2):
-            raise ConfigParse(f"eta must be a pair, got {self.eta!r}")
+        if not _is_number(self.beta1):
+            raise ConfigParse(f"beta1 must be a real number, got beta1={self.beta1!r}")
+        if not (isinstance(self.eta, (list, tuple)) and len(self.eta) == 2
+                and all(_is_number(e) for e in self.eta)):
+            raise ConfigParse(f"eta must be a pair of real numbers, got eta={self.eta!r}")
         if self.kind in ("nonmoderator_robust", "binary_demo") and self.beta1 != 0.0:
             raise ConfigParse(f"{self.kind} does not read beta1, got beta1={self.beta1!r}")
         if self.kind == "centerbias_j1" and tuple(self.eta) != (-0.8, 0.8):
             raise ConfigParse(f"centerbias_j1 draws with its own eta, got eta={self.eta!r}")
         # only the time-varying kind's effect is linear in t
         pair = self.kind == "timevarying_j3"
-        if pair and isinstance(self.beta0, (list, tuple)) and len(self.beta0) == 2:
+        if pair and isinstance(self.beta0, (list, tuple)) and len(self.beta0) == 2 \
+                and all(_is_number(b) for b in self.beta0):
             object.__setattr__(self, "beta0", tuple(float(b) for b in self.beta0))
-        elif not isinstance(self.beta0, numbers.Real):
+        elif not _is_number(self.beta0):
             raise ConfigParse(f"beta0 for {self.kind} must be a scalar"
                               f"{' or a pair' if pair else ''}, got {self.beta0!r}")
+
+    @property
+    def lag(self) -> int:
+        """Lag of the effect the design targets: 2 for ``lagged_eq12``, else 1."""
+        return 2 if self.kind == "lagged_eq12" else 1
 
 
 def _rng_for(spec: DgmSpec, replicate: int | None = None) -> np.random.Generator:
@@ -169,7 +181,7 @@ def _build_lagged(spec: DgmSpec, rng, noise_scale):
     z_next = np.zeros((n, T))
     z_next[:, :T - 1] = Z[:, 1:]
     cols = _panel_columns(n, T, a=A, p=P, y=y_raw, z=Z, a_next=a_next, z_next=z_next)
-    return from_columns(cols, Schema(aux=("z",)), lag=2)
+    return from_columns(cols, Schema(aux=("z",)), lag=spec.lag)
 
 
 def _build_proximal(spec: DgmSpec, rng, noise_scale):
@@ -277,8 +289,7 @@ _BUILDERS = {
 def gen_panel(spec: DgmSpec, rng: np.random.Generator | None = None,
               noise_scale: float = 1.0) -> MrtDataset:
     """Generate one panel for ``spec`` (``noise_scale=0`` is a test hook)."""
-    rng = rng if rng is not None else _rng_for(spec)
-    return _BUILDERS[spec.kind](spec, rng, noise_scale)
+    return _BUILDERS[spec.kind](spec, _rng_for(spec) if rng is None else rng, noise_scale)
 
 
 def true_beta0(spec: DgmSpec) -> np.ndarray:
@@ -386,7 +397,7 @@ def _fit_one(spec: DgmSpec, rep: int, arms: list[McArm], truth: np.ndarray) -> l
     else ``(beta0, se, diag(vcov_beta0), covered)``. Only these summaries
     leave, so no fit's model matrix outlives its replicate.
     """
-    base = _BUILDERS[spec.kind](spec, _rng_for(spec, rep), 1.0)
+    base = gen_panel(spec, _rng_for(spec, rep))
     out = []
     for arm in arms:
         try:
@@ -405,14 +416,26 @@ def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
     """Replicate the design, fit every arm, and aggregate the comparison.
 
     ``arms`` is a list of :class:`McArm`; the first entry is the baseline
-    for the relative-efficiency metrics.
-    Per-replicate failures are counted and excluded pairwise, never silently
-    dropped.
+    for the relative-efficiency metrics. Before the first replicate, the run
+    is refused with :class:`ConfigParse` unless ``replicates`` and ``workers``
+    are integers >= 1 and there are arms, each a pooled method at ``spec.lag``
+    under its own label. Per-replicate failures are counted and excluded
+    pairwise, never silently dropped.
     """
-    if replicates < 1:
-        raise ConfigParse("replicates must be >= 1")
-    if workers < 1:
-        raise ConfigParse("workers must be >= 1")
+    for name, value in (("replicates", replicates), ("workers", workers)):
+        if not _is_number(value, numbers.Integral) or value < 1:
+            raise ConfigParse(f"{name} must be >= 1 and integral, got {name}={value!r}")
+    if not arms:
+        raise ConfigParse("a Monte Carlo run needs at least one arm")
+    labels = [arm.label for arm in arms]
+    for arm in arms:
+        if arm.config.method in PER_TIME:
+            raise ConfigParse(f"arm {arm.label!r}: a per-time method needs a decision index")
+        if arm.config.lag != spec.lag:
+            raise ConfigParse(f"arm {arm.label!r}: lag {arm.config.lag} is not the "
+                              f"{spec.kind} design's lag {spec.lag}")
+        if labels.count(arm.label) > 1:
+            raise ConfigParse(f"arm {arm.label!r}: the label is used twice")
     truth = true_beta0(spec)
     q = truth.shape[0]
     shape = (replicates, len(arms), q)
@@ -431,12 +454,11 @@ def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
 
     rows = []
     coef_names = tuple(f"beta0[{i}]" for i in range(q))
-    base_ok = ok[:, 0]
     for m, arm in enumerate(arms):
-        both = base_ok & ok[:, m]
+        both = ok[:, 0] & ok[:, m]
+        if not both.any():
+            raise ZeroVariance(f"no successful replicates for {arm.label}")
         for c in range(q):
-            if both.sum() == 0:
-                raise ZeroVariance(f"no successful replicates for {arm.label}")
             metrics = compute_metrics(
                 est[both, m, c], se[both, m, c], var[both, m, c],
                 cov[both, m, c], est[both, 0, c], var[both, 0, c],
@@ -445,6 +467,6 @@ def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
                             "n_failed": int((~ok[:, m]).sum()),
                             "n_used": int(both.sum())})
             rows.append(metrics)
-    return McReport(spec=spec, labels=tuple(a.label for a in arms),
+    return McReport(spec=spec, labels=tuple(labels),
                     coef_names=coef_names, truth=truth, replicates=replicates,
                     rows=rows, est=est, se=se, varhat=var, cover=cov, ok=ok)

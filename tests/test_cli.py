@@ -140,34 +140,37 @@ def test_simulate_missing_config_is_config_parse(tmp_path, capsys):
 
 
 def test_simulate_bad_lag_is_config_parse(tmp_path, capsys):
+    # every arm takes the design's lag, so a lag line is not a config key
     cfg = tmp_path / "dgm.cfg"
     write_config(cfg, kind="lagged_eq12", n=10, horizon=6, lag="two")
     code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
     assert code == 28               # ConfigParse
-    assert "error[ConfigParse]" in capsys.readouterr().err
+    assert f"error[ConfigParse]: {cfg}:5: unknown key 'lag'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("methods", "bogus", "unknown method 'bogus'"),
+    ("methods", "bogus",
+     "method 'bogus' does not fit the proximal_j2 design: unknown method 'bogus'"),
     ("variance", "bogus", "unknown variance mode 'bogus'"),
-    ("lag", "2", "lag 2 does not match the proximal_j2 design's lag 1"),
+    ("lag", "1", "{cfg}:5: unknown key 'lag'"),
     ("methods", "wcls,wcls_per_time",
-     "per-time methods need a decision index; use the fit verb"),
-], ids=["methods", "variance", "lag", "per_time_method"])
+     "arm 'wcls_per_time': a per-time method needs a decision index"),
+    ("methods", "wcls,a2wcls,wcls", "arm 'wcls': the label is used twice"),
+], ids=["methods", "variance", "lag", "per_time_method", "repeated_method"])
 def test_simulate_bad_arm_settings_are_config_parse(tmp_path, capsys, key, value,
                                                     message):
     cfg = tmp_path / "dgm.cfg"
     write_config(cfg, kind="proximal_j2", n=10, horizon=6, **{key: value})
     code = main(["simulate", "--config", str(cfg), "--replicates", "2"])
     assert code == 28               # ConfigParse
-    assert f"error[ConfigParse]: {message}" in capsys.readouterr().err
+    assert f"error[ConfigParse]: {message.format(cfg=cfg)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, key, value, message", [
     ("lagged_eq12", "beta0", "-0.1,0.2", "beta0 for lagged_eq12 must be a scalar, got"),
     ("timevarying_j3", "beta0", "-0.2,0.02,0.1",
      "beta0 for timevarying_j3 must be a scalar or a pair, got"),
-    ("proximal_j2", "eta", "0.1", "eta must be a pair, got (0.1,)"),
+    ("proximal_j2", "eta", "0.1", "eta must be a pair of real numbers, got eta=(0.1,)"),
     ("binary_demo", "beta1", "0.9", "binary_demo does not read beta1, got beta1=0.9"),
 ], ids=["lagged_beta0_pair", "timevarying_beta0_triple", "eta_scalar", "unread_beta1"])
 def test_simulate_bad_parameter_shape_is_config_parse(tmp_path, capsys, kind, key, value,
@@ -248,6 +251,9 @@ def test_simulate_readme_config_example(tmp_path, capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     assert "  # " in block          # the example keeps its inline comments
+    keys = {line.partition("=")[0].strip() for line in block.splitlines()
+            if "=" in line and not line.startswith("#")}
+    assert keys == set(cli._CONFIG_KEYS)     # every key, and no lag: arms take spec.lag
     cfg = tmp_path / "dgm.cfg"
     cfg.write_text(block)
     code = main(["simulate", "--config", str(cfg), "--replicates", "1"])

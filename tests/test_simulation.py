@@ -151,6 +151,27 @@ def test_spec_refuses_a_setting_its_kind_never_reads(kind, field, value):
         DgmSpec(kind=kind, n=5, horizon=5, **{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("beta1", "0.5", "beta1 must be a real number, got beta1='0.5'"),
+    ("beta1", None, "beta1 must be a real number, got beta1=None"),
+    ("beta1", True, "beta1 must be a real number, got beta1=True"),
+    ("eta", ("a", "b"), "eta must be a pair of real numbers, got eta=('a', 'b')"),
+    ("eta", (False, 0.8), "eta must be a pair of real numbers, got eta=(False, 0.8)"),
+    ("beta0", True, "beta0 for timevarying_j3 must be a scalar or a pair, got True"),
+    ("beta0", ("a", 0.1), "beta0 for timevarying_j3 must be a scalar or a pair, got ('a', 0.1)"),
+])
+def test_spec_parameters_must_be_real(field, value, message):
+    # a string, None or bool would reach the draws, or fail there untyped
+    with pytest.raises(errors.ConfigParse, match=re.escape(message)):
+        DgmSpec(kind="timevarying_j3", n=5, horizon=5, **{field: value})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spec_lag_is_the_generated_panel_lag(kind):
+    spec = DgmSpec(kind=kind, n=4, horizon=4)
+    assert spec.lag == gen_panel(spec).lag == (2 if kind == "lagged_eq12" else 1)
+
+
 def test_spec_accepts_numpy_integers():
     spec = DgmSpec(kind="lagged_eq12", n=np.int64(5), horizon=np.int32(4), seed=np.uint8(0))
     assert gen_panel(spec).n_subjects == 5
@@ -194,6 +215,44 @@ def test_zero_replicates_rejected():
     spec = DgmSpec(kind="nonmoderator_robust", n=20, horizon=5, beta0=-0.2, seed=1)
     with pytest.raises(errors.ConfigParse, match="replicates must be >= 1"):
         run_monte_carlo(spec, [McArm("wcls", EstimatorConfig(method="wcls"))], 0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("replicates", 2.5), ("replicates", "3"), ("replicates", True),
+    ("workers", 1.5), ("workers", "2"), ("workers", True),
+])
+def test_replicates_and_workers_must_be_integral(name, value):
+    spec = DgmSpec(kind="nonmoderator_robust", n=20, horizon=5, beta0=-0.2, seed=1)
+    kwargs = {"replicates": 2, "workers": 1, name: value}
+    with pytest.raises(errors.ConfigParse,
+                       match=re.escape(f"{name} must be >= 1 and integral, got {name}={value!r}")):
+        run_monte_carlo(spec, [McArm("wcls", EstimatorConfig(method="wcls"))], **kwargs)
+
+
+@pytest.mark.parametrize("kind, arms, message", [
+    ("proximal_j2", [McArm("wcls", EstimatorConfig(method="wcls")),
+                     McArm("pt", EstimatorConfig(method="wcls_per_time"))],
+     "arm 'pt': a per-time method needs a decision index"),
+    ("lagged_eq12", [McArm("wcls", EstimatorConfig(method="wcls"))],
+     "arm 'wcls': lag 1 is not the lagged_eq12 design's lag 2"),
+    ("proximal_j2", [McArm("wcls", EstimatorConfig(method="wcls", lag=2))],
+     "arm 'wcls': lag 2 is not the proximal_j2 design's lag 1"),
+    ("proximal_j2", [McArm("w", EstimatorConfig(method="wcls")),
+                     McArm("w", EstimatorConfig(method="a2wcls"))],
+     "arm 'w': the label is used twice"),
+    ("proximal_j2", [], "a Monte Carlo run needs at least one arm"),
+], ids=["per_time", "lagged_design_lag1_arm", "proximal_design_lag2_arm",
+        "repeated_label", "no_arms"])
+def test_run_refused_before_any_replicate(monkeypatch, kind, arms, message):
+    import mrtx.simulation as sim
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(sim, "_fit_one", no_replicates)
+    spec = DgmSpec(kind=kind, n=20, horizon=5, seed=1)
+    with pytest.raises(errors.ConfigParse, match=re.escape(message)):
+        run_monte_carlo(spec, arms, 3)
 
 
 def test_schema_arm_fits_the_reviewed_panel():
