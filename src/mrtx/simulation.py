@@ -16,6 +16,7 @@ depend on scheduling.
 
 from __future__ import annotations
 
+import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -39,6 +40,10 @@ _J1_MAIN = 0.8
 # share of the time-varying design's effect perturbation carried by the
 # observed state deviation
 _J3_RHO = 0.8
+
+# the columns a kind generates after subject_id, t, a, p, y and z
+_EXTRA_COLUMNS = {"lagged_eq12": ("a_next", "z_next"), "proximal_j2": ("prev_ca", "prev_caz"),
+                  "centerbias_j1": ("ptilde",)}
 
 
 def expit(x):
@@ -93,11 +98,21 @@ class DgmSpec:
         elif not _is_number(self.beta0):
             raise ConfigParse(f"beta0 for {self.kind} must be a scalar"
                               f"{' or a pair' if pair else ''}, got {self.beta0!r}")
+        # a non-finite setting would surface only as a bad value in the generated panel
+        for name in ("beta0", "beta1", "eta"):
+            value = getattr(self, name)
+            if not all(math.isfinite(v) for v in np.atleast_1d(value)):
+                raise ConfigParse(f"{name} must be finite, got {name}={value!r}")
 
     @property
     def lag(self) -> int:
         """Lag of the effect the design targets: 2 for ``lagged_eq12``, else 1."""
         return 2 if self.kind == "lagged_eq12" else 1
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """Names of the columns :func:`gen_panel` generates for this kind, in order."""
+        return ("subject_id", "t", "a", "p", "y", "z", *_EXTRA_COLUMNS.get(self.kind, ()))
 
 
 def _rng_for(spec: DgmSpec, replicate: int | None = None) -> np.random.Generator:
@@ -419,8 +434,9 @@ def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
     for the relative-efficiency metrics. Before the first replicate, the run
     is refused with :class:`ConfigParse` unless ``replicates`` and ``workers``
     are integers >= 1 and there are arms, each a pooled method at ``spec.lag``
-    under its own label. Per-replicate failures are counted and excluded
-    pairwise, never silently dropped.
+    under its own label whose schema names only columns in ``spec.columns``.
+    Per-replicate failures are counted and excluded pairwise, never silently
+    dropped.
     """
     for name, value in (("replicates", replicates), ("workers", workers)):
         if not _is_number(value, numbers.Integral) or value < 1:
@@ -436,6 +452,11 @@ def run_monte_carlo(spec: DgmSpec, arms: list[McArm], replicates: int,
                               f"{spec.kind} design's lag {spec.lag}")
         if labels.count(arm.label) > 1:
             raise ConfigParse(f"arm {arm.label!r}: the label is used twice")
+        schema = arm.schema or Schema()
+        for name in (*schema.moderators, *schema.aux, *schema.controls, schema.ptilde):
+            if name is not None and name not in spec.columns:
+                raise ConfigParse(f"arm {arm.label!r}: column {name!r} is not generated "
+                                  f"by the {spec.kind} design")
     truth = true_beta0(spec)
     q = truth.shape[0]
     shape = (replicates, len(arms), q)

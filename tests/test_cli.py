@@ -352,6 +352,32 @@ def test_import_loads_no_scipy(module):
     assert proc.stdout.strip() == "[]"
 
 
+def test_small_sample_fit_runs_without_scipy(tmp_path, capsys):
+    data = tmp_path / "robust.csv"
+    to_csv(gen_panel(DgmSpec(kind="nonmoderator_robust", n=30, horizon=6, seed=4)), data)
+    args = ["fit", "--data", str(data), "--method", "a2wcls", "--aux", "z",
+            "--controls", "z", "--variance", "stacked_small_sample", "--out"]
+    code = ("import sys; sys.modules['scipy'] = None; from mrtx.cli import main; "
+            f"code = main({[*args, str(tmp_path / 'blocked')]!r}); "
+            "print(code, sorted(m for m, mod in sys.modules.items() "
+            "if m.split('.')[0].startswith('scipy') and mod is not None))")
+    env = {**os.environ, "PYTHONPATH": str(Path(mrtx.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert main([*args, str(tmp_path / "inproc")]) == 0
+    capsys.readouterr()
+    rows = []
+    for name in ("blocked", "inproc"):
+        with open(tmp_path / f"{name}.csv") as fh:
+            rows.append(list(csv.DictReader(fh)))
+    assert [r["name"] for r in rows[0]] == [r["name"] for r in rows[1]]
+    for blocked, inproc in zip(*rows):
+        for key in ("estimate", "se", "ci_lo", "ci_hi", "p_value"):
+            assert float(blocked[key]) == pytest.approx(float(inproc[key]), rel=1e-11, abs=0)
+
+
 def test_fit_per_time(lagged_csv, capsys):
     spec = DgmSpec(kind="proximal_j2", n=60, horizon=8, beta0=-0.2,
                    beta1=0.2, seed=3)

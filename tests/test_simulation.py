@@ -166,10 +166,29 @@ def test_spec_parameters_must_be_real(field, value, message):
         DgmSpec(kind="timevarying_j3", n=5, horizon=5, **{field: value})
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("timevarying_j3", "beta0", float("nan")),
+    ("timevarying_j3", "beta0", (0.1, float("inf"))),
+    ("timevarying_j3", "beta1", float("nan")),
+    ("binary_demo", "eta", (float("inf"), 0.8)),
+], ids=["beta0", "beta0_pair", "beta1", "eta"])
+def test_spec_effect_settings_must_be_finite(kind, field, value):
+    # refused at the spec, not later as a bad value in the generated panel
+    with pytest.raises(errors.ConfigParse, match=re.escape(f"{field} must be finite, got "
+                                                           f"{field}={value!r}")):
+        DgmSpec(kind=kind, n=5, horizon=5, **{field: value})
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_spec_lag_is_the_generated_panel_lag(kind):
     spec = DgmSpec(kind=kind, n=4, horizon=4)
     assert spec.lag == gen_panel(spec).lag == (2 if kind == "lagged_eq12" else 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spec_columns_are_the_generated_columns(kind):
+    spec = DgmSpec(kind=kind, n=4, horizon=4)
+    assert spec.columns == tuple(gen_panel(spec).columns)
 
 
 def test_spec_accepts_numpy_integers():
@@ -241,8 +260,15 @@ def test_replicates_and_workers_must_be_integral(name, value):
                      McArm("w", EstimatorConfig(method="a2wcls"))],
      "arm 'w': the label is used twice"),
     ("proximal_j2", [], "a Monte Carlo run needs at least one arm"),
+    ("proximal_j2", [McArm("wcls", EstimatorConfig(method="wcls")),
+                     McArm("x", EstimatorConfig(method="wcls"), schema=Schema(aux=("nope",)))],
+     "arm 'x': column 'nope' is not generated by the proximal_j2 design"),
+    ("nonmoderator_robust", [McArm("w", EstimatorConfig(method="wcls"),
+                                   schema=Schema(aux=("z",), ptilde="ptilde"))],
+     "arm 'w': column 'ptilde' is not generated by the nonmoderator_robust design"),
 ], ids=["per_time", "lagged_design_lag1_arm", "proximal_design_lag2_arm",
-        "repeated_label", "no_arms"])
+        "repeated_label", "no_arms", "schema_aux_not_generated",
+        "schema_ptilde_not_generated"])
 def test_run_refused_before_any_replicate(monkeypatch, kind, arms, message):
     import mrtx.simulation as sim
 

@@ -250,16 +250,61 @@ def test_normal_intervals_match_scipy_ndtr(sign):
 
 
 @pytest.mark.parametrize("df", [1, 3, 50, 1998])
-def test_t_intervals_bit_identical_to_scipy_stdtr(df):
+def test_t_intervals_match_scipy_stdtr(df):
+    # relative only, down to p ~ 1e-257 at df 1998
     est = np.concatenate([-CI_Z[:-1], CI_Z[:-1]])
     se = np.ones_like(est)
     for level in CI_LEVELS:
         lo, hi, p = confidence_intervals(est, se, level, True, df + 2, 2)
         crit = special.stdtrit(df, 0.5 + level / 2.0)
-        np.testing.assert_array_equal(lo, est - crit * se)
-        np.testing.assert_array_equal(hi, est + crit * se)
+        np.testing.assert_allclose((hi - lo) / (2.0 * se), crit, rtol=1e-11)
         p_ref = np.where(est == 0.0, 1.0, 2.0 * special.stdtr(df, -np.abs(est)))
-        np.testing.assert_array_equal(p, p_ref)
+        np.testing.assert_allclose(p, p_ref, rtol=1e-11, atol=0)
+
+
+def _t_crit(level, df):
+    lo, hi, _ = confidence_intervals(np.zeros(1), np.ones(1), level, True, df + 2, 2)
+    return hi[0]
+
+
+def test_t_reference_edge_cases():
+    # z = 0 gives p = 1 and se = 0 gives p = 0, with no numpy warning at z = 0 or +-inf
+    _, _, p = confidence_intervals(np.array([0.0, 0.0, 0.5, -0.5]),
+                                   np.array([0.3, 0.0, 0.0, 0.0]), 0.95, True, 20, 3)
+    assert p.tolist() == [1.0, 1.0, 0.0, 0.0]
+    # df = max(N - dim, 1): N = dim reads df 1
+    lo, hi, _ = confidence_intervals(np.zeros(1), np.ones(1), 0.9, True, 3, 3)
+    assert hi[0] == _t_crit(0.9, 1)
+    # the Cauchy far tail, where Newton needs a start near the root
+    assert _t_crit(0.999999, 1) == pytest.approx(636619.7723, rel=1e-10)
+    for df in (1, 3, 1998):
+        assert _t_crit(0.999999, df) == pytest.approx(special.stdtrit(df, 0.5 + 0.999999 / 2),
+                                                      rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("df", [1, 2])
+def test_t_reference_closed_forms(df):
+    z = np.linspace(0.01, 30.0, 3000)
+    _, _, p = confidence_intervals(z, np.ones_like(z), 0.95, True, df + 2, 2)
+    root = np.sqrt(2.0 + z * z)
+    closed = (2.0 / np.pi * np.arctan(1.0 / z) if df == 1     # 1 - 2 atan(z) / pi
+              else 2.0 / (root * (root + z)))                 # 1 - z / sqrt(2 + z^2)
+    np.testing.assert_allclose(p, closed, rtol=1e-12, atol=0)
+    for level in (1e-6, 0.5, 0.95, 0.999999):
+        q = 0.5 + level / 2.0
+        closed = (1.0 / np.tan(np.pi * (1.0 - q)) if df == 1     # tan(pi (q - 1/2))
+                  else (2.0 * q - 1.0) / np.sqrt(2.0 * q * (1.0 - q)))
+        # near level 0 the quantile is found to an absolute 1e-16, like the tail
+        assert _t_crit(level, df) == pytest.approx(closed, rel=1e-11, abs=1e-15)
+
+
+@pytest.mark.parametrize("df", [3, 4, 5, 7, 10, 30, 100, 1000, 10_000])
+def test_t_quantile_is_the_root_of_the_tail(df):
+    # Newton converges from its start at every level, the extremes included
+    for level in (1e-9, 1e-3, 0.5, 0.8, 0.95, 0.99, 0.999999, 1.0 - 1e-12):
+        crit = _t_crit(level, df)
+        upper = 1.0 - (0.5 + level / 2.0)
+        assert special.stdtr(df, -crit) == pytest.approx(upper, rel=1e-10, abs=0)
 
 
 def test_plain_sandwich_singular_bread():
@@ -441,7 +486,8 @@ def test_leverage_scores_build_no_hat_array():
     assert peak < n * T * T * 8          # one (N, T, T) float64 array is 32 MB
 
 
-@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+# 1 - 2**-53: 0.5 + level / 2 rounds to 1, so the quantile would be infinite
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan"), 1.0 - 2.0 ** -53])
 def test_bad_ci_level_is_dimension_mismatch(level):
     res = fit(build_panel(10, 5, seed=1), EstimatorConfig(method="wcls"))
     with pytest.raises(errors.DimensionMismatch, match="ci_level must lie in"):
