@@ -29,7 +29,6 @@ from .simulation import (
     gen_ar_errors,
     gen_panel,
     run_monte_carlo,
-    true_beta0,
 )
 from .variance import (
     SandwichParts,

@@ -190,9 +190,10 @@ def cmd_gaps(args) -> int:
     beta1 = np.array([float(v) for v in _csv_list(args.beta1)])
     sigma = np.array([float(v) for v in _csv_list(args.sigma)])
     d = alpha1.shape[0]
-    if sigma.size != d * d:
-        raise ValueError(f"--sigma needs 1 or {d * d} comma-separated values")
-    gaps = closed_form_gaps(args.p, alpha1, beta1, sigma.reshape(d, d))
+    if d and sigma.size != d * d:
+        raise ValueError(f"--sigma needs {d * d} value(s), the {d}x{d} matrix row by row, "
+                         f"to match --alpha1; got {sigma.size}")
+    gaps = closed_form_gaps(args.p, alpha1, beta1, sigma.reshape(d, d) if d else sigma)
     print(f"controls-vs-unadjusted meat gap: {gaps['gap_wcls_vs_u']:+.6f} "
           f"({'adjustment helps' if gaps['gap_wcls_vs_u'] < 0 else 'adjustment hurts or neutral'})")
     print(f"interacted-vs-unadjusted variance gain: {gaps['gap_lin_vs_u']:+.6f} (gain)")

@@ -1,9 +1,10 @@
 """Estimators for time-varying treatment effects in sequentially randomized panels.
 
 Every continuous-outcome criterion reduces to one weighted normal-equations
-engine (:func:`wls_solve`); the methods differ only in how the design blocks
-are assembled. Every pooled criterion, binary included, reads its design from
-one builder, :func:`_pooled_design`:
+engine, :func:`mrtx.variance.wls_solve`, which also solves every centering
+projection; the methods differ only in how the design blocks are assembled.
+Every pooled criterion, binary included, reads its design from one builder,
+:func:`_pooled_design`:
 
 * per-decision-point fits (``unadjusted_per_time``, ``wcls_per_time``,
   ``lin_per_time``) regress the proximal outcome on the treatment centered at
@@ -38,14 +39,12 @@ from .centering import (
     _dot,
     _usable_weights,
     fit_centering,
-    weighted_projection,
 )
 from .data import MrtDataset, _as_readonly
 from .errors import (
     DegenerateAuxiliary,
     DimensionMismatch,
     NonConvergence,
-    SingularGram,
     SingularJacobian,
 )
 from .variance import (
@@ -56,6 +55,7 @@ from .variance import (
     plain_sandwich,
     stacked_sandwich,
     stacked_small_sample,
+    wls_solve,
 )
 
 # the method rules: per-time fits need a decision index, proximal methods
@@ -72,12 +72,6 @@ _BINARY = ("emee", "a2emee")
 # stop below _TOL (max-abs equation norm, max-abs change between passes)
 _MAX_ITER = 100
 _TOL = 1e-10
-
-# rows per block of wls_solve's weighted sums: at k = 5 columns a block is
-# 320 KB. On the 49 500-row lagged_eq12 design (2 vCPUs, one BLAS thread)
-# 4096- to 16384-row blocks ran fastest, and one full-size weighted copy of
-# the design about 2.7x slower
-_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -249,28 +243,6 @@ def _block(name: str) -> str:
     """The coefficient block a parameter name's prefix states."""
     head = name.partition(":")[0]
     return head if head in ("beta0", "beta1") else "alpha"
-
-
-def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
-              n_units: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ``sum w (y - X b)^2``; returns coefficients and the averaged Gram.
-
-    The bread is ``(1/n_units) X' W X``, the per-unit averaged derivative of
-    the estimating function. ``X`` may be row- or column-major; column-major
-    makes the weighting run along contiguous columns. The sums run over blocks
-    of ``_BLOCK_ROWS`` rows, so the weighted block is a cache-sized buffer
-    rather than a fresh copy of the design.
-    """
-    gram, rhs = np.zeros((X.shape[1], X.shape[1])), np.zeros(X.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):   # checked_solve rejects an overflow
-        for lo in range(0, len(w), _BLOCK_ROWS):
-            block = X[lo: lo + _BLOCK_ROWS]
-            Xw = block * w[lo: lo + _BLOCK_ROWS, None]
-            gram += Xw.T @ block
-            rhs += Xw.T @ y[lo: lo + _BLOCK_ROWS]
-        gram /= n_units
-        rhs /= n_units
-    return checked_solve(gram, rhs, SingularGram, "weighted Gram"), gram
 
 
 def _vcov(parts, mode):
@@ -458,6 +430,9 @@ def closed_form_gaps(p: float, alpha1, beta1, sigma_g) -> dict[str, float]:
         raise ValueError(f"p must lie in (0,1), got {p}")
     alpha1 = np.atleast_1d(np.asarray(alpha1, dtype=float))
     beta1 = np.atleast_1d(np.asarray(beta1, dtype=float))
+    for name, coef in (("alpha1", alpha1), ("beta1", beta1)):
+        if coef.size == 0:
+            raise ValueError(f"{name} is empty: it needs one entry per control")
     sigma = np.atleast_2d(np.asarray(sigma_g, dtype=float))
     if sigma.shape[0] != sigma.shape[1] or sigma.shape[0] != alpha1.shape[0] \
             or beta1.shape[0] != alpha1.shape[0]:
@@ -593,8 +568,7 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     trace: list[float] = []
     state = None
     for outer in range(1, _MAX_ITER + 1):
-        theta, _ = weighted_projection(f_use, z_use, weights, ds.n_subjects,
-                                       SingularGram, "binary centering system")
+        theta, _ = wls_solve(f_use, z_use, weights, ds.n_subjects)
         system = solved = None                 # free the last system before the next
         system = _emee_system(ds, CenteringModel(theta))
         solved = _newton(system[0], params)

@@ -124,6 +124,7 @@ def test_criterion_07_lemma_oracles():
 
     n, reps = 100_000, 200
     rows = []
+    values = {}
     ok_all = True
     for p, beta1 in ((0.3, 1.0), (0.5, 1.0), (0.7, 1.0), (0.7, 2.0)):
         rng = np.random.default_rng(SEED + int(p * 100) + int(beta1))
@@ -151,6 +152,8 @@ def test_criterion_07_lemma_oracles():
             ok_all &= good
             rows.append(f"  p={p} b1={beta1} {label}: mc={diff:+.3f} "
                         f"pred={predicted:+.3f} se={se:.3f} {'ok' if good else 'BAD'}")
+            values[f"p={p} b1={beta1} {label} gap"] = diff
+            values[f"p={p} b1={beta1} {label} se"] = se
             return diff, se
 
         check(dev[:, 1] - dev[:, 0], gaps["gap_wcls_vs_u"] / pq2, "wcls-u")
@@ -163,8 +166,10 @@ def test_criterion_07_lemma_oracles():
             hurt = dev[:, 1] - dev[:, 0]
             ok_all &= hurt.mean() > 3 * hurt.std(ddof=1) / np.sqrt(reps)
     print("\n".join(rows))
-    report_criterion(7, "closed-form gap oracles", ok_all)
-    assert ok_all
+    recorded = matches_record("lemma oracles", values)
+    report_criterion(7, "closed-form gap oracles", ok_all and recorded,
+                     f"matches record={recorded}")
+    assert ok_all and recorded
 
 
 def test_criterion_08_post_treatment_bias():

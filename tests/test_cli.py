@@ -296,8 +296,24 @@ def test_gaps_sigma_matrix(capsys):
     code = main(["gaps", "--p", "0.5", "--alpha1", "1,0", "--beta1", "0,0",
                  "--sigma", "2,0,1"])
     assert code == 2
-    assert ("error[domain]: --sigma needs 1 or 4 comma-separated values"
-            in capsys.readouterr().err)
+    assert ("error[domain]: --sigma needs 4 value(s), the 2x2 matrix row by row, "
+            "to match --alpha1; got 3" in capsys.readouterr().err)
+    # one value is not accepted either: the message names the one count that is
+    code = main(["gaps", "--p", "0.5", "--alpha1", "1,0", "--beta1", "0,0",
+                 "--sigma", "1"])
+    assert code == 2
+    assert "--sigma needs 4 value(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("empty", ["alpha1", "beta1"])
+def test_gaps_empty_coefficients_refused(capsys, empty):
+    values = {"alpha1": "1", "beta1": "0", "sigma": "1", empty: ""}
+    if empty == "alpha1":
+        values.update(beta1="", sigma="")
+    code = main(["gaps", "--p", "0.5", *(f"--{k}={v}" for k, v in values.items())])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error[domain]: {empty} is empty: "
+                                       "it needs one entry per control\n")
 
 
 def test_gaps_domain_error(capsys):

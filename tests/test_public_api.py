@@ -17,7 +17,7 @@ PUBLIC = {
     "stacked_sandwich",
     # simulation and replication
     "DgmSpec", "McArm", "McReport", "compute_metrics", "gen_ar_errors", "gen_panel",
-    "run_monte_carlo", "true_beta0", "run_table",
+    "run_monte_carlo", "run_table",
 }
 
 

@@ -16,7 +16,6 @@ from mrtx.simulation import (
     gen_ar_errors,
     gen_panel,
     run_monte_carlo,
-    true_beta0,
     _rng_for,
 )
 
@@ -362,11 +361,15 @@ def test_arm_failing_every_replicate_is_zero_variance():
 
 
 def test_true_beta0_shapes():
-    assert true_beta0(DgmSpec(kind="lagged_eq12", n=1, horizon=2,
-                              beta0=-0.1)).tolist() == [-0.1]
-    np.testing.assert_array_equal(
-        true_beta0(DgmSpec(kind="timevarying_j3", n=1, horizon=2,
-                           beta0=(-0.2, 0.02))), [-0.2, 0.02])
+    # the run's truth is the design's beta0, one entry per moderator feature
+    rep = run_monte_carlo(DgmSpec(kind="lagged_eq12", n=20, horizon=4, beta0=-0.1),
+                          [McArm("wcls", EstimatorConfig(method="wcls", lag=2))], 1)
+    assert rep.truth.tolist() == [-0.1]
+    rep = run_monte_carlo(DgmSpec(kind="timevarying_j3", n=20, horizon=4,
+                                  beta0=(-0.2, 0.02)),
+                          [McArm("wcls", EstimatorConfig(method="wcls"))], 1)
+    np.testing.assert_array_equal(rep.truth, [-0.2, 0.02])
+    assert rep.coef_names == ("beta0[0]", "beta0[1]")
 
 
 def test_report_text_and_csv_rows():

@@ -18,11 +18,11 @@ from mrtx.simulation import DgmSpec, gen_panel, _rng_for
 from mrtx.variance import (
     SandwichParts,
     confidence_intervals,
-    leverage_adjusted_scores,
     plain_sandwich,
     score_meat,
     stacked_sandwich,
     stacked_small_sample,
+    _leverage,
 )
 
 from conftest import build_panel, panel_from_arrays
@@ -194,7 +194,7 @@ def test_single_subject_guarded():
     ds = build_panel(1, 4, seed=5)
     res = fit(ds, EstimatorConfig(method="wcls"))
     with pytest.raises(errors.MrtxError):
-        score_meat(leverage_adjusted_scores(res.parts))
+        score_meat(_leverage(res.parts)[1])
 
 
 def test_confidence_interval_quantile_oracle():
@@ -249,17 +249,21 @@ def test_normal_intervals_match_scipy_ndtr(sign):
         np.testing.assert_allclose(p, p_ref, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("df", [1, 3, 50, 1998])
+@pytest.mark.parametrize("df", [1, 3, 50, 1998, 5000, 100_000, 1_000_000])
 def test_t_intervals_match_scipy_stdtr(df):
-    # relative only, down to p ~ 1e-257 at df 1998
+    # relative only, down to p ~ 1e-257 at df 1998; from df 10^5 on the far tail
+    # leaves float64's normal range, where scipy's reference flushes to zero
     est = np.concatenate([-CI_Z[:-1], CI_Z[:-1]])
     se = np.ones_like(est)
+    tiny = np.finfo(float).tiny
     for level in CI_LEVELS:
         lo, hi, p = confidence_intervals(est, se, level, True, df + 2, 2)
         crit = special.stdtrit(df, 0.5 + level / 2.0)
         np.testing.assert_allclose((hi - lo) / (2.0 * se), crit, rtol=1e-11)
         p_ref = np.where(est == 0.0, 1.0, 2.0 * special.stdtr(df, -np.abs(est)))
-        np.testing.assert_allclose(p, p_ref, rtol=1e-11, atol=0)
+        normal = p_ref >= tiny
+        np.testing.assert_allclose(p[normal], p_ref[normal], rtol=1e-11, atol=0)
+        assert (p[~normal] < tiny).all()
 
 
 def _t_crit(level, df):
@@ -457,7 +461,7 @@ _SMALL_SAMPLE_FITS = {
 def test_leverage_scores_match_dense_oracle(name):
     ds, res = _SMALL_SAMPLE_FITS[name]()
     expected = dense_leverage_oracle(ds, res.parts, res.estimates)
-    got = leverage_adjusted_scores(res.parts)
+    got = _leverage(res.parts)[1]
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
     scores = expected
@@ -479,7 +483,7 @@ def test_leverage_scores_build_no_hat_array():
                           subject_scores=scores, model_matrix=d, weights=w)
     tracemalloc.start()
     try:
-        leverage_adjusted_scores(parts)
+        _leverage(parts)[1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrtx import errors, estimators
+from mrtx import errors, variance
 from mrtx.data import Schema
 from mrtx.estimators import EstimatorConfig, closed_form_gaps, fit, wls_solve
 
@@ -214,7 +214,7 @@ def test_row_and_column_major_designs_agree():
     # wls_solve reads X in either memory order, and its blocked sums, over two
     # full blocks and a ragged one, match the one-pass normal equations
     rng = np.random.default_rng(4)
-    n = 2 * estimators._BLOCK_ROWS + 123
+    n = 2 * variance._BLOCK_ROWS + 123
     X = rng.standard_normal((n, 5))
     y = rng.standard_normal(n)
     w = rng.uniform(0.5, 2.0, n)
@@ -227,3 +227,19 @@ def test_row_and_column_major_designs_agree():
     np.testing.assert_allclose(gram_c, Xw.T @ X / 50, rtol=1e-12, atol=0)
     np.testing.assert_allclose(beta_c, np.linalg.solve(Xw.T @ X, Xw.T @ y),
                                rtol=1e-12, atol=0)
+
+
+def test_matrix_right_hand_side_matches_column_solves():
+    # one right-hand side per column, over two full blocks and a ragged one,
+    # solves as each column does alone: the centering projections rely on it
+    rng = np.random.default_rng(5)
+    n = 2 * variance._BLOCK_ROWS + 77
+    X = rng.standard_normal((n, 3))
+    Y = rng.standard_normal((n, 4))
+    w = rng.uniform(0.5, 2.0, n)
+    theta, gram = wls_solve(X, Y, w, 40)
+    assert theta.shape == (3, 4)
+    for j in range(Y.shape[1]):
+        beta_j, gram_j = wls_solve(X, Y[:, j], w, 40)
+        np.testing.assert_allclose(theta[:, j], beta_j, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(gram, gram_j)
