@@ -55,7 +55,10 @@ class CenteringModel:
 
 
 def _usable_weights(ds: MrtDataset) -> np.ndarray:
-    return ds.usable(ds.p_tilde * (1.0 - ds.p_tilde))
+    """``p_tilde (1 - p_tilde)`` per subject and usable row, a broadcast if ``p_tilde`` is."""
+    pt = ds.usable_block(ds.p_tilde)
+    one = pt if any(pt.strides) else pt[:1, :1]
+    return np.broadcast_to(one * (1.0 - one), pt.shape)
 
 
 def _dot(M: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -78,24 +81,24 @@ def fit_centering(ds: MrtDataset, kind: str = "orthogonal") -> CenteringModel:
     """
     if ds.p_z < 1:
         raise DimensionMismatch("dataset declares no auxiliary columns")
-    f, z = ds.usable(ds.f), ds.usable(ds.z)
+    f, z = ds.usable_block(ds.f), ds.usable_block(ds.z)     # views, read in blocks
     if kind == "orthogonal":
         w = _usable_weights(ds)
         theta, gram = wls_solve(f, z, w, ds.n_subjects)
         # each subject's normal-equation residual U_j, laid out (q, N, p_z) so that
         # one solve takes every subject's right-hand side; wls_solve has already
         # checked the Gram
-        u = np.einsum("ntk,nt,nti->kni", ds.per_subject(f), ds.per_subject(w),
-                      ds.per_subject(z - _dot(f, theta)))
+        resid = _dot(f, theta)
+        u = np.einsum("ntk,nt,nti->kni", f, w, np.subtract(z, resid, out=resid))
         influence = np.linalg.solve(gram, u.reshape(ds.q, -1)).reshape(u.shape)
         return CenteringModel(theta, influence.transpose(1, 0, 2))
     if kind == "global_mean":
-        mu = np.tile(z.mean(axis=0), (len(z), 1))
+        mu = np.broadcast_to(z.mean(axis=(0, 1)), z.shape)
     elif kind == "time_specific_mean":
-        mu = np.tile(ds.per_subject(z).mean(axis=0), (ds.n_subjects, 1))
+        mu = np.broadcast_to(z.mean(axis=0), z.shape)
     else:
         raise DimensionMismatch(f"unknown centering kind {kind!r}")
-    theta, _ = wls_solve(f, mu, np.ones(len(mu)), 1)
+    theta, _ = wls_solve(f, mu, np.ones(z.shape[:2]), 1)
     if not np.allclose(_dot(f, theta), mu, atol=1e-8):
         raise DimensionMismatch(
             f"{kind}: requested centering is not representable in the moderator span")
@@ -113,6 +116,6 @@ def orthogonality_residual(ds: MrtDataset, mu_rows: np.ndarray) -> float:
             f"mu has shape {mu_rows.shape}, auxiliary block has {ds.z.shape}")
     # F' diag(w) Z by einsum: with one column on each side, F' Z through @ is a
     # BLAS ddot, which OpenBLAS splits across idly spinning threads above 10 000 rows
-    mat = np.einsum("ri,r,rk->ik", ds.usable(ds.f), _usable_weights(ds),
-                    ds.usable(ds.z - mu_rows)) / ds.n_subjects
+    mat = np.einsum("nti,nt,ntk->ik", ds.usable_block(ds.f), _usable_weights(ds),
+                    ds.usable_block(ds.z - mu_rows)) / ds.n_subjects
     return float(np.abs(mat).max()) if mat.size else 0.0

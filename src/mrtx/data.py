@@ -108,9 +108,10 @@ class MrtDataset:
     ``y`` the proximal series, so ``from_columns(ds.columns, ds.schema,
     lag=ds.lag)`` rebuilds the panel; ``subject_ids``, ``t``, ``a``, ``p``
     and ``y_raw`` are read-only views of them, ``t`` and ``a`` as float. The
-    design roles ``f``, ``z``, ``g`` and ``p_tilde`` are read from ``columns``
-    through ``schema``; they, the aligned outcome ``y`` and the design blocks
-    ``centered_a`` and ``weight_w`` are cached on first read.
+    design roles ``f``, ``z``, ``g`` and ``p_tilde`` are read-only, read from
+    ``columns`` through ``schema``: a moderator-free ``f``, a control-free ``g``
+    and the pooled ``p_tilde`` are broadcasts of one value, not full arrays. They,
+    the aligned ``y``, ``centered_a`` and ``weight_w`` are cached on first read.
     """
 
     columns: Mapping[str, np.ndarray] = field(repr=False)   # as supplied, validated
@@ -142,8 +143,8 @@ class MrtDataset:
     @cached_property
     def p_tilde(self) -> np.ndarray:
         """The ``ptilde`` column, or else the pooled treatment frequency, constant in t."""
-        if self.schema.ptilde is None:
-            return _as_readonly(np.full(self.n_rows, float(np.mean(self.a))))
+        if self.schema.ptilde is None:       # a read-only broadcast of one value
+            return np.broadcast_to(np.mean(self.a), (self.n_rows,))
         return _column_matrix(self.columns, (self.schema.ptilde,), False)[:, 0]
 
     @property
@@ -164,9 +165,10 @@ class MrtDataset:
     @cached_property
     def weight_w(self) -> np.ndarray:
         """Likelihood-ratio weight ``p_tilde(a|s) / p(a|h)`` at the observed arm."""
-        num = np.where(self.a == 1.0, self.p_tilde, 1.0 - self.p_tilde)
-        den = np.where(self.a == 1.0, self.p, 1.0 - self.p)
-        return _as_readonly(num / den)
+        b = 1.0 - self.a        # a is 0 or 1: a x + b y is exactly x or y, cheaper than np.where
+        num = self.a * self.p_tilde + b * (1.0 - self.p_tilde)
+        num /= self.a * self.p + b * (1.0 - self.p)
+        return _as_readonly(num)
 
     def per_subject(self, arr: np.ndarray) -> np.ndarray:
         """Reshape an array over every row, or over the usable rows, to
@@ -199,12 +201,14 @@ class MrtDataset:
 
 def _column_matrix(columns: Mapping[str, np.ndarray], names: tuple[str, ...],
                    intercept: bool) -> np.ndarray:
-    """The named columns side by side, read-only, after a leading 1s column if ``intercept``."""
+    """The named columns side by side, read-only, after a leading 1s column if ``intercept``;
+    one column is a view of it, and the intercept alone a broadcast of 1."""
     for name in names:
         if name not in columns:
             raise MissingColumn(f"column {name!r} not found")
-    if len(names) == 1 and not intercept:
-        return _as_readonly(columns[names[0]][:, None])      # a view, not a copy
+    if len(names) + intercept == 1:
+        return (np.broadcast_to(1.0, (columns["t"].shape[0], 1)) if intercept
+                else _as_readonly(columns[names[0]][:, None]))
     out = np.empty((columns["t"].shape[0], intercept + len(names)))
     out[:, :intercept] = 1.0
     for j, name in enumerate(names, intercept):
@@ -299,8 +303,9 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
                                     *_first_bad(bad, subject, t))
     # the aligned outcome reads the supplied rows t >= lag; a bad one is named
     # at its own t
-    if not np.isfinite(ds.y).all():
-        j, k = divmod(int(np.argmax(~np.isfinite(ds.y))), ds.n_usable)
+    y = ds.usable_block(ds.y_raw, lag - 1)
+    if not np.isfinite(y).all():
+        j, k = divmod(int(np.argmax(~np.isfinite(y))), ds.n_usable)
         raise MissingValue("non-finite value in y", subject[starts[j]], k + lag)
     for label, arr in (("z", z), ("f", f), ("g", g)):
         if not np.isfinite(arr).all():

@@ -283,14 +283,14 @@ def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None)
 def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use, shift=None):
     """Per-subject pieces of a least-squares fit; its Gram is the bread.
 
-    The per-subject model matrix is ``X_use.T`` reshaped to ``(k, n, t_use)``,
-    a view when ``X_use`` is column-major, and retained transposed.
+    The per-subject model matrix is ``X_use.T`` reshaped to ``(k, n, t_use)``, a view when
+    ``X_use`` is column-major, retained transposed; ``y_use`` and ``w_use`` may be (n, t_use).
     """
     D = X_use.T.reshape(X_use.shape[1], n, t_use)
     W = w_use.reshape(n, t_use)
-    wr = X_use @ beta                                  # the weighted residual, in place
-    np.multiply(np.subtract(y_use, wr, out=wr), w_use, out=wr)
-    scores = np.einsum("knt,nt->nk", D, wr.reshape(n, t_use))
+    wr = (X_use @ beta).reshape(n, t_use)              # the weighted residual, in place
+    np.multiply(np.subtract(y_use.reshape(n, t_use), wr, out=wr), W, out=wr)
+    scores = np.einsum("knt,nt->nk", D, wr)
     return SandwichParts(bread=gram, subject_scores=scores,
                          model_matrix=D.transpose(1, 2, 0), weights=W,
                          centering_shift=shift)
@@ -347,7 +347,7 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
     if cm is not None:
         zc = cols[b0 + ds.q:].transpose(1, 2, 0)         # (subjects, times, p_z)
         z = ds.usable_block(ds.z)
-        np.subtract(z, _dot(f, cm.theta), out=zc)
+        np.subtract(z, _dot(f, cm.theta, out=zc), out=zc)
         bad = _rms(zc, ds.usable_block(ds.weight_w)) < 1e-9 * (1.0 + _rms(z))
         if bad.any():
             raise DegenerateAuxiliary(f"centered auxiliary column {ds.z_names[np.argmax(bad)]!r}"
@@ -359,8 +359,8 @@ def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
 def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
                 cm: CenteringModel | None, lagged: bool) -> FitResult:
     X, names = _pooled_design(ds, cm, lagged)
-    y, w = ds.y, ds.usable(ds.weight_w)
-    beta, gram = wls_solve(X, y, w, ds.n_subjects)
+    y, w = ds.usable_block(ds.y_raw, ds.lag - 1), ds.usable_block(ds.weight_w)
+    beta, gram = wls_solve(X.reshape(ds.n_subjects, ds.n_usable, -1), y, w, ds.n_subjects)
     shift = None
     if cm is not None and cm.orthogonal:
         # the score's derivative in centering coefficient (k, i) is
@@ -424,7 +424,8 @@ def closed_form_gaps(p: float, alpha1, beta1, sigma_g) -> dict[str, float]:
     ``gap_wcls_vs_u`` is the difference of meat terms (control-adjusted minus
     unadjusted); divide by ``(p(1-p))^2`` for the variance-scale difference.
     ``gap_lin_vs_u`` and ``gap_lin_vs_wcls`` are variance-scale reductions,
-    both guaranteed nonnegative.
+    both guaranteed nonnegative. A non-finite input, or a gap that leaves the
+    float64 range, is a ``ValueError`` that names it.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
@@ -434,21 +435,26 @@ def closed_form_gaps(p: float, alpha1, beta1, sigma_g) -> dict[str, float]:
         if coef.size == 0:
             raise ValueError(f"{name} is empty: it needs one entry per control")
     sigma = np.atleast_2d(np.asarray(sigma_g, dtype=float))
+    for name, arr in (("alpha1", alpha1), ("beta1", beta1), ("sigma_g", sigma)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite, got {arr.tolist()}")
     if sigma.shape[0] != sigma.shape[1] or sigma.shape[0] != alpha1.shape[0] \
             or beta1.shape[0] != alpha1.shape[0]:
         raise ValueError("alpha1, beta1, sigma_g dimensions are inconsistent")
-    if not np.allclose(sigma, sigma.T, atol=1e-10):
-        raise ValueError("sigma_g must be symmetric")
-    if np.linalg.eigvalsh(sigma).min() < -1e-10 * max(1.0, np.trace(sigma)):
-        raise ValueError("sigma_g must be positive semi-definite")
-    pq = p * (1.0 - p)
-    gap_wcls_vs_u = -pq * float(alpha1 @ sigma @ (alpha1 + 2.0 * (1.0 - 2.0 * p) * beta1))
-    comb = alpha1 + (1.0 - 2.0 * p) * beta1
-    gap_lin_vs_u = float(comb @ sigma @ comb) / pq + float(beta1 @ sigma @ beta1)
-    gap_lin_vs_wcls = (1.0 - 3.0 * p + 3.0 * p * p) / pq * float(beta1 @ sigma @ beta1)
-    return {"gap_wcls_vs_u": gap_wcls_vs_u,
-            "gap_lin_vs_u": gap_lin_vs_u,
-            "gap_lin_vs_wcls": gap_lin_vs_wcls}
+    with np.errstate(over="ignore", invalid="ignore"):      # an overflow is refused below
+        if not np.allclose(sigma, sigma.T, atol=1e-10):
+            raise ValueError("sigma_g must be symmetric")
+        if np.linalg.eigvalsh(sigma).min() < -1e-10 * max(1.0, np.trace(sigma)):
+            raise ValueError("sigma_g must be positive semi-definite")
+        pq, c = p * (1.0 - p), 1.0 - 2.0 * p
+        comb, bsb = alpha1 + c * beta1, float(beta1 @ sigma @ beta1)
+        gaps = {"gap_wcls_vs_u": -pq * float(alpha1 @ sigma @ (alpha1 + 2.0 * c * beta1)),
+                "gap_lin_vs_u": float(comb @ sigma @ comb) / pq + bsb,
+                "gap_lin_vs_wcls": (1.0 - 3.0 * p + 3.0 * p * p) / pq * bsb}
+    for name, value in gaps.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} overflows float64: rescale alpha1, beta1 or sigma_g")
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +570,7 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     w_az = ds.usable(ds.weight_w * ds.a * ds.centered_a) * ds.y
     f_use, z_use = ds.usable(ds.f), ds.usable(ds.z)
     params = np.concatenate([solved[0], np.zeros(ds.p_z)])
-    weights = _usable_weights(ds)
+    weights = _usable_weights(ds).reshape(-1)             # a binary fit is at lag 1
     trace: list[float] = []
     state = None
     for outer in range(1, _MAX_ITER + 1):

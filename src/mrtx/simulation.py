@@ -126,14 +126,16 @@ def _rng_for(spec: DgmSpec, replicate: int | None = None) -> np.random.Generator
 def gen_ar_errors(T: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """Stationary N(0,1) errors with corr(e_u, e_t) = 0.5 ** (|u-t|/2), shape (n, T).
 
-    AR(1) recursion with coefficient 2**-0.5 and innovation SD sqrt(1 - 1/2),
-    run over a time-major copy of the innovations so each step is contiguous.
+    AR(1) recursion with coefficient 2**-0.5 and innovation SD sqrt(1 - 1/2), in
+    place over a time-major copy of the innovations, each step contiguous.
     """
     phi = 2.0 ** -0.5
     innov_sd = np.sqrt(0.5)
     out = np.ascontiguousarray(rng.standard_normal((n, T)).T)
+    prev = np.empty(n)
     for t in range(1, T):
-        out[t] = phi * out[t - 1] + innov_sd * out[t]
+        out[t] *= innov_sd
+        out[t] += np.multiply(out[t - 1], phi, out=prev)
     return out.T
 
 
@@ -158,14 +160,14 @@ def _panel_columns(n, T, **arrays):
             **{name: np.asarray(arr, dtype=float).reshape(-1) for name, arr in arrays.items()}}
 
 
-def _sim_two_decision(spec: DgmSpec, rng, noise_scale: float):
-    """Shared generative core for the lagged and proximal designs.
+def _sim_two_decision(spec: DgmSpec, rng, noise_scale: float, y2: np.ndarray):
+    """Shared generative core for the lagged and proximal designs, outcomes into ``y2``.
 
     The outcome two steps after decision t combines a prognostic state term,
     the next decision's centered-treatment effect (constant part
     ``prox_b0``, state moderation ``prox_b1``), the current decision's
     centered-treatment effect (``lag_b0``, moderation ``lag_b1``), and an
-    autocorrelated error.
+    autocorrelated error, summed in that order.
     """
     n, T = spec.n, spec.horizon
     if spec.kind == "lagged_eq12":
@@ -176,38 +178,40 @@ def _sim_two_decision(spec: DgmSpec, rng, noise_scale: float):
         lag_b0, lag_b1 = -0.1, float(spec.beta1)
     Z, P, A = _draw_sequential(n, T, spec.eta, rng,
                                lambda t, prev: rng.integers(0, 2, n) * 2.0 - 1.0)
-    eps = noise_scale * gen_ar_errors(T, rng, n=n)
+    eps = gen_ar_errors(T, rng, n=n)
+    eps *= noise_scale
     ca = A - P
-    y2 = np.zeros((n, T))
     # Z is symmetric two-point, so its analytic mean is zero
-    y2[:, :T - 1] = (0.2 * Z[:, 1:]
-                     + (prox_b0 + prox_b1 * Z[:, 1:]) * ca[:, 1:]
-                     + (lag_b0 + lag_b1 * Z[:, :T - 1]) * ca[:, :T - 1]
-                     + eps[:, :T - 1])
-    return Z, P, A, y2
+    acc = np.multiply(Z[:, 1:], 0.2)          # summed in the draws' time-major layout
+    term = np.empty_like(acc)
+    for b0, b1, z, c in ((prox_b0, prox_b1, Z[:, 1:], ca[:, 1:]),
+                         (lag_b0, lag_b1, Z[:, :-1], ca[:, :-1])):
+        np.multiply(z, b1, out=term)
+        term += b0
+        term *= c
+        acc += term
+    np.add(acc, eps[:, :-1], out=y2)           # the one write of the outcome column
+    return Z, P, A
 
 
 def _build_lagged(spec: DgmSpec, rng, noise_scale):
     n, T = spec.n, spec.horizon
-    Z, P, A, y2 = _sim_two_decision(spec, rng, noise_scale)
-    y_raw = np.zeros((n, T))
-    y_raw[:, 1:] = y2[:, :T - 1]       # proximal convention: raw row t is Y_{t+1}
-    a_next = np.zeros((n, T))
-    a_next[:, :T - 1] = A[:, 1:]
-    z_next = np.zeros((n, T))
-    z_next[:, :T - 1] = Z[:, 1:]
+    y_raw = np.zeros((n, T))           # proximal convention: raw row t is Y_{t+1}
+    Z, P, A = _sim_two_decision(spec, rng, noise_scale, y_raw[:, 1:])
+    a_next, z_next = np.zeros((n, T)), np.zeros((n, T))
+    a_next[:, :-1], z_next[:, :-1] = A[:, 1:], Z[:, 1:]
     cols = _panel_columns(n, T, a=A, p=P, y=y_raw, z=Z, a_next=a_next, z_next=z_next)
     return from_columns(cols, Schema(aux=("z",)), lag=spec.lag)
 
 
 def _build_proximal(spec: DgmSpec, rng, noise_scale):
     n, T = spec.n, spec.horizon
-    Z, P, A, y2 = _sim_two_decision(spec, rng, noise_scale)
+    y, prev_ca, prev_caz = (np.empty((n, T - 1)) for _ in range(3))
+    Z, P, A = _sim_two_decision(spec, rng, noise_scale, y)
     # re-index on the second decision of each pair: T-1 usable proximal rows
-    prev_ca = (A[:, :T - 1] - P[:, :T - 1])
-    cols = _panel_columns(n, T - 1,
-                          a=A[:, 1:], p=P[:, 1:], y=y2[:, :T - 1], z=Z[:, 1:],
-                          prev_ca=prev_ca, prev_caz=prev_ca * Z[:, :T - 1])
+    np.subtract(A[:, :-1], P[:, :-1], out=prev_ca)
+    cols = _panel_columns(n, T - 1, a=A[:, 1:], p=P[:, 1:], y=y, z=Z[:, 1:], prev_ca=prev_ca,
+                          prev_caz=np.multiply(prev_ca, Z[:, :-1], out=prev_caz))
     return from_columns(cols, Schema(aux=("z",), controls=("z", "prev_ca", "prev_caz")))
 
 
@@ -233,14 +237,14 @@ def _build_timevarying(spec: DgmSpec, rng, noise_scale):
         return zt + u + rng.uniform(-half, half, n)
 
     Z, P, A = _draw_sequential(n, T, spec.eta, rng, draw_z)
-    eps = noise_scale * gen_ar_errors(T, rng, n=n)
+    # the scaled errors, copied once to subject-major; the mean part is added in place
+    y = np.multiply(gen_ar_errors(T, rng, n=n), noise_scale, out=np.empty((n, T)))
     u_mat = np.stack([state_dev[t] for t in range(T)], axis=1)
     delta = noise_scale * (_J3_RHO * u_mat
                            + np.sqrt(1.0 - _J3_RHO ** 2) * rng.standard_normal((n, T)))
     tgrid = np.arange(1, T + 1)[None, :]
     zmean = np.stack([state_mean[t] for t in range(T)], axis=1)
-    y = ((b00 + b01 * tgrid + delta + spec.beta1 * (Z - zmean)) * (A - P)
-         + 0.8 * Z + eps)
+    y += (b00 + b01 * tgrid + delta + spec.beta1 * (Z - zmean)) * (A - P) + 0.8 * Z
     cols = _panel_columns(n, T, a=A, p=P, y=y, z=Z)
     return from_columns(cols, Schema(moderators=("t",), aux=("z",), controls=("z", "t")))
 
@@ -249,8 +253,8 @@ def _build_robust(spec: DgmSpec, rng, noise_scale):
     n, T = spec.n, spec.horizon
     Z, P, A = _draw_sequential(n, T, spec.eta, rng,
                                lambda t, prev: rng.integers(0, 2, n) * 2.0 - 1.0)
-    eps = noise_scale * gen_ar_errors(T, rng, n=n)
-    y = 0.2 * Z + float(spec.beta0) * (A - P) + eps
+    y = np.multiply(gen_ar_errors(T, rng, n=n), noise_scale, out=np.empty((n, T)))
+    y += 0.2 * Z + float(spec.beta0) * (A - P)
     cols = _panel_columns(n, T, a=A, p=P, y=y, z=Z)
     return from_columns(cols, Schema(aux=("z",), controls=("z",)))
 
@@ -272,10 +276,8 @@ def _build_centerbias(spec: DgmSpec, rng, noise_scale):
         return np.where(rng.random(n) < qz[t], 1.0, -1.0)
 
     Z, P, A = _draw_sequential(n, T, _J1_ETA, rng, draw_z)
-    eps = noise_scale * gen_ar_errors(T, rng, n=n)
-    y = (_J1_MAIN * Z
-         + (float(spec.beta0) + spec.beta1 * (Z - mz[None, :])) * (A - P)
-         + eps)
+    y = np.multiply(gen_ar_errors(T, rng, n=n), noise_scale, out=np.empty((n, T)))
+    y += _J1_MAIN * Z + (float(spec.beta0) + spec.beta1 * (Z - mz[None, :])) * (A - P)
     ptilde_t = np.clip(A.mean(axis=0), 1.0 / (2 * n), 1.0 - 1.0 / (2 * n))
     ptilde = np.broadcast_to(ptilde_t, (n, T))
     cols = _panel_columns(n, T, a=A, p=P, y=y, z=Z, ptilde=ptilde)
@@ -405,8 +407,8 @@ def _fit_one(spec: DgmSpec, rep: int, arms: list[McArm], truth: np.ndarray) -> l
     """Generate replicate ``rep`` and fit every arm on it.
 
     One entry per arm: ``None`` when the fit raised an :class:`MrtxError`,
-    else ``(beta0, se, diag(vcov_beta0), covered)``. Only these summaries
-    leave, so no fit's model matrix outlives its replicate.
+    else ``(beta0, se, diag(vcov_beta0), covered)``. Each fit is dropped once
+    its summary is taken, so no arm's model matrix is alive during the next fit.
     """
     base = gen_panel(spec, _rng_for(spec, rep))
     out = []
@@ -419,6 +421,7 @@ def _fit_one(spec: DgmSpec, rep: int, arms: list[McArm], truth: np.ndarray) -> l
             continue
         out.append((res.beta0, res.se, np.diag(res.vcov_beta0),
                     (res.ci_lo <= truth) & (truth <= res.ci_hi)))
+        del res
     return out
 
 

@@ -89,18 +89,21 @@ def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     returns coefficients and the averaged Gram.
 
     The Gram ``X'WX/n_units`` is the bread, the per-unit averaged derivative of
-    the estimating function. ``X`` may be row- or column-major; column-major
-    makes the weighting run along contiguous columns. The sums run over blocks
-    of ``_BLOCK_ROWS`` rows, so the weighted block is a cache-sized buffer
-    rather than a fresh copy of the design.
+    the estimating function. ``X`` is (rows, k) or per-unit views (units, rows, k),
+    ``w`` and ``y`` to match; column-major makes the weighting run along contiguous
+    columns. The sums run over blocks of at most ``_BLOCK_ROWS`` rows: whole units, or
+    flat rows (copying strided views) where one unit is longer than a block.
     """
-    gram, rhs = np.zeros((X.shape[1], X.shape[1])), np.zeros(X.shape[1:] + y.shape[1:])
+    if w.ndim == 2 and w.shape[1] > _BLOCK_ROWS:
+        X, y, w = X.reshape(-1, X.shape[-1]), y.reshape((w.size,) + y.shape[2:]), w.reshape(-1)
+    k, step = X.shape[-1], _BLOCK_ROWS // math.prod(w.shape[1:])
+    gram, rhs = np.zeros((k, k)), np.zeros((k,) + y.shape[w.ndim:])
     with np.errstate(over="ignore", invalid="ignore"):   # checked_solve rejects an overflow
-        for lo in range(0, len(w), _BLOCK_ROWS):
-            block = X[lo: lo + _BLOCK_ROWS]
-            Xw = block * w[lo: lo + _BLOCK_ROWS, None]
+        for lo in range(0, len(w), step):
+            block = X[lo: lo + step].reshape(-1, k)
+            Xw = block * w[lo: lo + step].reshape(-1, 1)
             gram += Xw.T @ block
-            rhs += Xw.T @ y[lo: lo + _BLOCK_ROWS]
+            rhs += Xw.T @ y[lo: lo + step].reshape((-1,) + rhs.shape[1:])
         gram /= n_units
         rhs /= n_units
     return checked_solve(gram, rhs, SingularGram, "weighted Gram"), gram

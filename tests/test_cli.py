@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,22 @@ def test_gaps_empty_coefficients_refused(capsys, empty):
     assert code == 2
     assert capsys.readouterr().err == (f"error[domain]: {empty} is empty: "
                                        "it needs one entry per control\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--alpha1", "nan", "--beta1", "0", "--sigma", "1"], "alpha1 must be finite"),
+    (["--alpha1", "1", "--beta1", "0", "--sigma", "nan"], "sigma_g must be finite"),
+    (["--alpha1", "1e308", "--beta1", "1e308", "--sigma", "1e308"],
+     "gap_wcls_vs_u overflows float64"),
+])
+def test_gaps_refuses_non_finite_input(capsys, args, message):
+    # a NaN input, or a gap past the float64 range, is a typed domain error that
+    # names its field, not a NaN printed with exit 0 or a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["gaps", "--p", "0.5", *args])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error[domain]: {message}")
 
 
 def test_gaps_domain_error(capsys):

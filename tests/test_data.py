@@ -196,6 +196,27 @@ def test_default_ptilde_is_pooled_mean():
     assert np.all(ds.p_tilde == ds.a.mean())
 
 
+@pytest.mark.parametrize("lag", [1, 2])
+def test_constant_roles_are_read_only_broadcasts(lag):
+    # a moderator-free f, a control-free g and the pooled p_tilde hold one value
+    # each, broadcast over the rows: read-only, and equal to the full arrays they replace
+    ds = from_columns(panel_from_arrays(6, 5, p=np.linspace(0.2, 0.8, 30)),
+                      Schema(aux=("z",)), lag=lag)
+    a, p, ones = ds.a, ds.p, np.ones((ds.n_rows, 1))
+    pt = np.full(ds.n_rows, float(np.mean(a)))
+    for arr, full in ((ds.f, ones), (ds.g, ones), (ds.p_tilde, pt)):
+        assert not any(arr.strides) and not arr.flags.writeable
+        assert arr.dtype == full.dtype and arr.shape == full.shape
+        np.testing.assert_array_equal(arr, full)
+        with pytest.raises(ValueError):
+            arr[...] = 0.5
+    # the blocks built from them are the ones the full arrays give, bit for bit
+    np.testing.assert_array_equal(ds.centered_a, a - pt)
+    np.testing.assert_array_equal(
+        ds.weight_w, np.where(a == 1.0, pt, 1.0 - pt) / np.where(a == 1.0, p, 1.0 - p))
+    assert not ds.weight_w.flags.writeable
+
+
 def test_round_trip_bit_exact(tmp_path):
     path = tmp_path / "panel.csv"
     rng = np.random.default_rng(7)

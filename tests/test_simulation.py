@@ -1,10 +1,11 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mrtx import errors
+from mrtx import errors, simulation
 from mrtx.data import Schema
 from mrtx.estimators import EstimatorConfig, fit
 from mrtx.simulation import (
@@ -35,6 +36,18 @@ def test_ar_errors_deterministic():
     a = gen_ar_errors(10, np.random.default_rng(42), n=5)
     b = gen_ar_errors(10, np.random.default_rng(42), n=5)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, T", [(1, 1), (4, 1), (1, 6), (3, 2), (40, 25)])
+def test_ar_errors_match_textbook_recursion(n, T):
+    # the in-place recursion rounds each operation as the textbook one does, so
+    # the errors are bit-identical to it
+    out = np.random.default_rng(7).standard_normal((n, T)).T.copy()    # time-major
+    phi, innov_sd = 2.0 ** -0.5, np.sqrt(0.5)
+    for t in range(1, T):
+        out[t] = phi * out[t - 1] + innov_sd * out[t]
+    got = gen_ar_errors(T, np.random.default_rng(7), n=n)
+    assert got.shape == (n, T) and np.array_equal(got, out.T)
 
 
 # sha256 over every generated column (name, then bytes) in sorted key order,
@@ -208,6 +221,28 @@ def test_replicate_prefix_property():
     long = run_monte_carlo(spec, arms, 8)
     np.testing.assert_array_equal(short.est, long.est[:4])
     np.testing.assert_array_equal(short.se, long.se[:4])
+
+
+def test_replicate_working_set_budget():
+    # one lagged_large replicate (lagged_eq12 N=500, T=100 with both lagged arms)
+    # keeps only the arrays it returns or caches: the generator, the data layer and
+    # the pooled fits make no full-size temporary copies. Its tracemalloc peak read
+    # 9.84 MB while they did, and 6.71 MB since
+    spec = DgmSpec(kind="lagged_eq12", n=500, horizon=100, beta0=-0.1, beta1=0.5, seed=3)
+    arms = [McArm("wcls", EstimatorConfig(method="wcls", lag=2)),
+            McArm("a2wcls_lagged", EstimatorConfig(method="a2wcls_lagged", lag=2,
+                                                   variance_mode="stacked"))]
+    truth = np.array([-0.1])
+    simulation._fit_one(spec, 1, arms, truth)      # first-call allocations are not its own
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        simulation._fit_one(spec, 1, arms, truth)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0e6, f"replicate peak {peak / 1e6:.2f} MB"
 
 
 def test_workers_do_not_change_results():

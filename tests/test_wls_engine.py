@@ -243,3 +243,21 @@ def test_matrix_right_hand_side_matches_column_solves():
         beta_j, gram_j = wls_solve(X, Y[:, j], w, 40)
         np.testing.assert_allclose(theta[:, j], beta_j, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(gram, gram_j)
+
+
+@pytest.mark.parametrize("n, t", [(2, variance._BLOCK_ROWS + 9), (40, 300)])
+def test_per_unit_views_match_flat_rows(n, t):
+    # per-unit views (units, rows, k), strided as the usable-row views of a lagged
+    # panel are, solve as the flat rows do; a unit longer than a block is read as
+    # flat rows, so no block exceeds _BLOCK_ROWS and the sums are the same bits
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((n, t + 1, 3))[:, 1:]
+    Y = rng.standard_normal((n, t + 1, 2))[:, 1:]
+    w = rng.uniform(0.5, 2.0, (n, t + 1))[:, 1:]
+    theta, gram = wls_solve(X, Y, w, n)
+    flat_theta, flat_gram = wls_solve(X.reshape(-1, 3), Y.reshape(-1, 2), w.reshape(-1), n)
+    if t > variance._BLOCK_ROWS:
+        np.testing.assert_array_equal(theta, flat_theta)
+        np.testing.assert_array_equal(gram, flat_gram)
+    np.testing.assert_allclose(theta, flat_theta, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gram, flat_gram, rtol=1e-12, atol=0)
