@@ -84,13 +84,11 @@ def fit_centering(ds: MrtDataset, kind: str = "orthogonal") -> CenteringModel:
     f, z = ds.usable_block(ds.f), ds.usable_block(ds.z)     # views, read in blocks
     if kind == "orthogonal":
         w = _usable_weights(ds)
-        theta, gram = wls_solve(f, z, w, ds.n_subjects)
-        # each subject's normal-equation residual U_j, laid out (q, N, p_z) so that
-        # one solve takes every subject's right-hand side; wls_solve has already
-        # checked the Gram
+        theta, _, gram_inv = wls_solve(f, z, w, ds.n_subjects)
+        # each subject's normal-equation residual U_j, as (q, N, p_z) for one G^{-1} product
         resid = _dot(f, theta)
         u = np.einsum("ntk,nt,nti->kni", f, w, np.subtract(z, resid, out=resid))
-        influence = np.linalg.solve(gram, u.reshape(ds.q, -1)).reshape(u.shape)
+        influence = (gram_inv @ u.reshape(ds.q, -1)).reshape(u.shape)
         return CenteringModel(theta, influence.transpose(1, 0, 2))
     if kind == "global_mean":
         mu = np.broadcast_to(z.mean(axis=(0, 1)), z.shape)
@@ -98,7 +96,7 @@ def fit_centering(ds: MrtDataset, kind: str = "orthogonal") -> CenteringModel:
         mu = np.broadcast_to(z.mean(axis=0), z.shape)
     else:
         raise DimensionMismatch(f"unknown centering kind {kind!r}")
-    theta, _ = wls_solve(f, mu, np.ones(z.shape[:2]), 1)
+    theta = wls_solve(f, mu, np.ones(z.shape[:2]), 1)[0]
     if not np.allclose(_dot(f, theta), mu, atol=1e-8):
         raise DimensionMismatch(
             f"{kind}: requested centering is not representable in the moderator span")

@@ -194,6 +194,9 @@ class MrtDataset:
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()[:16]
 
+    def __reduce__(self):   # unpickled through the one build path: read-only, views re-made
+        return from_columns, (dict(self.columns), self.schema, self.lag)
+
     def with_schema(self, schema: Schema) -> "MrtDataset":
         """Re-view the same panel under a different role mapping."""
         return from_columns(self.columns, schema, self.lag)

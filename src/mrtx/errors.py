@@ -59,6 +59,8 @@ class SingularGram(MrtxError):
 
 
 class SingularBread(MrtxError):
+    """A binary fit's root Jacobian is nearly singular: the one bread not solved as a Gram."""
+
     exit_code = 19
 
 

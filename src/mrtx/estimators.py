@@ -45,6 +45,7 @@ from .errors import (
     DegenerateAuxiliary,
     DimensionMismatch,
     NonConvergence,
+    SingularBread,
     SingularJacobian,
 )
 from .variance import (
@@ -280,7 +281,7 @@ def with_variance_mode(fit: FitResult, mode: str, ci_level: float | None = None)
 # shared least-squares plumbing
 
 
-def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use, shift=None):
+def _ls_parts(X_use, y_use, w_use, beta, gram, gram_inv, n, t_use, shift=None):
     """Per-subject pieces of a least-squares fit; its Gram is the bread.
 
     The per-subject model matrix is ``X_use.T`` reshaped to ``(k, n, t_use)``, a view when
@@ -291,7 +292,7 @@ def _ls_parts(X_use, y_use, w_use, beta, gram, n, t_use, shift=None):
     wr = (X_use @ beta).reshape(n, t_use)              # the weighted residual, in place
     np.multiply(np.subtract(y_use.reshape(n, t_use), wr, out=wr), W, out=wr)
     scores = np.einsum("knt,nt->nk", D, wr)
-    return SandwichParts(bread=gram, subject_scores=scores,
+    return SandwichParts(bread=gram, bread_inv=gram_inv, subject_scores=scores,
                          model_matrix=D.transpose(1, 2, 0), weights=W,
                          centering_shift=shift)
 
@@ -360,7 +361,7 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
                 cm: CenteringModel | None, lagged: bool) -> FitResult:
     X, names = _pooled_design(ds, cm, lagged)
     y, w = ds.usable_block(ds.y_raw, ds.lag - 1), ds.usable_block(ds.weight_w)
-    beta, gram = wls_solve(X.reshape(ds.n_subjects, ds.n_usable, -1), y, w, ds.n_subjects)
+    beta, gram, gram_inv = wls_solve(ds.per_subject(X), y, w, ds.n_subjects)
     shift = None
     if cm is not None and cm.orthogonal:
         # the score's derivative in centering coefficient (k, i) is
@@ -370,7 +371,7 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
         # each subject's influence on theta, it is that subject's score shift
         b1 = len(names) - ds.p_z                  # the design ends [beta0, beta1]
         shift = (cm.influence @ beta[b1:]) @ gram[b1 - ds.q:b1]
-    parts = _ls_parts(X, y, w, beta, gram, ds.n_subjects, ds.n_usable, shift)
+    parts = _ls_parts(X, y, w, beta, gram, gram_inv, ds.n_subjects, ds.n_usable, shift)
     return _assemble(names, beta, parts, config)
 
 
@@ -409,8 +410,8 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig) -> FitResult:
         names.extend(f"beta1:{nm}~t{t}" for nm in kept_names)
     X = np.column_stack(cols)
     w = np.ones(n)
-    beta, gram = wls_solve(X, y, w, n)
-    parts = _ls_parts(X, y, w, beta, gram, n, 1)
+    beta, gram, gram_inv = wls_solve(X, y, w, n)
+    parts = _ls_parts(X, y, w, beta, gram, gram_inv, n, 1)
     return _assemble(names, beta, parts, config)
 
 
@@ -544,7 +545,8 @@ def _binary_result(ds: MrtDataset, config: EstimatorConfig, system, solved,
     params, _, _, r, jac = solved
     scores = np.einsum("knt,nt->nk", Xt.reshape(len(Xt), ds.n_subjects, ds.n_usable),
                        r.reshape(ds.n_subjects, ds.n_usable))
-    parts = SandwichParts(bread=-jac, subject_scores=scores)   # positive orientation
+    parts = SandwichParts(bread=-jac, subject_scores=scores, bread_inv=checked_solve(
+        -jac, np.eye(len(jac)), SingularBread, "sandwich bread"))   # positive orientation
     return _assemble(names, params, parts, config, n_iter=n_iter, trace=trace)
 
 
@@ -574,7 +576,7 @@ def _fit_binary(ds: MrtDataset, config: EstimatorConfig) -> FitResult:
     trace: list[float] = []
     state = None
     for outer in range(1, _MAX_ITER + 1):
-        theta, _ = wls_solve(f_use, z_use, weights, ds.n_subjects)
+        theta = wls_solve(f_use, z_use, weights, ds.n_subjects)[0]
         system = solved = None                 # free the last system before the next
         system = _emee_system(ds, CenteringModel(theta))
         solved = _newton(system[0], params)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    SingularBread,
     SingularGram,
     SingularLeverage,
     VarianceOverflow,
@@ -46,14 +45,15 @@ _BLOCK_ROWS = 8192
 class SandwichParts:
     """Everything needed to rebuild a sandwich without refitting.
 
-    ``bread`` is the per-subject-averaged derivative of the estimating
-    function (positive-definite Gram for least-squares criteria). Least-squares
-    fits also retain per-subject ``model_matrix``/``weights`` for the leverage
-    correction; a fit with an orthogonality-fitted centering retains the
+    ``bread`` is the per-subject-averaged derivative of the estimating function (positive-
+    definite Gram for least-squares criteria); ``bread_inv`` is its inverse, from the bread's
+    one checked solve. Least-squares fits also retain per-subject ``model_matrix``/``weights``
+    for the leverage correction; a fit with an orthogonality-fitted centering retains the
     per-subject ``centering_shift`` that the stacked variances add to the scores.
     """
 
     bread: np.ndarray              # (dim, dim)
+    bread_inv: np.ndarray          # (dim, dim)
     subject_scores: np.ndarray     # (N, dim)
     model_matrix: np.ndarray | None = None     # (N, T_use, dim), may view the fit's design
     weights: np.ndarray | None = None          # (N, T_use)
@@ -84,9 +84,9 @@ def checked_solve(mat: np.ndarray, rhs: np.ndarray, exc, what: str) -> np.ndarra
 
 
 def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
-              n_units: int) -> tuple[np.ndarray, np.ndarray]:
+              n_units: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize ``sum w (y - X b)^2``, for each column of ``y`` if it has several;
-    returns coefficients and the averaged Gram.
+    returns coefficients, the averaged Gram and its inverse, from one checked solve.
 
     The Gram ``X'WX/n_units`` is the bread, the per-unit averaged derivative of
     the estimating function. ``X`` is (rows, k) or per-unit views (units, rows, k),
@@ -106,7 +106,9 @@ def wls_solve(X: np.ndarray, y: np.ndarray, w: np.ndarray,
             rhs += Xw.T @ y[lo: lo + step].reshape((-1,) + rhs.shape[1:])
         gram /= n_units
         rhs /= n_units
-    return checked_solve(gram, rhs, SingularGram, "weighted Gram"), gram
+    sol = checked_solve(gram, np.column_stack([rhs.reshape(k, -1), np.eye(k)]),
+                        SingularGram, "weighted Gram")
+    return sol[:, :-k].reshape(rhs.shape), gram, sol[:, -k:]
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -127,10 +129,6 @@ def _sandwich(binv: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return vcov
 
 
-def _bread_inverse(parts: SandwichParts) -> np.ndarray:
-    return checked_solve(parts.bread, np.eye(parts.dim), SingularBread, "sandwich bread")
-
-
 def _shifted(parts: SandwichParts, scores: np.ndarray) -> np.ndarray:
     """``scores`` plus the centering shift, when the fit retained one."""
     return scores if parts.centering_shift is None else scores + parts.centering_shift
@@ -138,26 +136,25 @@ def _shifted(parts: SandwichParts, scores: np.ndarray) -> np.ndarray:
 
 def plain_sandwich(parts: SandwichParts) -> np.ndarray:
     """Full-parameter ``Q^{-1} Sigma Q^{-1}``; ``SE = sqrt(diag/N)`` downstream."""
-    return _sandwich(_bread_inverse(parts), parts.subject_scores)
+    return _sandwich(parts.bread_inv, parts.subject_scores)
 
 
 def stacked_sandwich(parts: SandwichParts) -> np.ndarray:
     """Sandwich with each subject's score shifted for the estimated centering."""
-    return _sandwich(_bread_inverse(parts), _shifted(parts, parts.subject_scores))
+    return _sandwich(parts.bread_inv, _shifted(parts, parts.subject_scores))
 
 
-def _leverage(parts: SandwichParts) -> tuple[np.ndarray, np.ndarray]:
-    """The bread inverse and the Mancl–DeRouen scores ``D_j' W_j (I - H_j)^{-1} r_j``:
+def _leverage(parts: SandwichParts) -> np.ndarray:
+    """The Mancl–DeRouen scores ``D_j' W_j (I - H_j)^{-1} r_j``:
     by push-through ``M_j^{-1} s_j``, from k×k systems, with ``M_j = I_k - G_j B^{-1}``,
     ``G_j = D_j' W_j D_j``, ``B = sum_j G_j`` and ``s_j`` the subject score. ``M_j``
     has the eigenvalues of ``I - H_j`` other than 1; ``SingularLeverage`` tests it."""
     if parts.model_matrix is None or parts.weights is None:
         raise SingularLeverage("per-subject model matrices were not retained")
-    binv = _bread_inverse(parts)
     d = parts.model_matrix                                    # (N, T, k)
     gram = np.einsum("ntk,nt,ntl->nkl", d, parts.weights, d, optimize=True)   # G_j
     # bread is (1/N) sum_j G_j, so B^{-1} = bread^{-1} / N
-    m = np.eye(parts.dim) - gram @ (binv / parts.n_subjects)
+    m = np.eye(parts.dim) - gram @ (parts.bread_inv / parts.n_subjects)
     conds = np.linalg.cond(m)
     # cond is scale-free: also catch M_j ~ 0 (as many usable rows as parameters)
     scale = np.minimum(np.abs(m).max(axis=(1, 2)), 1.0)
@@ -165,13 +162,12 @@ def _leverage(parts: SandwichParts) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         j = int(np.argmax(bad))
         raise SingularLeverage(f"(I - H) nearly singular for subject index {j}")
-    return binv, np.linalg.solve(m, parts.subject_scores[:, :, None])[:, :, 0]
+    return np.linalg.solve(m, parts.subject_scores[:, :, None])[:, :, 0]
 
 
 def stacked_small_sample(parts: SandwichParts) -> np.ndarray:
-    """Leverage-corrected sandwich, centering-shifted when stacked; one bread inverse."""
-    binv, scores = _leverage(parts)
-    return _sandwich(binv, _shifted(parts, scores))
+    """Leverage-corrected sandwich, centering-shifted when stacked."""
+    return _sandwich(parts.bread_inv, _shifted(parts, _leverage(parts)))
 
 
 def check_ci_level(level: float) -> None:

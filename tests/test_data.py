@@ -10,6 +10,7 @@ import pytest
 
 from mrtx import errors
 from mrtx.data import MrtDataset, Schema, _csv_float, from_columns, load_csv, to_csv
+from mrtx.estimators import EstimatorConfig, fit
 from mrtx.simulation import DgmSpec, gen_panel
 
 from conftest import build_panel, panel_from_arrays
@@ -330,6 +331,25 @@ def test_columns_mapping_is_read_only_and_pickles():
     assert again.fingerprint() == fingerprint
     copy = {**ds.columns}
     assert copy.keys() == ds.columns.keys() and copy["a"] is ds.columns["a"]
+
+
+def test_unpickled_dataset_is_rebuilt_read_only_with_its_views():
+    # an unpickled panel goes through from_columns: its columns are read-only,
+    # the constant roles are zero-stride broadcasts again, z views its column,
+    # and a fit on it is the original fit, bit for bit
+    ds = gen_panel(DgmSpec(kind="lagged_eq12", n=30, horizon=8, beta1=0.5, seed=5))
+    config = EstimatorConfig(method="a2wcls_lagged", lag=ds.lag, variance_mode="stacked")
+    before = fit(ds, config)
+    again = pickle.loads(pickle.dumps(ds))
+    assert again.columns.keys() == ds.columns.keys()
+    for name, col in again.columns.items():
+        assert not col.flags.writeable, name
+        assert col.tobytes() == ds.columns[name].tobytes(), name
+    assert not any(again.f.strides) and not any(again.p_tilde.strides)
+    assert np.shares_memory(again.z, again.columns["z"])
+    after = fit(again, config)
+    assert after.estimates.tobytes() == before.estimates.tobytes()
+    assert after.vcov.tobytes() == before.vcov.tobytes()
 
 
 def test_roles_are_read_from_columns_and_schema():

@@ -446,7 +446,7 @@ def test_pooled_fit_matches_column_stack_oracle(method, lag, mode):
     X = _column_stack_oracle(ds, cm, method == "a2wcls_lagged")
     assert X.flags.c_contiguous and X.shape[1] == len(res.param_names)
     y, w = ds.usable(ds.y), ds.usable(ds.weight_w)
-    beta, gram = estimators.wls_solve(X, y, w, ds.n_subjects)
+    beta, gram, gram_inv = estimators.wls_solve(X, y, w, ds.n_subjects)
     shift = None
     if cm is not None:
         b1 = X.shape[1] - ds.p_z
@@ -454,8 +454,8 @@ def test_pooled_fit_matches_column_stack_oracle(method, lag, mode):
     D = X.reshape(ds.n_subjects, ds.n_usable, -1)
     W = w.reshape(ds.n_subjects, ds.n_usable)
     scores = np.einsum("ntk,nt->nk", D, W * (y - X @ beta).reshape(W.shape))
-    parts = SandwichParts(bread=gram, subject_scores=scores, model_matrix=D, weights=W,
-                          centering_shift=shift)
+    parts = SandwichParts(bread=gram, bread_inv=gram_inv, subject_scores=scores,
+                          model_matrix=D, weights=W, centering_shift=shift)
     np.testing.assert_allclose(res.estimates, beta, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(res.vcov, estimators._vcov(parts, mode), rtol=1e-12, atol=1e-14)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from mrtx import errors
+from mrtx import errors, estimators
 from mrtx.centering import fit_centering
 from mrtx.data import Schema, from_columns
 from mrtx.estimators import (
@@ -194,7 +194,7 @@ def test_single_subject_guarded():
     ds = build_panel(1, 4, seed=5)
     res = fit(ds, EstimatorConfig(method="wcls"))
     with pytest.raises(errors.MrtxError):
-        score_meat(_leverage(res.parts)[1])
+        score_meat(_leverage(res.parts))
 
 
 def test_confidence_interval_quantile_oracle():
@@ -311,10 +311,44 @@ def test_t_quantile_is_the_root_of_the_tail(df):
         assert special.stdtr(df, -crit) == pytest.approx(upper, rel=1e-10, abs=0)
 
 
-def test_plain_sandwich_singular_bread():
-    parts = SandwichParts(bread=np.zeros((2, 2)), subject_scores=np.zeros((3, 2)))
-    with pytest.raises(errors.SingularBread):
-        plain_sandwich(parts)
+def test_singular_root_jacobian_is_singular_bread(monkeypatch):
+    # a least-squares bread is its Gram, refused in wls_solve as SingularGram; a
+    # binary fit's root Jacobian is the one bread checked where the fit forms it
+    newton = estimators._newton
+
+    def singular_root(evaluate, init):
+        params, n_iter, trace, r, jac = newton(evaluate, init)
+        return params, n_iter, trace, r, np.zeros_like(jac)
+
+    monkeypatch.setattr(estimators, "_newton", singular_root)
+    ds = gen_panel(DgmSpec(kind="binary_demo", n=40, horizon=6, seed=1))
+    with pytest.raises(errors.SingularBread, match="sandwich bread"):
+        fit(ds, EstimatorConfig(method="emee"))
+
+
+@pytest.mark.parametrize("method, mode, calls", [
+    ("wcls", "plain_sandwich", 1),
+    ("a2wcls", "stacked", 2),
+    ("a2wcls", "stacked_small_sample", 3),
+])
+def test_one_condition_check_per_gram(method, mode, calls, monkeypatch):
+    # each Gram is condition-checked and factorized once, by wls_solve, which
+    # forms the bread's inverse with the coefficients: one check and one solve
+    # per Gram (the centering's and the criterion's), one batched pair for the
+    # leverage correction, and none to re-derive a variance from retained parts
+    ds = gen_panel(DgmSpec(kind="proximal_j2", n=60, horizon=10, beta0=-0.2,
+                           beta1=0.5, seed=11))
+    counts = {"cond": 0, "solve": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    res = fit(ds, EstimatorConfig(method=method, variance_mode=mode))
+    assert counts == {"cond": calls, "solve": calls}
+    counts.update(cond=0, solve=0)
+    with_variance_mode(res, "plain_sandwich")
+    assert counts == {"cond": 0, "solve": 0}
 
 
 def _duplicated_moderator_emee():
@@ -461,7 +495,7 @@ _SMALL_SAMPLE_FITS = {
 def test_leverage_scores_match_dense_oracle(name):
     ds, res = _SMALL_SAMPLE_FITS[name]()
     expected = dense_leverage_oracle(ds, res.parts, res.estimates)
-    got = _leverage(res.parts)[1]
+    got = _leverage(res.parts)
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
     scores = expected
@@ -479,11 +513,12 @@ def test_leverage_scores_build_no_hat_array():
     w = rng.uniform(0.5, 2.0, (n, T))
     r = rng.standard_normal((n, T))
     scores = np.einsum("ntk,nt->nk", d, w * r)
-    parts = SandwichParts(bread=np.einsum("ntk,nt,ntl->kl", d, w, d) / n,
+    bread = np.einsum("ntk,nt,ntl->kl", d, w, d) / n
+    parts = SandwichParts(bread=bread, bread_inv=np.linalg.inv(bread),
                           subject_scores=scores, model_matrix=d, weights=w)
     tracemalloc.start()
     try:
-        _leverage(parts)[1]
+        _leverage(parts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,7 +11,7 @@ from conftest import build_panel
 def test_identity_design():
     X = np.eye(4)
     y = np.array([1.0, -2.0, 3.0, 0.5])
-    beta, _ = wls_solve(X, y, np.ones(4), 4)
+    beta = wls_solve(X, y, np.ones(4), 4)[0]
     np.testing.assert_allclose(beta, y)
 
 
@@ -21,10 +21,10 @@ def test_weight_two_equals_duplicated_row():
     y = rng.standard_normal(5)
     w = np.ones(5)
     w[2] = 2.0
-    b_weighted, _ = wls_solve(X, y, w, 5)
+    b_weighted = wls_solve(X, y, w, 5)[0]
     X_dup = np.vstack([X, X[2:3]])
     y_dup = np.append(y, y[2])
-    b_dup, _ = wls_solve(X_dup, y_dup, np.ones(6), 6)
+    b_dup = wls_solve(X_dup, y_dup, np.ones(6), 6)[0]
     np.testing.assert_allclose(b_weighted, b_dup, atol=1e-12)
 
 
@@ -32,7 +32,7 @@ def test_three_row_system_against_grid_minimizer():
     X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 3.0]])
     y = np.array([0.5, 1.0, 2.5])
     w = np.array([1.0, 2.0, 0.5])
-    beta, _ = wls_solve(X, y, w, 3)
+    beta = wls_solve(X, y, w, 3)[0]
 
     def objective(b):
         r = y - X @ b
@@ -218,13 +218,15 @@ def test_row_and_column_major_designs_agree():
     X = rng.standard_normal((n, 5))
     y = rng.standard_normal(n)
     w = rng.uniform(0.5, 2.0, n)
-    beta_c, gram_c = wls_solve(X, y, w, 50)
-    beta_f, gram_f = wls_solve(np.asfortranarray(X), y, w, 50)
+    beta_c, gram_c, inv_c = wls_solve(X, y, w, 50)
+    beta_f, gram_f, _ = wls_solve(np.asfortranarray(X), y, w, 50)
     assert X.flags.c_contiguous and not X.flags.f_contiguous
     np.testing.assert_allclose(beta_f, beta_c, rtol=1e-12, atol=0)
     np.testing.assert_allclose(gram_f, gram_c, rtol=1e-12, atol=0)
     Xw = X * w[:, None]
     np.testing.assert_allclose(gram_c, Xw.T @ X / 50, rtol=1e-12, atol=0)
+    # the inverse comes from the same checked solve as the coefficients
+    np.testing.assert_allclose(inv_c, np.linalg.inv(gram_c), rtol=1e-12, atol=0)
     np.testing.assert_allclose(beta_c, np.linalg.solve(Xw.T @ X, Xw.T @ y),
                                rtol=1e-12, atol=0)
 
@@ -237,10 +239,10 @@ def test_matrix_right_hand_side_matches_column_solves():
     X = rng.standard_normal((n, 3))
     Y = rng.standard_normal((n, 4))
     w = rng.uniform(0.5, 2.0, n)
-    theta, gram = wls_solve(X, Y, w, 40)
+    theta, gram, _ = wls_solve(X, Y, w, 40)
     assert theta.shape == (3, 4)
     for j in range(Y.shape[1]):
-        beta_j, gram_j = wls_solve(X, Y[:, j], w, 40)
+        beta_j, gram_j, _ = wls_solve(X, Y[:, j], w, 40)
         np.testing.assert_allclose(theta[:, j], beta_j, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(gram, gram_j)
 
@@ -254,8 +256,8 @@ def test_per_unit_views_match_flat_rows(n, t):
     X = rng.standard_normal((n, t + 1, 3))[:, 1:]
     Y = rng.standard_normal((n, t + 1, 2))[:, 1:]
     w = rng.uniform(0.5, 2.0, (n, t + 1))[:, 1:]
-    theta, gram = wls_solve(X, Y, w, n)
-    flat_theta, flat_gram = wls_solve(X.reshape(-1, 3), Y.reshape(-1, 2), w.reshape(-1), n)
+    theta, gram, _ = wls_solve(X, Y, w, n)
+    flat_theta, flat_gram, _ = wls_solve(X.reshape(-1, 3), Y.reshape(-1, 2), w.reshape(-1), n)
     if t > variance._BLOCK_ROWS:
         np.testing.assert_array_equal(theta, flat_theta)
         np.testing.assert_array_equal(gram, flat_gram)
