@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,6 +40,7 @@ from .errors import (
 )
 
 BASE_COLUMNS = ("subject_id", "t", "a", "p", "y")
+_PACKED = (".bz2", ".gz", ".lzma", ".xz")   # suffixes that loadtxt decompresses in a path
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,12 @@ def _numeric(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     return out
 
 
+def _one_value(arr: np.ndarray) -> np.ndarray:
+    """A broadcast of one value (every stride 0) as its first row, else ``arr``: the row
+    checked stands for every row, and is the first row a full check would name."""
+    return arr if any(arr.strides) else arr[:1]
+
+
 def _first_bad(mask: np.ndarray, subject: np.ndarray, t: np.ndarray):
     i = int(np.argmax(mask))
     return subject[i], int(t[i])
@@ -299,7 +307,7 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
     ds = MrtDataset(_Columns(columns), schema, lag, n_subjects, horizon)
     # every role is read here, so a returned dataset holds them all and is safe
     # to share across threads; a missing role column is named before any value
-    f, z, g, p_tilde = ds.f, ds.z, ds.g, ds.p_tilde
+    f, z, g, p_tilde = ds.f, ds.z, ds.g, _one_value(ds.p_tilde)
     bad = ~((p_tilde > 0.0) & (p_tilde < 1.0))
     if bad.any():
         raise ProbabilityOutOfRange("weight numerator p_tilde must lie in (0,1)",
@@ -310,7 +318,7 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
     if not np.isfinite(y).all():
         j, k = divmod(int(np.argmax(~np.isfinite(y))), ds.n_usable)
         raise MissingValue("non-finite value in y", subject[starts[j]], k + lag)
-    for label, arr in (("z", z), ("f", f), ("g", g)):
+    for label, arr in (("z", z), ("f", _one_value(f)), ("g", _one_value(g))):
         if not np.isfinite(arr).all():
             i = int(np.argmax(~np.isfinite(arr).all(axis=1)))
             raise MissingValue(f"non-finite value in {label}", subject[i], int(t[i]))
@@ -361,11 +369,15 @@ def _row_error(path, header: list[str], needed: set[str]) -> MissingValue | None
     return None
 
 
-def _has_blank_line(path) -> bool:
-    """Whether a line of ``path`` starts with its terminator; loadtxt skips such a line."""
+def _scan(path) -> tuple[bool, bool]:
+    """Whether a line of ``path`` starts with its terminator, which loadtxt skips, and
+    whether a quoted field may hold a carriage return, which loadtxt reading ``path``
+    itself (universal newlines) would read as a line feed."""
     with open(path, "rb") as fh:
         text = fh.read()
-    return b"\n\n" in text or b"\r" in text and (b"\n\r" in text or b"\r\r" in text)
+    cr = b"\r" in text
+    return (b"\n\n" in text or cr and (b"\n\r" in text or b"\r\r" in text),
+            cr and b'"' in text)
 
 
 def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
@@ -385,8 +397,9 @@ def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
     except OSError as exc:
         raise MissingColumn(f"cannot read CSV {path}: {exc}") from None
     with fh:
+        rows = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(csv.reader(fh))]
+            header = [h.strip() for h in next(rows)]
         except StopIteration:
             raise MissingColumn("empty CSV file") from None
         needed = {*BASE_COLUMNS, *schema.moderators, *schema.aux, *schema.controls,
@@ -394,16 +407,26 @@ def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
         for name in sorted(needed):
             if name not in header:
                 raise MissingColumn(f"required column {name!r} not in CSV header")
-        error = _has_blank_line(path) and _row_error(path, header, needed)
+        blank, quoted_cr = _scan(path)
+        error = blank and _row_error(path, header, needed)
         if error:                       # a blank line inside quotes is data
             raise error
         first = next(fh, None)
         if first is None:
             raise MissingValue("no data rows")
         dtype = [(f"c{j}", object if h == "subject_id" else float) for j, h in enumerate(header)]
+        # loadtxt parses a path in chunks but an iterator line by line. A path is opened
+        # with universal newlines, decompressed by its suffix and, if relative, may read
+        # as a URL: a quoted carriage return or such a suffix keeps the iterator.
+        # skiprows counts the physical lines the header took
+        fname = os.fsdecode(os.path.abspath(path))
+        if quoted_cr or fname.endswith(_PACKED):
+            source, skip = itertools.chain([first], fh), 0
+        else:
+            source, skip = fname, rows.line_num
         try:
             # comments=None: '#' is data; the object field keeps subject_id as read
-            cells = np.loadtxt(itertools.chain([first], fh), delimiter=",", dtype=dtype,
+            cells = np.loadtxt(source, delimiter=",", dtype=dtype, skiprows=skip,
                                comments=None, quotechar='"', ndmin=1)
         except ValueError as exc:   # a row's field count, or a token, is bad
             raise _row_error(path, header, needed) or exc from None

@@ -46,6 +46,7 @@ from .errors import (
     DimensionMismatch,
     NonConvergence,
     SingularBread,
+    SingularGram,
     SingularJacobian,
 )
 from .variance import (
@@ -289,7 +290,9 @@ def _ls_parts(X_use, y_use, w_use, beta, gram, gram_inv, n, t_use, shift=None):
     """
     D = X_use.T.reshape(X_use.shape[1], n, t_use)
     W = w_use.reshape(n, t_use)
-    wr = (X_use @ beta).reshape(n, t_use)              # the weighted residual, in place
+    # the weighted residual, in place; einsum sums without BLAS, whose gemv on a
+    # design of 200 000 rows wakes OpenBLAS's idle threads to spin
+    wr = np.einsum("knt,k->nt", D, beta)
     np.multiply(np.subtract(y_use.reshape(n, t_use), wr, out=wr), W, out=wr)
     scores = np.einsum("knt,nt->nk", D, wr)
     return SandwichParts(bread=gram, bread_inv=gram_inv, subject_scores=scores,
@@ -305,7 +308,9 @@ def _rms(block: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     unit = block / np.where(peak > 0, peak, 1.0)
     sq = (np.einsum("nti,nti->i", unit, unit) if w is None
           else np.einsum("nti,nt,nti->i", unit, w, unit))
-    return peak * np.sqrt(sq / (block.shape[0] * block.shape[1]))
+    # a weighted norm past float64 reads inf, which wls_solve then refuses
+    with np.errstate(over="ignore"):
+        return peak * np.sqrt(sq / (block.shape[0] * block.shape[1]))
 
 
 def _pooled_design(ds: MrtDataset, cm: CenteringModel | None, lagged: bool):
@@ -375,14 +380,21 @@ def _fit_pooled(ds: MrtDataset, config: EstimatorConfig,
     return _assemble(names, beta, parts, config)
 
 
-def _centered_controls(g: np.ndarray):
-    """Cross-subject mean-centered controls; zero-variance columns drop out."""
+def _centered_controls(g: np.ndarray, names: tuple[str, ...]):
+    """Cross-subject mean-centered controls and their names; zero-variance columns
+    drop out, and a column whose spread leaves float64 is a ``SingularGram``."""
     if g.shape[1] == 0:
-        return g, np.arange(0)
-    centered = g - g.mean(axis=0)
-    scale = 1.0 + np.abs(g).mean(axis=0)
-    keep = np.where(centered.std(axis=0) > 1e-12 * scale)[0]
-    return centered[:, keep], keep
+        return g, ()
+    with np.errstate(over="ignore", invalid="ignore"):      # an overflow is refused below
+        centered = g - g.mean(axis=0)
+        scale = 1.0 + np.abs(g).mean(axis=0)
+        spread = centered.std(axis=0)
+    bad = ~np.isfinite(spread)          # an overflowed mean or square makes it inf or nan
+    if bad.any():
+        raise SingularGram(f"control {names[np.argmax(bad)]!r} overflows float64 when "
+                           "centered and squared: rescale it")
+    keep = np.where(spread > 1e-12 * scale)[0]
+    return centered[:, keep], tuple(names[i] for i in keep)
 
 
 def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig) -> FitResult:
@@ -399,8 +411,7 @@ def _fit_per_time(ds: MrtDataset, t: int, config: EstimatorConfig) -> FitResult:
     kept_names: tuple[str, ...] = ()
     if config.method != "unadjusted_per_time":
         # a column-indexed copy is column-major, so each mean is a pairwise sum
-        gt, keep = _centered_controls(ds.g[sel][:, np.arange(1, ds.d)])
-        kept_names = tuple(ds.g_names[1:][i] for i in keep)
+        gt, kept_names = _centered_controls(ds.g[sel][:, np.arange(1, ds.d)], ds.g_names[1:])
         cols.append(gt)
         names.extend(f"alpha:{nm}~t{t}" for nm in kept_names)
     cols.append(ca[:, None])

@@ -466,25 +466,45 @@ def test_field_count_errors_name_file_row(tmp_path, edit, message, newline):
         load_csv(path, Schema(aux=("z",)), lag=1)
 
 
-@pytest.mark.parametrize("ids,newline,order", [
+def _reordered(lines):
+    return lines[:1] + [lines[1 + i] for i in [4, 0, 5, 2, 3, 1]]
+
+
+def _two_line_header(lines):
+    # a quoted header name over two physical lines: the data start on the third
+    return [lines[0] + ',"w\nx"'] + [f"{line},{i}.5" for i, line in enumerate(lines[1:])]
+
+
+@pytest.mark.parametrize("ids,newline,edit", [
     (["#1"] * 3 + ["#2"] * 3, "\n", None),
     (['"a,1"'] * 3 + ['"b,""2"""'] * 3, "\n", None),
     ([" 1"] * 3 + ["1"] * 3, "\n", None),
-    (["s10"] * 3 + ["s9"] * 3, "\n", [4, 0, 5, 2, 3, 1]),
+    (["s10"] * 3 + ["s9"] * 3, "\n", _reordered),
     (['"a\n\nb"'] * 3 + ["b"] * 3, "\n", None),
     (None, "\r\n", None),
+    (['"a\r\nb"'] * 3 + ['"c\rd"'] * 3, "\r\n", None),
+    (None, "\n", _two_line_header),
 ], ids=["hash_ids", "quoted_commas", "spaced_ids", "shuffled_string_ids",
-        "quoted_blank_line", "crlf"])
-def test_loader_matches_csv_oracle(tmp_path, ids, newline, order):
+        "quoted_blank_line", "crlf", "quoted_carriage_returns", "two_line_header"])
+def test_loader_matches_csv_oracle(tmp_path, ids, newline, edit):
     lines = csv_lines(ids)
-    if order is not None:
-        lines = lines[:1] + [lines[1 + i] for i in order]
+    if edit is not None:
+        lines = edit(lines)
     path = tmp_path / "panel.csv"
     write_lines(path, lines, newline=newline)
     schema = Schema(aux=("z",))
     ds = load_csv(path, schema, lag=1)
     assert ds.n_subjects == 2 and ds.horizon == 3
     assert_same_dataset(ds, csv_oracle(path, schema))
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_csv_named_like_an_archive_loads_as_text(tmp_path, suffix):
+    # loadtxt would decompress a path with this suffix; the file is plain text
+    path = tmp_path / f"panel.csv{suffix}"
+    write_lines(path, csv_lines())
+    assert_same_dataset(load_csv(path, Schema(aux=("z",)), lag=1),
+                        csv_oracle(path, Schema(aux=("z",))))
 
 
 def write_benchmark_panel(path, n, horizon):
@@ -587,6 +607,19 @@ def test_ptilde_of_one_names_subject_and_t():
     with pytest.raises(errors.ProbabilityOutOfRange, match="p_tilde") as exc:
         from_columns(cols, Schema(aux=("z",), ptilde="ptilde"))
     assert exc.value.subject_id == 2 and exc.value.t == 3
+
+
+@pytest.mark.parametrize("arm", [0.0, 1.0])
+def test_pooled_ptilde_out_of_range_names_first_row(arm):
+    # every decision on one arm: the pooled p_tilde, one value broadcast over the
+    # rows, is 0 or 1, and the error names the first row after sorting
+    cols = panel_from_arrays(3, 4, a=np.full(12, arm))
+    cols["subject_id"] = np.array(["c"] * 4 + ["a"] * 4 + ["b"] * 4)
+    cols["t"] = np.tile([2, 1, 4, 3], 3)
+    with pytest.raises(errors.ProbabilityOutOfRange,
+                       match=r"weight numerator p_tilde must lie in \(0,1\)") as exc:
+        from_columns(cols, Schema(aux=("z",)))
+    assert exc.value.subject_id == "a" and exc.value.t == 1
 
 
 def test_nan_auxiliary_names_subject_and_t():

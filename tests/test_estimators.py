@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,31 @@ def test_huge_auxiliary_is_singular_gram():
         fit(ds, EstimatorConfig(method="a2wcls"))
 
 
+@pytest.mark.parametrize("method", ["wcls_per_time", "lin_per_time"])
+def test_control_overflowing_its_spread_is_singular_gram(method):
+    # a control near 1e200 overflows when centered and squared: a typed refusal
+    # that names it, with no numpy warning
+    z = np.random.default_rng(3).standard_normal(24) * 1e200
+    ds = build_panel(8, 3, z=z, schema=Schema(aux=("z",), controls=("z",)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.SingularGram, match="control 'z' overflows"):
+            fit(ds, EstimatorConfig(method=method), t=1)
+
+
+@pytest.mark.parametrize("method, lag", [("a2wcls", 1), ("a2wcls_lagged", 2)])
+def test_weighted_auxiliary_norm_overflow_is_singular_gram(method, lag):
+    # p near 1e-300 (weights near 1e300) and an auxiliary near 1e250: the centered
+    # auxiliary's weighted norm leaves float64, and the Gram refuses it, with no
+    # numpy warning
+    z = np.random.default_rng(3).standard_normal(24) * 1e250
+    ds = build_panel(8, 3, lag=lag, p=np.full(24, 1e-300), z=z, schema=Schema(aux=("z",)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.SingularGram, match="non-finite"):
+            fit(ds, EstimatorConfig(method=method, lag=lag))
+
+
 def test_fit_summaries_computed_once(monkeypatch):
     res = fit(build_panel(10, 5, seed=1), EstimatorConfig(method="wcls"))
     calls = []
@@ -482,3 +508,20 @@ def test_pooled_design_is_column_major_and_retained_as_a_view(method, lag, monke
     assert D.shape == (ds.n_subjects, ds.n_usable, len(names))
     assert np.shares_memory(D, X)
     np.testing.assert_array_equal(D.reshape(-1, len(names)), X)
+
+
+@pytest.mark.parametrize("mode", ["stacked", "stacked_small_sample"])
+@pytest.mark.parametrize("method, lag, t", [
+    ("a2wcls", 1, None), ("a2wcls_lagged", 2, None), ("lin_per_time", 1, 4)])
+def test_residual_without_blas_matches_matrix_product(method, lag, t, mode):
+    # the fitted values of the weighted residual are an einsum over the retained
+    # per-subject design; its scores and variance are those of X @ beta
+    ds = _two_aux_panel(lag)
+    res = fit(ds, EstimatorConfig(method=method, lag=lag, variance_mode=mode), t=t)
+    D, W = res.parts.model_matrix, res.parts.weights
+    y = ds.y if t is None else ds.y[ds.t == t]
+    X = D.reshape(-1, D.shape[-1])
+    scores = np.einsum("ntk,nt->nk", D, W * (y - X @ res.estimates).reshape(W.shape))
+    vcov = estimators._vcov(dataclasses.replace(res.parts, subject_scores=scores), mode)
+    for got, want in ((res.parts.subject_scores, scores), (res.vcov, vcov)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
