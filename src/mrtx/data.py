@@ -26,6 +26,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -71,22 +72,6 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     view = np.ascontiguousarray(arr).view()
     view.flags.writeable = False
     return view
-
-
-class _Columns(Mapping):
-    """A read-only view of the validated columns; ``MappingProxyType`` does not pickle."""
-
-    def __init__(self, columns: dict[str, np.ndarray]):
-        self._columns = columns
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._columns[name]
-
-    def __iter__(self):
-        return iter(self._columns)
-
-    def __len__(self) -> int:
-        return len(self._columns)
 
 
 def _column(name: str) -> property:
@@ -280,9 +265,12 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
     bad = ~np.isin(a, (0.0, 1.0))
     if bad.any():
         raise NonBinaryTreatment("treatment a must be 0 or 1", *_first_bad(bad, subject, t))
-    bad = ~((p > 0.0) & (p < 1.0))
+    # a subnormal p would overflow the weight p_tilde / p; from the smallest
+    # normal float64 up, the weight stays below 1 / tiny, inside float64
+    tiny = np.finfo(float).tiny
+    bad = ~((p >= tiny) & (p < 1.0))
     if bad.any():
-        raise ProbabilityOutOfRange("randomization probability p must lie in (0,1)",
+        raise ProbabilityOutOfRange(f"randomization probability p must lie in [{tiny}, 1)",
                                     *_first_bad(bad, subject, t))
 
     # rows are sorted, so each subject's run starts where the id changes
@@ -304,7 +292,7 @@ def from_columns(columns: Mapping[str, np.ndarray], schema: Schema,
     if lag > horizon:
         raise LagHorizonExceeded(f"lag {lag} exceeds panel horizon {horizon}")
 
-    ds = MrtDataset(_Columns(columns), schema, lag, n_subjects, horizon)
+    ds = MrtDataset(MappingProxyType(columns), schema, lag, n_subjects, horizon)
     # every role is read here, so a returned dataset holds them all and is safe
     # to share across threads; a missing role column is named before any value
     f, z, g, p_tilde = ds.f, ds.z, ds.g, _one_value(ds.p_tilde)
@@ -437,20 +425,3 @@ def load_csv(path, schema: Schema, lag: int = 1) -> MrtDataset:
     columns["subject_id"] = columns["subject_id"].astype(str)
     return from_columns(columns, schema, lag)
 
-
-def to_csv(ds: MrtDataset, path) -> None:
-    """Serialize a dataset back to CSV, reproducing numeric fields exactly.
-
-    The ``y`` column written is the raw proximal series (what ``load_csv``
-    consumes), so a load/serialize round trip is bit-faithful.
-    """
-    names = list(BASE_COLUMNS)
-    extra = [n for n in ds.columns if n not in names]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + extra)
-        for i in range(ds.n_rows):
-            row = [str(ds.subject_ids[i]), repr(int(ds.t[i])), repr(int(ds.a[i])),
-                   repr(float(ds.p[i])), repr(float(ds.y_raw[i]))]
-            row += [repr(float(ds.columns[n][i])) for n in extra]
-            writer.writerow(row)

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from mrtx.data import Schema, from_columns
+from mrtx.data import BASE_COLUMNS, Schema, from_columns
 
 
 def panel_from_arrays(n, T, lag=1, seed=0, **overrides):
@@ -25,6 +27,18 @@ def build_panel(n, T, lag=1, seed=0, schema=None, **overrides):
     if schema is None:
         schema = Schema(aux=("z",), controls=("g1",))
     return from_columns(cols, schema, lag=lag)
+
+
+def to_csv(ds, path):
+    """Write a dataset as the CSV that ``load_csv`` reads: the base columns, then
+    the others, ``y`` the proximal series as supplied and every float by its
+    ``repr``, so that a write/load round trip is bit-faithful."""
+    names = [*BASE_COLUMNS, *(n for n in ds.columns if n not in BASE_COLUMNS)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for sid, t, a, *values in zip(*(ds.columns[n] for n in names)):
+            writer.writerow([sid, int(t), int(a), *(repr(float(v)) for v in values)])
 
 
 @pytest.fixture

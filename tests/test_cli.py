@@ -11,10 +11,10 @@ import pytest
 import mrtx
 from mrtx import cli, errors
 from mrtx.cli import main
-from mrtx.data import Schema, from_columns, to_csv
+from mrtx.data import Schema, from_columns
 from mrtx.simulation import DgmSpec, gen_panel
 
-from conftest import build_panel
+from conftest import build_panel, to_csv
 
 
 @pytest.fixture(scope="module")

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from mrtx import errors
-from mrtx.data import MrtDataset, Schema, _csv_float, from_columns, load_csv, to_csv
+from mrtx.data import MrtDataset, Schema, _csv_float, from_columns, load_csv
 from mrtx.estimators import EstimatorConfig, fit
 from mrtx.simulation import DgmSpec, gen_panel
 
-from conftest import build_panel, panel_from_arrays
+from conftest import build_panel, panel_from_arrays, to_csv
 
 
 def write_csv(path, header, rows):
@@ -620,6 +620,25 @@ def test_pooled_ptilde_out_of_range_names_first_row(arm):
                        match=r"weight numerator p_tilde must lie in \(0,1\)") as exc:
         from_columns(cols, Schema(aux=("z",)))
     assert exc.value.subject_id == "a" and exc.value.t == 1
+
+
+@pytest.mark.parametrize("method", ["wcls", "a2wcls"])
+def test_subnormal_probability_is_refused_without_warning(method):
+    # a p below the smallest normal float64 would overflow the weight p_tilde / p:
+    # the panel is refused at its first such row, and no numpy warning leaks
+    a = np.ones(24)
+    a[::5] = 0.0
+    cols = panel_from_arrays(8, 3, a=a, p=np.full(24, 1e-320))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.ProbabilityOutOfRange, match="p must lie in") as exc:
+            fit(from_columns(cols, Schema(aux=("z",))), EstimatorConfig(method=method))
+        assert exc.value.subject_id == 1 and exc.value.t == 1
+        # the smallest normal p is accepted; its weight stays finite, and the fit
+        # refuses the Gram that overflows with a typed error
+        cols["p"] = np.full(24, np.finfo(float).tiny)
+        with pytest.raises(errors.SingularGram, match="non-finite"):
+            fit(from_columns(cols, Schema(aux=("z",))), EstimatorConfig(method=method))
 
 
 def test_nan_auxiliary_names_subject_and_t():
